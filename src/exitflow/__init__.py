@@ -12,14 +12,12 @@ from .elliptic import (AveragedCoefficients, SolverError, ValueField,
                        average_coefficients, pde_residual,
                        performance_difference_check, solve_on_policy_bellman)
 from .flow import (FlowTrajectory, Scheduler, UnstableFlowError,
-                   error_decomposition, integrate_flow, mirror_rhs,
-                   scheduler_value)
+                   error_decomposition, integrate_flow, mirror_rhs)
 from .hamiltonian import (HamiltonianSample, discrete_bias_gap,
                           hard_hamiltonian, interval_quadratic_softmin,
                           lq_reduction, soft_hamiltonian)
 from .hjb import (ConvergenceError, HjbSolution, optimal_feature,
                   regularization_bias, solve_regularized_hjb,
                   solve_unregularized_hjb)
-from .kernels import USE_NUMBA
 from .montecarlo import McEstimate, PathCapError, simulate_exit_value
 from .policy import Policy, gibbs_policy, kl_between, kl_to_reference, uniform_policy

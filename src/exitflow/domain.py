@@ -7,6 +7,7 @@ the tables.  The linear-quadratic family (b and c affine in the action,
 f quadratic) is first-class because it admits closed-form action minima.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -68,8 +69,9 @@ class ControlProblem:
     """Coefficients of an exit-time control problem on a 1D grid.
 
     The callables are kept for off-grid evaluation (Hamiltonian probes,
-    Monte Carlo boundary data); the *_tab arrays are the coefficients on
-    interior nodes x action nodes and are what the PDE solvers consume.
+    Monte Carlo boundary data); ``coef_tab`` stacks b, c and f on interior
+    nodes x action nodes, shape (3, n_interior, n_actions), and is what the
+    PDE solvers consume; ``b_tab``, ``c_tab`` and ``f_tab`` are views of it.
     """
     grid: Grid
     actions: ActionSpace
@@ -78,9 +80,7 @@ class ControlProblem:
     f: Callable[[float, float], float]
     sigma: Callable[[float], float]
     g: Callable[[float], float]
-    b_tab: np.ndarray = field(repr=False)
-    c_tab: np.ndarray = field(repr=False)
-    f_tab: np.ndarray = field(repr=False)
+    coef_tab: np.ndarray = field(repr=False)
     sigma_interior: np.ndarray = field(repr=False)
     sigma_nodes: np.ndarray = field(repr=False)
     g_left: float = 0.0
@@ -90,6 +90,18 @@ class ControlProblem:
     @property
     def n_interior(self):
         return self.grid.n_interior
+
+    @property
+    def b_tab(self):
+        return self.coef_tab[0]
+
+    @property
+    def c_tab(self):
+        return self.coef_tab[1]
+
+    @property
+    def f_tab(self):
+        return self.coef_tab[2]
 
     @property
     def f_sup(self):
@@ -111,6 +123,19 @@ def build_grid(left, right, n_interior):
     spacing = (right - left) / (n_interior + 1)
     return Grid(left=left, right=right, n_interior=n_interior,
                 spacing=spacing, nodes=nodes)
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order.
+
+    The arrays are shared between calls, so they are read-only; callers
+    derive new arrays from them.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def make_action_space(values=None, alpha=None, beta=None, n_quad=None):
@@ -135,7 +160,7 @@ def make_action_space(values=None, alpha=None, beta=None, n_quad=None):
     n_quad = int(n_quad)
     if n_quad < 2:
         raise ValueError("n_quad must be >= 2")
-    x, w = np.polynomial.legendre.leggauss(n_quad)
+    x, w = _gauss_legendre(n_quad)
     half = 0.5 * (beta - alpha)
     nodes = alpha + half * (x + 1.0)
     # weights integrate the uniform density 1/(beta-alpha); they sum to 1.
@@ -156,27 +181,25 @@ def make_problem(grid, actions, b, c, f, sigma, g, lq=None):
     """Tabulate coefficients and validate nondegeneracy/nonnegativity."""
     xs = grid.interior
     acts = actions.actions
-    b_tab = _tabulate(b, xs, acts)
-    c_tab = _tabulate(c, xs, acts)
-    f_tab = _tabulate(f, xs, acts)
+    coef_tab = np.stack([_tabulate(fn, xs, acts) for fn in (b, c, f)])
     sig_int = np.array([sigma(x) for x in xs], dtype=np.float64)
     sig_all = np.array([sigma(x) for x in grid.nodes], dtype=np.float64)
-    for name, tab in (("b", b_tab), ("c", c_tab), ("f", f_tab)):
+    for name, tab in zip("bcf", coef_tab):
         if not np.all(np.isfinite(tab)):
             raise ValueError(f"coefficient {name} is non-finite on grid x actions")
     if not np.all(np.isfinite(sig_all)):
         raise ValueError("sigma is non-finite on the grid")
     if np.min(sig_all) <= 0.0:
         raise ValueError("sigma must be strictly positive (nondegenerate noise)")
-    if np.min(c_tab) < -1e-12:
+    if np.min(coef_tab[1]) < -1e-12:
         raise ValueError("discount c must be nonnegative on grid x actions")
     g_left = float(g(grid.left))
     g_right = float(g(grid.right))
     if not (math.isfinite(g_left) and math.isfinite(g_right)):
         raise ValueError("exit cost g non-finite at the boundary")
     return ControlProblem(grid=grid, actions=actions, b=b, c=c, f=f,
-                          sigma=sigma, g=g, b_tab=b_tab, c_tab=c_tab,
-                          f_tab=f_tab, sigma_interior=sig_int,
+                          sigma=sigma, g=g, coef_tab=coef_tab,
+                          sigma_interior=sig_int,
                           sigma_nodes=sig_all, g_left=g_left,
                           g_right=g_right, lq=lq)
 

@@ -13,7 +13,7 @@ by the solver, the residual, and the performance-difference check, so
 those identities hold at the level of linear algebra.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,13 +50,9 @@ class ValueField:
 
 
 def average_coefficients(problem, p: Policy) -> AveragedCoefficients:
-    w = p.weights
-    return AveragedCoefficients(
-        b_bar=np.einsum("ik,ik->i", w, problem.b_tab),
-        c_bar=np.einsum("ik,ik->i", w, problem.c_tab),
-        f_bar=np.einsum("ik,ik->i", w, problem.f_tab),
-        kl=kl_to_reference(p, problem.actions),
-    )
+    b_bar, c_bar, f_bar = np.einsum("jik,ik->ji", problem.coef_tab, p.weights)
+    return AveragedCoefficients(b_bar=b_bar, c_bar=c_bar, f_bar=f_bar,
+                                kl=kl_to_reference(p, problem.actions))
 
 
 def assemble_system(problem, b_bar, c_bar, forcing, scheme=CENTRAL):
@@ -162,10 +158,7 @@ def performance_difference_check(problem, p: Policy, q: Policy, tau,
     forcing = np.einsum("ik,ik->i", p.weights - q.weights, adv) \
         + tau * kl_between(p, q, problem.actions)
     avg_p = average_coefficients(problem, p)
-    lower, diag, upper, rhs = assemble_system(problem, avg_p.b_bar, avg_p.c_bar,
-                                              forcing, scheme)
-    # w has zero boundary data: drop the g shifts applied by assemble_system
-    rhs[0] += lower[0] * problem.g_left
-    rhs[-1] += upper[-1] * problem.g_right
-    w = thomas_solve(lower, diag, upper, rhs)
-    return float(np.max(np.abs(w - (vp.v[1:-1] - vq.v[1:-1]))))
+    # w has zero boundary data
+    w, _ = solve_linear(replace(problem, g_left=0.0, g_right=0.0),
+                        avg_p.b_bar, avg_p.c_bar, forcing, scheme)
+    return float(np.max(np.abs(w[1:-1] - (vp.v[1:-1] - vq.v[1:-1]))))

@@ -88,10 +88,6 @@ class Scheduler:
         return out if out.ndim else float(out)
 
 
-def scheduler_value(sched: Scheduler, s):
-    return sched.value(s)
-
-
 @dataclass
 class FlowTrajectory:
     times: np.ndarray
@@ -168,15 +164,18 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
         unregs.append(vu)
         kls.append(float(np.mean((vr - vu) / tau_s)))
 
+    # tau at the stage times s, s + dt/2 and s + dt of every step
+    starts = np.arange(n_steps) * dt
+    stage_taus = zip(sched.value(starts).tolist(),
+                     sched.value(starts + 0.5 * dt).tolist(),
+                     sched.value(starts + dt).tolist())
+
     record(0.0, z)
-    s = 0.0
-    for step in range(1, n_steps + 1):
-        k1 = _rhs(problem, z, float(sched.value(s)), scheme)
-        k2 = _rhs(problem, z + 0.5 * dt * k1,
-                  float(sched.value(s + 0.5 * dt)), scheme)
-        k3 = _rhs(problem, z + 0.5 * dt * k2,
-                  float(sched.value(s + 0.5 * dt)), scheme)
-        k4 = _rhs(problem, z + dt * k3, float(sched.value(s + dt)), scheme)
+    for step, (tau_0, tau_h, tau_1) in enumerate(stage_taus, start=1):
+        k1 = _rhs(problem, z, tau_0, scheme)
+        k2 = _rhs(problem, z + 0.5 * dt * k1, tau_h, scheme)
+        k3 = _rhs(problem, z + 0.5 * dt * k2, tau_h, scheme)
+        k4 = _rhs(problem, z + dt * k3, tau_1, scheme)
         z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s = step * dt
         if not np.all(np.isfinite(z)):

@@ -55,6 +55,17 @@ def test_gauss_legendre_two_point():
     assert np.allclose(a.mu_weights, [0.5, 0.5])
 
 
+def test_interval_rule_unchanged_by_mutating_a_copy():
+    # the rule of each order is cached; callers get fresh arrays
+    first = make_action_space(alpha=0.0, beta=2.0, n_quad=12)
+    first.actions[:] = 0.0
+    first.mu_weights[:] = 0.0
+    again = make_action_space(alpha=0.0, beta=2.0, n_quad=12)
+    x, w = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(again.actions, x + 1.0)
+    assert np.array_equal(again.mu_weights, w / 2.0)
+
+
 @pytest.mark.parametrize("n_quad", [2, 3, 8, 32])
 def test_interval_weights_normalized(n_quad):
     a = make_action_space(alpha=0.0, beta=2.0, n_quad=n_quad)

@@ -168,6 +168,26 @@ def test_performance_difference_random_pairs(lq, seed):
     assert performance_difference_check(lq, q, p, 0.37) <= scale
 
 
+def test_performance_difference_singular_system(lq, monkeypatch):
+    # the two value solves succeed; the third, the identity's own solve,
+    # hits a zero pivot
+    from exitflow import elliptic
+    calls = []
+    real = elliptic.thomas_solve
+
+    def third_call_singular(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise ZeroDivisionError("singular tridiagonal system at row 0")
+        return real(*args)
+
+    monkeypatch.setattr(elliptic, "thomas_solve", third_call_singular)
+    pol = uniform_policy(lq.n_interior, lq.actions)
+    with pytest.raises(SolverError, match="singular"):
+        performance_difference_check(lq, pol, pol, 0.5)
+    assert len(calls) == 3
+
+
 def test_dirichlet_data_respected():
     grid = build_grid(-1.0, 2.0, 15)
     acts = make_action_space(values=[0.0])

@@ -5,7 +5,7 @@ import pytest
 
 from exitflow import (Scheduler, error_decomposition, integrate_flow,
                       lq_benchmark, make_action_space, make_problem,
-                      mirror_rhs, optimal_feature, scheduler_value,
+                      mirror_rhs, optimal_feature,
                       solve_on_policy_bellman, solve_regularized_hjb,
                       solve_unregularized_hjb, uniform_policy)
 from exitflow.domain import build_grid
@@ -26,12 +26,12 @@ def _zero_data_problem(n=7):
 
 
 def test_scheduler_values():
-    assert scheduler_value(Scheduler(kind="inverse_linear"), 0.0) == 1.0
-    assert scheduler_value(Scheduler(kind="inverse_sqrt"), 3.0) == 0.5
+    assert Scheduler(kind="inverse_linear").value(0.0) == 1.0
+    assert Scheduler(kind="inverse_sqrt").value(3.0) == 0.5
     hc = Scheduler(kind="horizon_constant", horizon=math.e - 1.0)
-    assert abs(scheduler_value(hc, 5.0) - 0.58197670686932642) <= 1e-15
+    assert abs(hc.value(5.0) - 0.58197670686932642) <= 1e-15
     pl = Scheduler(kind="power_law", beta=0.5)
-    assert abs(scheduler_value(pl, 3.0) - 0.5) <= 1e-15
+    assert abs(pl.value(3.0) - 0.5) <= 1e-15
 
 
 def test_scheduler_positive_nonincreasing():

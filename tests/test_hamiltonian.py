@@ -220,3 +220,12 @@ def test_softmin_table_matches_scalar():
         direct = -0.7 * math.log(sum(wk * math.exp(-zk / 0.7)
                                      for wk, zk in zip(w, z[i])))
         assert abs(out[i] - direct) <= 1e-12
+
+
+
+def test_escalated_calls_repeat_exactly():
+    # tau = 0.01 on an 8-node rule escalates the quadrature order; the
+    # second call reuses the rule the first one built
+    lq = lq_benchmark("interval", alpha=-1.0, beta=1.0, n_quad=8)
+    first = soft_hamiltonian(lq, 0.5, 0.2, 0.7, 0.01)
+    assert soft_hamiltonian(lq, 0.5, 0.2, 0.7, 0.01) == first

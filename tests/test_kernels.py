@@ -25,14 +25,40 @@ def test_thomas_matches_dense_solve(n):
     assert np.allclose(x, np.linalg.solve(A, rhs), atol=1e-12)
 
 
-def test_thomas_backends_agree():
-    if not kernels.USE_NUMBA:
-        pytest.skip("numba backend unavailable")
-    rng = np.random.default_rng(42)
-    lower, diag, upper, rhs = _random_dd_system(rng, 33)
-    a = kernels._thomas_numba(lower, diag, upper, rhs)
-    b = kernels._thomas_numpy(lower, diag, upper, rhs)
-    assert np.array_equal(a, b)
+# Thomas elimination is plain IEEE arithmetic in a fixed order, so a
+# system built from exact binary fractions has a reproducible solution.
+THOMAS_33 = [
+    1.518443803187527, 1.5922190159376344, 1.087319866938065,
+    0.19394805818967997, -0.6053933710202688, -1.2099635285529735,
+    -1.4436010582570342, 0.6728172010052138, 1.0972705677825791,
+    0.7932141311524386, 0.28237182567473684, -0.4299902866700439,
+    -1.2276438149695879, -1.261373605995097, 0.6774425714026358,
+    1.2631094089018704, 0.9606619017040796, 0.2928259300350253,
+    -0.65241143992305, -1.3354386512157645, -1.524661316547422,
+    0.8583480543627624, 1.2445199347994769, 0.8808329819266372,
+    0.12117875634649736, -0.5172967128871451, -1.1480788117455412,
+    -1.2988819477985585, 0.7682046070660076, 1.1705620935193968,
+    0.944660416718877, 0.3821778965555911, -0.1313025092820349,
+]
+
+
+def test_thomas_golden_values():
+    i = np.arange(33)
+    lower = 1.0 + (i % 3) / 4.0
+    upper = 0.5 + (i % 5) / 8.0
+    diag = -(lower + upper + 1.0)
+    rhs = (i % 7) - 3.0
+    x = kernels.thomas_solve(lower, diag, upper, rhs)
+    assert np.array_equal(x, THOMAS_33)
+
+
+@pytest.mark.parametrize("diag, row", [([0.0, 3.0, 3.0], 0),
+                                       ([1.0, 1.0, 3.0], 1)])
+def test_thomas_zero_pivot_raises(diag, row):
+    # with unit off-diagonals the second pivot is diag[1] - 1/diag[0]
+    ones = np.ones(3)
+    with pytest.raises(ZeroDivisionError, match=f"row {row}"):
+        kernels.thomas_solve(ones, diag, ones, ones)
 
 
 def test_tridiag_apply_roundtrip():
@@ -49,26 +75,36 @@ def _chunk_state(n):
             np.zeros(n, dtype=np.int64))
 
 
-def test_simulation_backends_agree():
-    if not kernels.USE_NUMBA:
-        pytest.skip("numba backend unavailable")
-    rng = np.random.default_rng(0)
-    n, steps = 64, 200
-    normals = rng.standard_normal((n, steps))
+def test_simulation_chunk_golden_values():
+    # fixed normals: a scaled golden-ratio sequence, uniform with unit
+    # variance; two paths exit (left at step 14, right at step 245)
+    n, steps = 6, 300
+    u = (np.arange(n * steps) * 0.6180339887498949) % 1.0
+    normals = ((u - 0.5) * np.sqrt(12.0)).reshape(n, steps)
     nodes = 7
-    b_tab = np.linspace(-0.5, 0.5, nodes)
-    c_tab = np.linspace(0.0, 0.3, nodes)
-    fkl_tab = np.linspace(1.0, 2.0, nodes)
-    s_tab = np.full(nodes, 1.2)
-    args = (0.0, 1.0, 1.0 / (nodes - 1), b_tab, c_tab, fkl_tab, s_tab,
-            1e-3, np.sqrt(1e-3), 0.25, 0.75)
-    state_a = _chunk_state(n)
-    kernels._sim_chunk_numba(*state_a, normals.copy(), *args)
-    state_b = _chunk_state(n)
-    kernels._sim_chunk_numpy(*state_b, normals.copy(), *args)
-    for a, b in zip(state_a, state_b):
-        # identical modulo possible 1-ulp libm differences in exp
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-300)
+    state = _chunk_state(n)
+    state[0][:] = np.linspace(0.1, 0.9, n)
+    kernels.simulate_chunk(*state, normals, 0.0, 1.0, 1.0 / (nodes - 1),
+                           np.linspace(-0.5, 0.5, nodes),
+                           np.linspace(0.0, 0.3, nodes),
+                           np.linspace(1.0, 2.0, nodes),
+                           np.full(nodes, 1.2), 1e-3, 0.25, 0.75)
+    x, gamma, cost, steps_taken, done, exit_steps = state
+    np.testing.assert_allclose(
+        x, [-0.006129938124812939, 0.15110085633489231, 0.36851865238320036,
+            0.6083101212495263, 0.8312495350192869, 1.005393781439769],
+        rtol=1e-12)
+    np.testing.assert_allclose(
+        gamma, [0.999810723643194, 0.9832133224296218, 0.9686729107655853,
+                0.9479633042970117, 0.9323984091095334, 0.9349037743411641],
+        rtol=1e-12)
+    np.testing.assert_allclose(
+        cost, [0.2645823605177552, 0.35333161860643797, 0.3996184258682772,
+               0.46584291848649817, 0.5153749553070237, 1.1551593809604999],
+        rtol=1e-12)
+    assert steps_taken.tolist() == [14, 300, 300, 300, 300, 245]
+    assert done.tolist() == [True, False, False, False, False, True]
+    assert exit_steps.tolist() == [14, 0, 0, 0, 0, 245]
 
 
 def test_simulation_chunk_exits_and_pays():
