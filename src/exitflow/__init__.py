@@ -9,15 +9,14 @@ from .domain import (ActionSpace, ControlProblem, Grid, LQCoefficients,
                      build_grid, lq_benchmark, make_action_space,
                      make_lq_problem, make_problem, manufactured_problem)
 from .elliptic import (AveragedCoefficients, SolverError, ValueField,
-                       average_coefficients, pde_residual,
+                       average_coefficients, optimal_feature, pde_residual,
                        performance_difference_check, solve_on_policy_bellman)
 from .flow import (FlowTrajectory, Scheduler, UnstableFlowError,
                    error_decomposition, integrate_flow, mirror_rhs)
-from .hamiltonian import (HamiltonianSample, discrete_bias_gap,
-                          hard_hamiltonian, interval_quadratic_softmin,
-                          lq_reduction, soft_hamiltonian)
-from .hjb import (ConvergenceError, HjbSolution, optimal_feature,
-                  regularization_bias, solve_regularized_hjb,
-                  solve_unregularized_hjb)
+from .hamiltonian import (discrete_bias_gap, hard_hamiltonian,
+                          interval_quadratic_softmin, lq_reduction,
+                          soft_hamiltonian)
+from .hjb import (ConvergenceError, HjbSolution, regularization_bias,
+                  solve_regularized_hjb, solve_unregularized_hjb)
 from .montecarlo import McEstimate, PathCapError, simulate_exit_value
 from .policy import Policy, gibbs_policy, kl_between, kl_to_reference, uniform_policy

@@ -20,6 +20,11 @@ import numpy as np
 from .flow import CONSTANT, INVERSE_LINEAR, INVERSE_SQRT, POWER_LAW, Scheduler
 
 
+# default grids of the bound-vs-beta figure: power-law exponents and horizons
+BETA_GRID = tuple(round(0.05 * k, 10) for k in range(1, 20))
+S_GRID = (10.0, 100.0, 1000.0, 10000.0)
+
+
 class QuadratureError(RuntimeError):
     pass
 
@@ -134,16 +139,12 @@ def total_bound(sched: Scheduler, S, C=1.0, alpha=1.0):
     return opt + bias
 
 
-def reproduce_figure(beta_grid=None, s_grid=None, C=1.0, alpha=1.0):
+def reproduce_figure(beta_grid=BETA_GRID, s_grid=S_GRID, C=1.0, alpha=1.0):
     """Bound-vs-beta curves for power-law annealing at several horizons.
 
     Returns rows (beta, S, bound), one curve per S, all finite thanks to
     the log-domain growth integrals.
     """
-    if beta_grid is None:
-        beta_grid = np.round(np.arange(0.05, 0.951, 0.05), 10)
-    if s_grid is None:
-        s_grid = [10.0, 100.0, 1000.0, 10000.0]
     beta_grid = list(beta_grid)
     s_grid = list(s_grid)
     if not beta_grid or not s_grid:

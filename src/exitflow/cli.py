@@ -17,13 +17,15 @@ import numpy as np
 
 from . import __version__
 from .bounds import (QuadratureError, growth_integrals_quadrature,
-                     total_bound)
+                     reproduce_figure)
 from .config import (ConfigError, build_problem, build_scheduler,
-                     config_digest, load_config, probe_indices)
+                     config_digest, load_config, probe_indices,
+                     resolve_config)
 from .csvio import read_matrix_csv, write_csv, write_matrix_csv
-from .elliptic import SolverError, solve_on_policy_bellman
+from .elliptic import SolverError, optimal_feature, solve_on_policy_bellman
 from .flow import (POWER_LAW, Scheduler, UnstableFlowError,
                    error_decomposition, integrate_flow)
+from .hamiltonian import bias_sweep_rows
 from .hjb import (ConvergenceError, solve_regularized_hjb,
                   solve_unregularized_hjb)
 from .montecarlo import PathCapError, simulate_exit_value
@@ -74,13 +76,9 @@ def cmd_solve_hjb(resolved, out_dir):
     problem = build_problem(resolved)
     solver = resolved["solver"]
     outputs = []
-    sols = [solve_unregularized_hjb(problem, tol=solver["tol"],
-                                    max_iter=solver["max_iter"],
-                                    scheme=solver["scheme"])]
+    sols = [solve_unregularized_hjb(problem, **solver)]
     for tau in resolved["hjb"]["taus"]:
-        sols.append(solve_regularized_hjb(problem, tau, tol=solver["tol"],
-                                          max_iter=solver["max_iter"],
-                                          scheme=solver["scheme"]))
+        sols.append(solve_regularized_hjb(problem, tau, **solver))
     for sol in sols:
         tag = _tau_tag(sol.tau)
         rows = []
@@ -100,17 +98,14 @@ def cmd_solve_hjb(resolved, out_dir):
     return outputs, 0
 
 
-def _initial_feature(resolved, problem, flow_cfg, solver):
+def _initial_feature(problem, flow_cfg, solver):
     z0_choice = flow_cfg["z0"]
     shape = (problem.n_interior, problem.actions.n_actions)
     if z0_choice == "zero":
         return np.zeros(shape)
     if z0_choice == "optimal":
         tau0 = float(build_scheduler(flow_cfg).value(0.0))
-        sol = solve_regularized_hjb(problem, tau0, tol=solver["tol"],
-                                    max_iter=solver["max_iter"],
-                                    scheme=solver["scheme"])
-        from .hjb import optimal_feature
+        sol = solve_regularized_hjb(problem, tau0, **solver)
         return -optimal_feature(problem, sol.v_star) / tau0
     if z0_choice.endswith(".csv"):
         z = read_matrix_csv(z0_choice)
@@ -130,7 +125,7 @@ def cmd_run_flow(resolved, out_dir):
     solver = resolved["solver"]
     sched = build_scheduler(flow_cfg)
     probes = probe_indices(problem.grid, flow_cfg["probes"])
-    z0 = _initial_feature(resolved, problem, flow_cfg, solver)
+    z0 = _initial_feature(problem, flow_cfg, solver)
     traj = integrate_flow(problem, z0, sched, flow_cfg["horizon"],
                           flow_cfg["dt"], probes,
                           record_every=flow_cfg["record_every"],
@@ -152,18 +147,13 @@ def cmd_run_flow(resolved, out_dir):
                                     col_labels=problem.actions.actions))
     # error decomposition at every record (solutions cached by tau, so
     # constant schedulers solve once)
-    unreg = solve_unregularized_hjb(problem, tol=solver["tol"],
-                                    max_iter=solver["max_iter"],
-                                    scheme=solver["scheme"])
+    unreg = solve_unregularized_hjb(problem, **solver)
     cache = {}
     regs = []
     for tau in traj.tau_values:
         tau = float(tau)
         if tau not in cache:
-            cache[tau] = solve_regularized_hjb(problem, tau,
-                                               tol=solver["tol"],
-                                               max_iter=solver["max_iter"],
-                                               scheme=solver["scheme"])
+            cache[tau] = solve_regularized_hjb(problem, tau, **solver)
         regs.append(cache[tau])
     decomp = error_decomposition(problem, traj, regs, unreg)
     rows = []
@@ -178,17 +168,14 @@ def cmd_run_flow(resolved, out_dir):
 
 
 def cmd_sweep_bounds(resolved, out_dir):
-    if "bounds" not in resolved:
-        raise ConfigError("config key 'bounds' is required for sweep-bounds")
     cfg = resolved["bounds"]
-    C, alpha = cfg["constant"], cfg["alpha"]
-    figure_rows = []
+    figure_rows = reproduce_figure(cfg["beta_grid"], cfg["s_grid"],
+                                   cfg["constant"], cfg["alpha"])
     growth_rows = []
     for S in cfg["s_grid"]:
         for beta in cfg["beta_grid"]:
-            sched = Scheduler(kind=POWER_LAW, beta=beta)
-            figure_rows.append((beta, S, total_bound(sched, S, C, alpha)))
-            gi = growth_integrals_quadrature(sched, S)
+            gi = growth_integrals_quadrature(
+                Scheduler(kind=POWER_LAW, beta=beta), S)
             growth_rows.append((beta, S, gi.log_I1, gi.log_I2))
     outputs = []
     path = os.path.join(out_dir, "figure_bounds.csv")
@@ -197,7 +184,6 @@ def cmd_sweep_bounds(resolved, out_dir):
     outputs.append(write_csv(path, ["beta", "s", "log_I1", "log_I2"],
                              growth_rows))
     if "bias_sweep" in cfg:
-        from .hamiltonian import bias_sweep_rows
         bs = cfg["bias_sweep"]
         rows = bias_sweep_rows(bs["taus"], bs["p_grid"],
                                alpha=bs["alpha"], beta=bs["beta"])
@@ -217,9 +203,7 @@ def cmd_mc_check(resolved, out_dir, seed):
         pol = uniform_policy(problem.n_interior, problem.actions)
     else:
         ref_tau = mc["tau"] if mc["tau"] > 0 else 0.5
-        sol = solve_regularized_hjb(problem, ref_tau, tol=solver["tol"],
-                                    max_iter=solver["max_iter"],
-                                    scheme=solver["scheme"])
+        sol = solve_regularized_hjb(problem, ref_tau, **solver)
         pol = sol.optimal_policy
     pde_tau = mc["pde_tau"] if mc["pde_tau"] is not None else mc["tau"]
     vf = solve_on_policy_bellman(problem, pol, pde_tau,
@@ -274,13 +258,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        if args.command == "reproduce-figure" and args.config is None:
-            resolved = {"seed": 1234, "solver": {"tol": None, "max_iter": 200,
-                                                 "scheme": "central"},
-                        "bounds": {"beta_grid": [round(0.05 * k, 10)
-                                                 for k in range(1, 20)],
-                                   "s_grid": [10.0, 100.0, 1000.0, 10000.0],
-                                   "constant": 1.0, "alpha": 1.0}}
+        if args.config is None:  # only reproduce-figure may omit it
+            resolved = resolve_config({})
         else:
             resolved = load_config(args.config)
         seed = args.seed if args.seed is not None else resolved["seed"]
@@ -293,10 +272,7 @@ def main(argv=None):
             outputs, code = cmd_run_flow(resolved, out_dir)
         elif args.command in ("sweep-bounds", "reproduce-figure"):
             if "bounds" not in resolved:
-                resolved["bounds"] = {
-                    "beta_grid": [round(0.05 * k, 10) for k in range(1, 20)],
-                    "s_grid": [10.0, 100.0, 1000.0, 10000.0],
-                    "constant": 1.0, "alpha": 1.0}
+                resolved["bounds"] = resolve_config({"bounds": {}})["bounds"]
             outputs, code = cmd_sweep_bounds(resolved, out_dir)
         else:
             outputs, code = cmd_mc_check(resolved, out_dir, seed)

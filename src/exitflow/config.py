@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .bounds import BETA_GRID, S_GRID
 from .domain import (DISCRETE, INTERVAL, LQCoefficients, build_grid,
                      make_action_space, make_lq_problem)
 from .flow import SCHEDULER_KINDS, Scheduler
@@ -189,7 +190,7 @@ def resolve_config(raw):
                                                "flow.scheduler.beta", _NUM,
                                                lambda b: b > 0, "positive"))
         horizon = _require(f, "horizon", "flow.horizon", _NUM,
-                           lambda v: v > 0, "positive")
+                           lambda v: 0 < v < math.inf, "positive and finite")
         probes = _require(f, "probes", "flow.probes", list,
                           lambda v: len(v) >= 1 and
                           all(isinstance(x, _NUM) for x in v),
@@ -202,17 +203,21 @@ def resolve_config(raw):
             "probes": [float(p) for p in probes],
             "z0": str(f.get("z0", "zero")),
         }
-        if out["flow"]["dt"] <= 0:
+        dt = out["flow"]["dt"]
+        if dt <= 0:
             raise ConfigError("config key 'flow.dt': must be positive")
+        steps = round(horizon / dt)
+        if abs(steps * dt - horizon) > 1e-9 * horizon:
+            raise ConfigError(f"config key 'flow.horizon': {horizon:g} is not "
+                              f"a whole multiple of flow.dt = {dt:g}")
         if out["flow"]["record_every"] < 1:
             raise ConfigError("config key 'flow.record_every': must be >= 1")
     if "bounds" in raw:
         b = raw["bounds"]
         _check_known(b, "bounds", ("beta_grid", "s_grid", "constant",
                                    "alpha", "bias_sweep"))
-        beta_grid = b.get("beta_grid",
-                          [round(0.05 * k, 10) for k in range(1, 20)])
-        s_grid = b.get("s_grid", [10.0, 100.0, 1000.0, 10000.0])
+        beta_grid = b.get("beta_grid", list(BETA_GRID))
+        s_grid = b.get("s_grid", list(S_GRID))
         if not isinstance(beta_grid, list) or not beta_grid or \
                 not all(isinstance(x, _NUM) and 0 < x for x in beta_grid):
             raise ConfigError("config key 'bounds.beta_grid': need a "

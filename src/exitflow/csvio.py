@@ -60,11 +60,3 @@ def read_matrix_csv(path):
         data = [[float(v) for v in row[1:]] for row in reader]
     return np.asarray(data, dtype=np.float64)
 
-
-def write_value_field_csv(path, grid, vf):
-    """(x, v, dv) with empty derivative cells at the boundary nodes."""
-    rows = []
-    for i, x in enumerate(grid.nodes):
-        dv = "" if i == 0 or i == grid.nodes.size - 1 else vf.dv[i - 1]
-        rows.append((x, vf.v[i], dv))
-    return write_csv(path, ["x", "v", "dv"], rows)

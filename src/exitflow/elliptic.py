@@ -10,7 +10,9 @@ advection term is central by default with an upwind fallback behind the
 ``scheme`` flag (central requires the cell Peclet condition
 |b_bar| h / sigma^2 <= 2).  One tridiagonal assembly is shared verbatim
 by the solver, the residual, and the performance-difference check, so
-those identities hold at the level of linear algebra.
+those identities hold at the level of linear algebra.  The per-action
+generator table b*Dv - c*v + f and the diffusion term (sigma^2/2) v''
+also live here, for the HJB residuals and the flow.
 """
 
 from dataclasses import dataclass, replace
@@ -52,16 +54,14 @@ class ValueField:
 def average_coefficients(problem, p: Policy) -> AveragedCoefficients:
     b_bar, c_bar, f_bar = np.einsum("jik,ik->ji", problem.coef_tab, p.weights)
     return AveragedCoefficients(b_bar=b_bar, c_bar=c_bar, f_bar=f_bar,
-                                kl=kl_to_reference(p, problem.actions))
+                                kl=kl_to_reference(p))
 
 
 def assemble_system(problem, b_bar, c_bar, forcing, scheme=CENTRAL):
     """Bands and right-hand side of the interior tridiagonal system.
 
     Row i encodes (sigma_i^2/2) v'' + b_i v' - c_i v = -forcing_i with the
-    Dirichlet data folded into the rhs.  Returns (lower, diag, upper, rhs,
-    g_shift) where g_shift restores the boundary contributions when the
-    operator is applied to a full value vector.
+    Dirichlet data folded into the rhs.  Returns (lower, diag, upper, rhs).
     """
     h = problem.grid.spacing
     sig2 = problem.sigma_interior ** 2
@@ -120,9 +120,18 @@ def solve_on_policy_bellman(problem, p: Policy, tau, scheme=CENTRAL) -> ValueFie
     return ValueField(v=v, dv=dv, tau=float(tau))
 
 
-def second_diff(v, h):
-    """Central second difference of a full nodal vector, interior values."""
-    return (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h ** 2
+def diffusion(problem, vf: ValueField) -> np.ndarray:
+    """Diffusion term (sigma^2/2) v'' on interior nodes, with the central
+    second difference of the full nodal vector."""
+    v = vf.v
+    d2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / problem.grid.spacing ** 2
+    return 0.5 * problem.sigma_interior ** 2 * d2
+
+
+def optimal_feature(problem, vf: ValueField) -> np.ndarray:
+    """Feature table b*Dv - c*v + f on interior nodes x action nodes."""
+    return problem.b_tab * vf.dv[:, None] \
+        - problem.c_tab * vf.interior[:, None] + problem.f_tab
 
 
 def pde_residual(problem, p: Policy, tau, vf: ValueField, scheme=CENTRAL) -> float:
@@ -149,14 +158,11 @@ def performance_difference_check(problem, p: Policy, q: Policy, tau,
         raise ValueError("tau must be positive")
     vp = solve_on_policy_bellman(problem, p, tau, scheme)
     vq = solve_on_policy_bellman(problem, q, tau, scheme)
-    h = problem.grid.spacing
-    d2 = second_diff(vq.v, h)
-    # generator table (L^a v_q)(x_i) for every action column
-    gen = (0.5 * problem.sigma_interior ** 2 * d2)[:, None] \
-        + problem.b_tab * vq.dv[:, None] - problem.c_tab * vq.v[1:-1][:, None]
-    adv = gen + problem.f_tab + tau * q.log_density
+    # (L^a v_q)(x_i) + f(x_i, a) for every action column
+    adv = diffusion(problem, vq)[:, None] + optimal_feature(problem, vq) \
+        + tau * q.log_density
     forcing = np.einsum("ik,ik->i", p.weights - q.weights, adv) \
-        + tau * kl_between(p, q, problem.actions)
+        + tau * kl_between(p, q)
     avg_p = average_coefficients(problem, p)
     # w has zero boundary data
     w, _ = solve_linear(replace(problem, g_left=0.0, g_right=0.0),

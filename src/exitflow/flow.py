@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import solve_on_policy_bellman
-from .hjb import HjbSolution, optimal_feature
+from .elliptic import CENTRAL, optimal_feature, solve_on_policy_bellman
+from .hjb import HjbSolution
 from .policy import gibbs_policy
 
 CONSTANT = "constant"
@@ -114,7 +114,7 @@ def _rhs(problem, z, tau, scheme):
     return mirror_rhs(problem, z, vf, tau)
 
 
-def estimate_rhs_lipschitz(problem, z0, tau, scheme="central"):
+def estimate_rhs_lipschitz(problem, z0, tau, scheme=CENTRAL):
     """Crude local Lipschitz bound of the rhs from one random perturbation."""
     rng = np.random.default_rng(181181)
     delta = 1e-3 * (1.0 + np.max(np.abs(z0))) * rng.standard_normal(z0.shape)
@@ -125,12 +125,15 @@ def estimate_rhs_lipschitz(problem, z0, tau, scheme="central"):
 
 
 def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
-                   record_every=1, scheme="central",
+                   record_every=1, scheme=CENTRAL,
                    check_stability=True) -> FlowTrajectory:
     """Integrate the feature flow to time S with fixed-step RK4.
 
     ``probes`` are interior node indices; values are recorded at s = 0 and
     every ``record_every`` steps (the final step is always recorded).
+    The flow takes round(S/dt) steps, so it ends at S only when S is a
+    whole multiple of dt; run configs with any other horizon are rejected
+    by ``config.resolve_config``.
     """
     z = np.array(z0, dtype=np.float64)
     if not np.all(np.isfinite(z)):

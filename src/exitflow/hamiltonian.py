@@ -10,24 +10,15 @@ is small enough that exp(-z/tau) turns into an unresolved spike.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf, erfcx
 
+from .domain import DISCRETE, make_action_space
+
 # below this tau, interval quadrature under-resolves the softmin spike and
 # LQ problems switch to the closed form
 TAU_CLOSED_FORM = 1e-3
-
-
-@dataclass(frozen=True)
-class HamiltonianSample:
-    x: float
-    u: float
-    p: float
-    soft: float
-    hard: float
-    argmin_action: float
 
 
 def softmin_table(z, weights, tau):
@@ -38,8 +29,8 @@ def softmin_table(z, weights, tau):
     return m - tau * np.log(acc)
 
 
-def _z_values(problem, x, u, p):
-    acts = problem.actions.actions
+def _z_values(problem, x, u, p, acts):
+    """b(x, a)*p - c(x, a)*u + f(x, a) at each action node in ``acts``."""
     return np.array([problem.b(x, a) * p - problem.c(x, a) * u
                      + problem.f(x, a) for a in acts])
 
@@ -72,23 +63,21 @@ def soft_hamiltonian(problem, x, u, p, tau, n_quad=None):
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     actions = problem.actions
-    if actions.kind == "discrete":
-        z = _z_values(problem, x, u, p)
+    if actions.kind == DISCRETE:
+        z = _z_values(problem, x, u, p, actions.actions)
         return float(softmin_table(z, actions.mu_weights, tau)[0])
     if problem.lq is not None and tau < TAU_CLOSED_FORM and n_quad is None:
         const, two_fhat, p_t, tau_t = lq_reduction(problem, x, u, p, tau)
         return const + two_fhat * interval_quadratic_softmin(
             p_t, tau_t, actions.alpha, actions.beta)
-    z = _z_values(problem, x, u, p)
+    z = _z_values(problem, x, u, p, actions.actions)
     if n_quad is None:
         n_quad = _escalated_order(z, tau, actions.alpha, actions.beta,
                                   actions.n_actions)
     if n_quad != actions.n_actions:
-        from .domain import make_action_space
         actions = make_action_space(alpha=actions.alpha, beta=actions.beta,
                                     n_quad=n_quad)
-        z = np.array([problem.b(x, a) * p - problem.c(x, a) * u
-                      + problem.f(x, a) for a in actions.actions])
+        z = _z_values(problem, x, u, p, actions.actions)
     return float(softmin_table(z, actions.mu_weights, tau)[0])
 
 
@@ -100,22 +89,22 @@ def hard_hamiltonian(problem, x, u, p):
     intervals: node scan refined by golden-section search.
     """
     actions = problem.actions
-    if actions.kind == "discrete":
-        z = _z_values(problem, x, u, p)
+    if actions.kind == DISCRETE:
+        z = _z_values(problem, x, u, p, actions.actions)
         k = int(np.argmin(z))
         return float(z[k]), float(actions.actions[k])
+
+    def phi(a):
+        return problem.b(x, a) * p - problem.c(x, a) * u + problem.f(x, a)
+
     if problem.lq is not None:
         lq = problem.lq
         slope = lq.b_hat(x) * p - lq.c_hat(x) * u + lq.f_tilde(x)
         fh = lq.f_hat(x)
         a = min(max(-slope / (2.0 * fh), actions.alpha), actions.beta)
-        val = problem.b(x, a) * p - problem.c(x, a) * u + problem.f(x, a)
-        return float(val), float(a)
+        return float(phi(a)), float(a)
 
-    def phi(a):
-        return problem.b(x, a) * p - problem.c(x, a) * u + problem.f(x, a)
-
-    z = _z_values(problem, x, u, p)
+    z = _z_values(problem, x, u, p, actions.actions)
     k = int(np.argmin(z))
     lo = actions.alpha if k == 0 else actions.actions[k - 1]
     hi = actions.beta if k == actions.n_actions - 1 else actions.actions[k + 1]
@@ -203,7 +192,7 @@ def discrete_bias_gap(problem, samples, tau):
     Only defined for discrete action spaces, where the gap is bounded by
     tau*ln(N) under uniform reference weights.
     """
-    if problem.actions.kind != "discrete":
+    if problem.actions.kind != DISCRETE:
         raise ValueError("discrete_bias_gap needs a discrete action space")
     gap = -math.inf
     for (x, u, p) in samples:
@@ -211,13 +200,6 @@ def discrete_bias_gap(problem, samples, tau):
         hard, _ = hard_hamiltonian(problem, x, u, p)
         gap = max(gap, soft - hard)
     return gap
-
-
-def sample_hamiltonian(problem, x, u, p, tau) -> HamiltonianSample:
-    soft = soft_hamiltonian(problem, x, u, p, tau)
-    hard, amin = hard_hamiltonian(problem, x, u, p)
-    return HamiltonianSample(x=x, u=u, p=p, soft=soft, hard=hard,
-                             argmin_action=amin)
 
 
 def bias_sweep_rows(tau_list, p_list, alpha=-1.0, beta=1.0):

@@ -15,9 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .domain import DISCRETE
-from .elliptic import (CENTRAL, ValueField, average_coefficients, second_diff,
-                       solve_linear, solve_on_policy_bellman)
-from .hamiltonian import softmin_table
+from .elliptic import (CENTRAL, ValueField, average_coefficients, diffusion,
+                       optimal_feature, solve_linear, solve_on_policy_bellman)
+from .hamiltonian import hard_hamiltonian, softmin_table
 from .policy import Policy, gibbs_policy, uniform_policy
 
 
@@ -38,22 +38,13 @@ class HjbSolution:
     argmin_actions: Optional[np.ndarray] = None  # tau = 0, per interior node
 
 
-def optimal_feature(problem, vf: ValueField) -> np.ndarray:
-    """Feature table b*Dv - c*v + f on interior nodes x action nodes."""
-    return problem.b_tab * vf.dv[:, None] \
-        - problem.c_tab * vf.interior[:, None] + problem.f_tab
-
-
 def default_tolerance(problem):
     return 1e-9 * (1.0 + problem.f_sup)
 
 
-def _semilinear_residual(problem, vf, tau):
-    h = problem.grid.spacing
-    diffusion = 0.5 * problem.sigma_interior ** 2 * second_diff(vf.v, h)
-    z = optimal_feature(problem, vf)
-    ham = softmin_table(z, problem.actions.mu_weights, tau)
-    return float(np.max(np.abs(diffusion + ham)))
+def _residual(problem, vf, ham):
+    """Max-norm of (sigma^2/2) v'' + H with per-node Hamiltonian values."""
+    return float(np.max(np.abs(diffusion(problem, vf) + ham)))
 
 
 def solve_regularized_hjb(problem, tau, tol=None, max_iter=200,
@@ -77,54 +68,32 @@ def solve_regularized_hjb(problem, tau, tol=None, max_iter=200,
     vf = None
     for it in range(1, max_iter + 1):
         vf = solve_on_policy_bellman(problem, pol, tau, scheme)
-        res = _semilinear_residual(problem, vf, tau)
+        z = optimal_feature(problem, vf)
+        res = _residual(problem, vf,
+                        softmin_table(z, problem.actions.mu_weights, tau))
         history.append(res)
         if res <= tol:
             return HjbSolution(v_star=vf, tau=float(tau), iterations=it,
                                final_residual=res, optimal_policy=pol,
                                residual_history=history)
-        pol = gibbs_policy(-optimal_feature(problem, vf) / tau,
-                           problem.actions)
+        pol = gibbs_policy(-z / tau, problem.actions)
     raise ConvergenceError(
         f"policy iteration did not reach tol={tol:.3g} in {max_iter} "
         f"iterations (last residual {history[-1]:.3g})", history)
 
 
-def _hard_argmin_actions(problem, vf):
-    """Per-node minimizing actions of b*Dv - c*v + f."""
+def _hard_minimum(problem, vf):
+    """Per-node minimum of b*Dv - c*v + f, a minimizing action, and its
+    column on discrete action sets (None on intervals)."""
     if problem.actions.kind == DISCRETE:
         z = optimal_feature(problem, vf)
         cols = np.argmin(z, axis=1)
-        return problem.actions.actions[cols], cols
-    if problem.lq is None:
-        from .hamiltonian import hard_hamiltonian
-        acts = np.array([hard_hamiltonian(problem, x, vf.interior[i],
-                                          vf.dv[i])[1]
-                         for i, x in enumerate(problem.grid.interior)])
-        return acts, None
-    lq = problem.lq
-    xs = problem.grid.interior
-    slope = np.array([lq.b_hat(x) for x in xs]) * vf.dv \
-        - np.array([lq.c_hat(x) for x in xs]) * vf.interior \
-        + np.array([lq.f_tilde(x) for x in xs])
-    fh = np.array([lq.f_hat(x) for x in xs])
-    acts = np.clip(-slope / (2.0 * fh), problem.actions.alpha,
-                   problem.actions.beta)
-    return acts, None
-
-
-def _hard_residual(problem, vf):
-    from .hamiltonian import hard_hamiltonian
-    h = problem.grid.spacing
-    diffusion = 0.5 * problem.sigma_interior ** 2 * second_diff(vf.v, h)
-    if problem.actions.kind == DISCRETE:
-        z = optimal_feature(problem, vf)
-        ham = z.min(axis=1)
-    else:
-        ham = np.array([hard_hamiltonian(problem, x, vf.interior[i],
-                                         vf.dv[i])[0]
-                        for i, x in enumerate(problem.grid.interior)])
-    return float(np.max(np.abs(diffusion + ham)))
+        return z[np.arange(cols.size), cols], problem.actions.actions[cols], \
+            cols
+    ham, acts = np.array([hard_hamiltonian(problem, x, u, p) for x, u, p
+                          in zip(problem.grid.interior, vf.interior,
+                                 vf.dv)]).T
+    return ham, acts, None
 
 
 def _one_hot_policy(problem, actions_selected):
@@ -171,9 +140,9 @@ def solve_unregularized_hjb(problem, tol=None, max_iter=200,
     for it in range(1, max_iter + 1):
         v, dv = solve_linear(problem, b_bar, c_bar, f_bar, scheme)
         vf = ValueField(v=v, dv=dv, tau=0.0)
-        res = _hard_residual(problem, vf)
+        ham, new_acts, cols = _hard_minimum(problem, vf)
+        res = _residual(problem, vf, ham)
         history.append(res)
-        new_acts, cols = _hard_argmin_actions(problem, vf)
         stationary = acts is not None and np.array_equal(new_acts, acts)
         if res <= tol or stationary:
             return HjbSolution(v_star=vf, tau=0.0, iterations=it,

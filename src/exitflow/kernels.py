@@ -60,9 +60,11 @@ def tridiag_apply(lower, diag, upper, x):
 # ---------------------------------------------------------------------------
 
 
-def _sim_chunk_numpy(x, gamma, cost, steps, done, exit_steps, normals,
-                     left, right, spacing, b_tab, c_tab, fkl_tab, s_tab,
-                     dt, sqrt_dt, g_left, g_right):
+def simulate_chunk(x, gamma, cost, steps, done, exit_steps, normals,
+                   left, right, spacing, b_tab, c_tab, fkl_tab, s_tab,
+                   dt, g_left, g_right):
+    """Advance a batch of paths through one chunk of normal increments."""
+    sqrt_dt = np.sqrt(dt)
     n_nodes = b_tab.shape[0]
     n_steps = normals.shape[1]
     for j in range(n_steps):
@@ -95,13 +97,3 @@ def _sim_chunk_numpy(x, gamma, cost, steps, done, exit_steps, normals,
             cost[out_right] += gamma[out_right] * g_right
             exit_steps[exited] = steps[exited]
             done[exited] = True
-
-
-def simulate_chunk(x, gamma, cost, steps, done, exit_steps, normals,
-                   left, right, spacing, b_tab, c_tab, fkl_tab, s_tab,
-                   dt, g_left, g_right):
-    """Advance a batch of paths through one chunk of normal increments."""
-    sqrt_dt = np.sqrt(dt)
-    _sim_chunk_numpy(x, gamma, cost, steps, done, exit_steps, normals,
-                     left, right, spacing, b_tab, c_tab, fkl_tab, s_tab,
-                     dt, sqrt_dt, g_left, g_right)

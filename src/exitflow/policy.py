@@ -47,12 +47,12 @@ def uniform_policy(n_interior, actions):
     return gibbs_policy(np.zeros((n_interior, actions.n_actions)), actions)
 
 
-def kl_to_reference(p: Policy, actions) -> np.ndarray:
+def kl_to_reference(p: Policy) -> np.ndarray:
     """KL(pi | mu) per interior node; nonnegative up to roundoff."""
     return np.einsum("ik,ik->i", p.weights, p.log_density)
 
 
-def kl_between(p: Policy, q: Policy, actions) -> np.ndarray:
+def kl_between(p: Policy, q: Policy) -> np.ndarray:
     """KL(p | q) per interior node.
 
     Raises if q is degenerate (weight below 1e-300 where p has mass),

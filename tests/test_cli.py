@@ -126,6 +126,17 @@ def test_run_flow_monotone_and_reproducible(tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
+def test_run_flow_rejects_partial_last_step(tmp_path, capsys):
+    # horizon 1.0 at dt 0.3 would stop at s = 0.9
+    cfg = _write(tmp_path, _base_config(
+        flow={"scheduler": {"kind": "constant", "tau": 0.5}, "horizon": 1.0,
+              "dt": 0.3, "probes": [0.5]}))
+    out = tmp_path / "run"
+    assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 1
+    assert "flow.horizon" in capsys.readouterr().err
+    assert not (out / "flow_trajectory.csv").exists()
+
+
 def test_run_flow_restart_roundtrip(tmp_path):
     cfg_dict = _base_config(
         flow={"scheduler": {"kind": "constant", "tau": 0.5}, "horizon": 0.5,

@@ -1,9 +1,8 @@
 import numpy as np
 
-from exitflow import (gibbs_policy, make_action_space, manufactured_problem,
-                      solve_on_policy_bellman, uniform_policy)
+from exitflow import gibbs_policy, make_action_space
 from exitflow.csvio import (format_value, read_matrix_csv, write_csv,
-                            write_matrix_csv, write_value_field_csv)
+                            write_matrix_csv)
 
 
 def test_format_full_precision():
@@ -41,17 +40,3 @@ def test_policy_matrix_serialization(tmp_path):
     back = read_matrix_csv(path)
     assert np.array_equal(back, pol.weights)
 
-
-def test_value_field_csv(tmp_path):
-    prob = manufactured_problem(n_interior=5)
-    vf = solve_on_policy_bellman(prob, uniform_policy(5, prob.actions), 0.0)
-    path = str(tmp_path / "v.csv")
-    write_value_field_csv(path, prob.grid, vf)
-    lines = open(path).read().splitlines()
-    assert lines[0] == "x,v,dv"
-    assert len(lines) == 8  # header + 7 nodes
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0 and float(first[1]) == 0.0
-    assert first[2] == ""  # no derivative at the boundary
-    mid = lines[4].split(",")
-    assert abs(float(mid[1]) - 0.25) <= 1e-12

@@ -155,7 +155,7 @@ def test_interval_unregularized_continuous_argmin(lq_interval):
 def test_howard_monotone_values(lq):
     # classical Howard property: values nonincreasing across iterations
     from exitflow.elliptic import solve_linear
-    from exitflow.hjb import _hard_argmin_actions, _selected_coefficients
+    from exitflow.hjb import _hard_minimum, _selected_coefficients
     from exitflow.elliptic import ValueField, average_coefficients
     pol = uniform_policy(lq.n_interior, lq.actions)
     avg = average_coefficients(lq, pol)
@@ -166,8 +166,48 @@ def test_howard_monotone_values(lq):
         if prev is not None:
             assert np.all(v <= prev + 1e-9)
         prev = v
-        acts, _ = _hard_argmin_actions(lq, ValueField(v=v, dv=dv, tau=0.0))
+        _, acts, _ = _hard_minimum(lq, ValueField(v=v, dv=dv, tau=0.0))
         b, c, f = _selected_coefficients(lq, acts)
+
+
+def _non_lq_interval_problem():
+    # convex in the action on [-1, 1] but not of LQ form, so Howard runs
+    # the golden-section refinement of hard_hamiltonian at every node
+    grid = build_grid(0.0, 1.0, 15)
+    acts = make_action_space(alpha=-1.0, beta=1.0, n_quad=16)
+    return make_problem(grid, acts, b=lambda x, a: 0.5 * a + 0.2 * x,
+                        c=lambda x, a: 0.1,
+                        f=lambda x, a: 1.0 + (1.2 + x) * a * a
+                        + 0.1 * math.cos(3.0 * a),
+                        sigma=lambda x: 1.0, g=lambda x: 0.0)
+
+
+def test_howard_non_lq_interval(monkeypatch):
+    import exitflow.hamiltonian
+    import exitflow.hjb
+    prob = _non_lq_interval_problem()
+    calls = []
+    original = exitflow.hamiltonian.hard_hamiltonian
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (exitflow.hamiltonian, exitflow.hjb):
+        monkeypatch.setattr(module, "hard_hamiltonian", counting,
+                            raising=False)
+    sol = solve_unregularized_hjb(prob)
+    assert len(calls) == prob.n_interior * sol.iterations
+    assert sol.final_residual <= default_tolerance(prob)
+    # each selected action minimizes b*Dv - c*v + f against a dense scan
+    scan = np.linspace(-1.0, 1.0, 20001)
+    v, dv = sol.v_star.v, sol.v_star.dv
+    for i, x in enumerate(prob.grid.interior):
+        def z(a):
+            return prob.b(x, a) * dv[i] - prob.c(x, a) * v[i + 1] \
+                + prob.f(x, a)
+        dense = min(z(a) for a in scan)
+        assert z(sol.argmin_actions[i]) <= dense + 1e-12
 
 
 def test_regularization_bias_zero_data():

@@ -56,14 +56,14 @@ def test_rejects_non_finite(two_uniform):
 
 def test_kl_to_reference_zero_for_uniform(two_uniform):
     p = uniform_policy(4, two_uniform)
-    assert np.max(np.abs(kl_to_reference(p, two_uniform))) <= 1e-14
+    assert np.max(np.abs(kl_to_reference(p))) <= 1e-14
 
 
 def test_kl_to_reference_frozen_value(two_uniform):
     # weights (0.8, 0.2) against uniform: 0.8 ln 1.6 + 0.2 ln 0.4
     p = gibbs_policy(np.log(np.array([[1.6, 0.4]])), two_uniform)
     assert np.allclose(p.weights, [[0.8, 0.2]], atol=1e-14)
-    kl = kl_to_reference(p, two_uniform)
+    kl = kl_to_reference(p)
     assert abs(kl[0] - 0.19274475702175743) <= 1e-12
 
 
@@ -71,14 +71,14 @@ def test_kl_to_reference_near_point_mass(two_uniform):
     # weights (1-eps, eps) approach ln 2 as eps -> 0
     for eps, tol in ((1e-6, 2e-5), (1e-9, 3e-8)):
         z = np.log(np.array([[2.0 * (1 - eps), 2.0 * eps]]))
-        kl = kl_to_reference(gibbs_policy(z, two_uniform), two_uniform)
+        kl = kl_to_reference(gibbs_policy(z, two_uniform))
         assert abs(kl[0] - math.log(2.0)) <= tol
 
 
 def test_kl_between_identity(two_uniform):
     rng = np.random.default_rng(5)
     p = gibbs_policy(rng.standard_normal((7, 2)), two_uniform)
-    assert np.max(np.abs(kl_between(p, p, two_uniform))) <= 1e-14
+    assert np.max(np.abs(kl_between(p, p))) <= 1e-14
 
 
 def test_kl_between_frozen_values(two_uniform):
@@ -86,9 +86,9 @@ def test_kl_between_frozen_values(two_uniform):
     q = uniform_policy(1, two_uniform)
     assert np.allclose(p.weights, [[0.25, 0.75]], atol=1e-14)
     # 0.25 ln 0.5 + 0.75 ln 1.5
-    assert abs(kl_between(p, q, two_uniform)[0] - 0.13081203594113696) <= 1e-12
+    assert abs(kl_between(p, q)[0] - 0.13081203594113696) <= 1e-12
     # asymmetry: 0.5 ln 2 + 0.5 ln(2/3)
-    assert abs(kl_between(q, p, two_uniform)[0] - 0.14384103622589046) <= 1e-12
+    assert abs(kl_between(q, p)[0] - 0.14384103622589046) <= 1e-12
 
 
 def test_kl_nonnegative_random():
@@ -97,8 +97,8 @@ def test_kl_nonnegative_random():
     for _ in range(25):
         p = gibbs_policy(3.0 * rng.standard_normal((5, 9)), acts)
         q = gibbs_policy(3.0 * rng.standard_normal((5, 9)), acts)
-        assert np.all(kl_to_reference(p, acts) >= -1e-12)
-        assert np.all(kl_between(p, q, acts) >= -1e-12)
+        assert np.all(kl_to_reference(p) >= -1e-12)
+        assert np.all(kl_between(p, q) >= -1e-12)
 
 
 def test_kl_between_consistent_with_reference():
@@ -106,7 +106,7 @@ def test_kl_between_consistent_with_reference():
     rng = np.random.default_rng(23)
     p = gibbs_policy(rng.standard_normal((8, 5)), acts)
     mu = uniform_policy(8, acts)
-    diff = kl_between(p, mu, acts) - kl_to_reference(p, acts)
+    diff = kl_between(p, mu) - kl_to_reference(p)
     assert np.max(np.abs(diff)) <= 1e-12
 
 
@@ -114,4 +114,4 @@ def test_kl_between_degenerate_q(two_uniform):
     p = gibbs_policy(np.zeros((1, 2)), two_uniform)
     q = gibbs_policy(np.array([[0.0, -1500.0]]), two_uniform)
     with pytest.raises(ValueError, match="infinite"):
-        kl_between(p, q, two_uniform)
+        kl_between(p, q)
