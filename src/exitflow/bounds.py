@@ -42,17 +42,20 @@ def _logsumexp(values):
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_REL_TOL = 1e-10
+_MAX_DOUBLINGS = 14
 
 
-def _log_integral(log_f, s, rel_tol=1e-10, max_doublings=14):
+def _log_integral(log_f, s):
     """ln int_0^s exp(log_f(x)) dx by panel doubling with 16-point panels.
 
     The log-domain panel sums are combined by streaming log-sum-exp;
-    doubling stops when the log value stabilizes to rel_tol.
+    doubling stops when the log value moves by at most
+    _REL_TOL * (1 + |value|), or fails after _MAX_DOUBLINGS doublings.
     """
     prev = None
     n_panels = 8
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         edges = np.linspace(0.0, s, n_panels + 1)
         half = 0.5 * (edges[1] - edges[0])
         mids = 0.5 * (edges[:-1] + edges[1:])
@@ -60,12 +63,12 @@ def _log_integral(log_f, s, rel_tol=1e-10, max_doublings=14):
         logs = log_f(xs.ravel()) + np.log(_GL_WEIGHTS * half)[None, :] \
             .repeat(n_panels, axis=0).ravel()
         total = _logsumexp(logs)
-        if prev is not None and abs(total - prev) <= rel_tol * (1.0 + abs(total)):
+        if prev is not None and abs(total - prev) <= _REL_TOL * (1.0 + abs(total)):
             return total
         prev = total
         n_panels *= 2
     raise QuadratureError(
-        f"log-domain quadrature did not stabilize to {rel_tol:g} on [0, {s}]")
+        f"log-domain quadrature did not stabilize to {_REL_TOL:g} on [0, {s}]")
 
 
 def growth_integrals(sched: Scheduler, s) -> GrowthIntegrals:
@@ -99,15 +102,14 @@ def growth_integrals(sched: Scheduler, s) -> GrowthIntegrals:
     return growth_integrals_quadrature(sched, s)
 
 
-def growth_integrals_quadrature(sched: Scheduler, s,
-                                rel_tol=1e-10) -> GrowthIntegrals:
+def growth_integrals_quadrature(sched: Scheduler, s) -> GrowthIntegrals:
     """Quadrature evaluation of the growth integrals, any scheduler."""
     s = float(s)
     if s <= 0.0:
         raise ValueError("s must be positive")
-    log_I1 = _log_integral(lambda x: sched.integral(x), s, rel_tol)
-    log_I2 = _log_integral(lambda x: sched.integral(x) + np.log(sched.value(x)),
-                           s, rel_tol)
+    log_I1 = _log_integral(lambda x: sched.integral(x), s)
+    log_I2 = _log_integral(
+        lambda x: sched.integral(x) + np.log(sched.value(x)), s)
     return GrowthIntegrals(s=s, log_I1=log_I1, log_I2=log_I2)
 
 

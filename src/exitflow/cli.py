@@ -107,14 +107,15 @@ def _initial_feature(problem, flow_cfg, solver):
         tau0 = float(build_scheduler(flow_cfg).value(0.0))
         sol = solve_regularized_hjb(problem, tau0, **solver)
         return -optimal_feature(problem, sol.v_star) / tau0
-    if z0_choice.endswith(".csv"):
-        z = read_matrix_csv(z0_choice)
-        if z.shape != shape:
-            raise ConfigError(f"config key 'flow.z0': restart matrix has "
-                              f"shape {z.shape}, expected {shape}")
-        return z
-    raise ConfigError("config key 'flow.z0': expected 'zero', 'optimal' or "
-                      "a .csv restart path")
+    try:
+        z = read_matrix_csv(z0_choice)  # a .csv path, checked at load time
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config key 'flow.z0': cannot read the restart "
+                          f"matrix: {exc}")
+    if z.shape != shape:
+        raise ConfigError(f"config key 'flow.z0': restart matrix has "
+                          f"shape {z.shape}, expected {shape}")
+    return z
 
 
 def cmd_run_flow(resolved, out_dir):
@@ -262,8 +263,9 @@ def main(argv=None):
             resolved = resolve_config({})
         else:
             resolved = load_config(args.config)
-        seed = args.seed if args.seed is not None else resolved["seed"]
-        resolved["seed"] = seed
+        if args.seed is not None:
+            resolved = resolve_config({**resolved, "seed": args.seed})
+        seed = resolved["seed"]
         out_dir = _out_dir(resolved, args)
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "solve-hjb":

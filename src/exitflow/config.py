@@ -1,7 +1,9 @@
 """Run configuration: JSON parsing, validation, and problem assembly.
 
 Configs are strict: unknown or ill-typed keys fail with the dotted key
-path in the message.  Scalar coefficients (sigma, g, lq.*) accept either
+path in the message.  Every key is declared once, in ``_SPEC``, with its
+kind, default and range; the few rules that tie keys together are in
+``resolve_config``.  Scalar coefficients (sigma, g, lq.*) accept either
 a number (constant in x) or a list of polynomial coefficients in
 ascending order.  The resolved config (defaults applied) is what gets
 hashed into the run manifest, and parsing it back yields the same
@@ -17,47 +19,161 @@ import numpy as np
 from .bounds import BETA_GRID, S_GRID
 from .domain import (DISCRETE, INTERVAL, LQCoefficients, build_grid,
                      make_action_space, make_lq_problem)
-from .flow import SCHEDULER_KINDS, Scheduler
+from .elliptic import CENTRAL, UPWIND
+from .flow import (CONSTANT, HORIZON_CONSTANT, POWER_LAW, SCHEDULER_KINDS,
+                   Scheduler)
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _require(section, key, path, types, predicate=None, what=""):
-    if key not in section:
-        raise ConfigError(f"config key '{path}' is required")
-    val = section[key]
-    if types is not None and not isinstance(val, types):
-        raise ConfigError(f"config key '{path}': expected {what or types}, "
-                          f"got {type(val).__name__}")
-    if predicate is not None and not predicate(val):
-        raise ConfigError(f"config key '{path}': invalid value {val!r}"
-                          + (f" ({what})" if what else ""))
-    return val
+def _is_number(v):
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
 
 
-def _check_known(section, path, known):
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"unknown config key '{path}.{key}'"
-                              if path else f"unknown config key '{key}'")
+def _floats(v):
+    return [float(x) for x in v]
 
 
-_NUM = (int, float)
+# value kinds: (what a wrong type is told it should be, test, conversion)
+_NUMBER = ("a finite number", _is_number, float)
+_NUMBER_OR_NULL = ("a finite number or null",
+                   lambda v: v is None or _is_number(v),
+                   lambda v: None if v is None else float(v))
+_INTEGER = ("an integer",
+            lambda v: isinstance(v, int) and not isinstance(v, bool), int)
+_STRING = ("a string", lambda v: isinstance(v, str), str)
+_NUMBERS = ("a list of finite numbers",
+            lambda v: isinstance(v, list) and all(map(_is_number, v)), _floats)
+_POLY = ("a finite number or a nonempty list of polynomial coefficients",
+         lambda v: _is_number(v) or (isinstance(v, list) and len(v) > 0
+                                     and all(map(_is_number, v))),
+         lambda v: _floats(v if isinstance(v, list) else [v]))
+
+# range checks on the converted value: (test, what the value must be)
+_POSITIVE = (lambda v: v > 0, "positive")
+_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
+_AT_LEAST_1 = (lambda n: n >= 1, ">= 1")
+_NONEMPTY = (lambda v: len(v) > 0, "nonempty")
+
+_REQUIRED = object()   # the key must be given
+_ABSENT = object()     # optional, and left out of the resolved config
+
+_LQ_KEYS = ("b_bar", "b_hat", "c_bar", "c_hat", "f_bar", "f_tilde", "f_hat")
+
+# One row per key: (kind, default[, range check]).  The kind of a section
+# is its own spec; a section whose default is {} is always resolved.
+_SPEC = {
+    "grid": ({
+        "left": (_NUMBER, _REQUIRED),
+        "right": (_NUMBER, _REQUIRED),
+        "n_interior": (_INTEGER, _REQUIRED, *_AT_LEAST_1),
+    }, _ABSENT),
+    "actions": ({   # the kind picks which other keys it takes
+        "kind": (_STRING, _REQUIRED, lambda k: k in (DISCRETE, INTERVAL),
+                 f"{DISCRETE!r} or {INTERVAL!r}"),
+        "values": (_NUMBERS, _ABSENT, *_NONEMPTY),
+        "alpha": (_NUMBER, _ABSENT),
+        "beta": (_NUMBER, _ABSENT),
+        "n_quad": (_INTEGER, _ABSENT, lambda n: n >= 2, ">= 2"),
+    }, _ABSENT),
+    "lq": ({k: (_POLY, _REQUIRED) for k in _LQ_KEYS}, _ABSENT),
+    "sigma": (_POLY, _ABSENT),
+    "g": (_POLY, _ABSENT),
+    "seed": (_INTEGER, 1234, *_NONNEGATIVE),
+    "output_dir": (_STRING, _ABSENT),
+    "solver": ({
+        "tol": (_NUMBER_OR_NULL, None, *_POSITIVE),
+        "max_iter": (_INTEGER, 200, *_AT_LEAST_1),
+        "scheme": (_STRING, CENTRAL, lambda v: v in (CENTRAL, UPWIND),
+                   f"{CENTRAL!r} or {UPWIND!r}"),
+    }, {}),
+    "hjb": ({
+        "taus": (_NUMBERS, _REQUIRED, lambda v: all(t > 0 for t in v),
+                 "a list of positive numbers"),
+    }, _ABSENT),
+    "flow": ({
+        "scheduler": ({   # the kind picks which parameter it needs
+            "kind": (_STRING, _REQUIRED, lambda k: k in SCHEDULER_KINDS,
+                     f"one of {SCHEDULER_KINDS}"),
+            "tau": (_NUMBER, _ABSENT, *_POSITIVE),
+            "S": (_NUMBER, _ABSENT, *_POSITIVE),
+            "beta": (_NUMBER, _ABSENT, *_POSITIVE),
+        }, _REQUIRED),
+        "horizon": (_NUMBER, _REQUIRED, *_POSITIVE),
+        "dt": (_NUMBER, 0.05, *_POSITIVE),
+        "record_every": (_INTEGER, 1, *_AT_LEAST_1),
+        "probes": (_NUMBERS, _REQUIRED, *_NONEMPTY),
+        "z0": (_STRING, "zero",
+               lambda v: v in ("zero", "optimal") or v.endswith(".csv"),
+               "'zero', 'optimal' or a .csv restart path"),
+    }, _ABSENT),
+    "bounds": ({
+        "beta_grid": (_NUMBERS, list(BETA_GRID),
+                      lambda v: len(v) > 0 and min(v) > 0,
+                      "a nonempty list of positive numbers"),
+        "s_grid": (_NUMBERS, list(S_GRID),
+                   lambda v: len(v) > 0 and min(v) > 1,
+                   "a nonempty list of numbers > 1"),
+        "constant": (_NUMBER, 1.0),
+        "alpha": (_NUMBER, 1.0),
+        "bias_sweep": ({
+            "taus": (_NUMBERS, _REQUIRED, lambda v: all(0 < t < 1 for t in v),
+                     "a list of numbers in (0, 1)"),
+            "p_grid": (_NUMBERS, _REQUIRED, *_NONEMPTY),
+            "alpha": (_NUMBER, -1.0),
+            "beta": (_NUMBER, 1.0),
+        }, _ABSENT),
+    }, _ABSENT),
+    "mc": ({
+        "x0": (_NUMBERS, _REQUIRED, *_NONEMPTY),
+        "tau": (_NUMBER, 0.0, *_NONNEGATIVE),
+        "pde_tau": (_NUMBER_OR_NULL, None, *_NONNEGATIVE),
+        "n_paths": (_INTEGER, 100_000, *_AT_LEAST_1),
+        "dt_sim": (_NUMBER, 1e-4, *_POSITIVE),
+        "policy": (_STRING, "uniform", lambda v: v in ("uniform", "optimal"),
+                   "'uniform' or 'optimal'"),
+        "bias_allowance": (_NUMBER, 5e-3),
+    }, _ABSENT),
+}
+
+_ACTION_KEYS = {DISCRETE: ("kind", "values"),
+                INTERVAL: ("kind", "alpha", "beta", "n_quad")}
+_SCHEDULER_PARAM = {CONSTANT: "tau", HORIZON_CONSTANT: "S", POWER_LAW: "beta"}
 
 
-def _coefficient(value, path):
-    """A number (constant) or ascending polynomial coefficient list."""
-    if isinstance(value, bool):
-        raise ConfigError(f"config key '{path}': expected number or list")
-    if isinstance(value, _NUM):
-        return [float(value)]
-    if isinstance(value, list) and value and \
-            all(isinstance(v, _NUM) and not isinstance(v, bool) for v in value):
-        return [float(v) for v in value]
-    raise ConfigError(f"config key '{path}': expected number or list of "
-                      f"polynomial coefficients")
+def _read(raw, spec, path):
+    """Check one section against its spec and fill in its defaults."""
+    if not isinstance(raw, dict):
+        where = f"config key '{path}'" if path else "config root"
+        raise ConfigError(f"{where}: expected an object, got {raw!r}")
+    prefix = path + "." if path else ""
+    for key in raw:
+        if key not in spec:
+            raise ConfigError(f"unknown config key '{prefix}{key}'")
+    out = {}
+    for key, (kind, default, *check) in spec.items():
+        name = prefix + key
+        value = raw.get(key, default)
+        if value is _ABSENT:
+            continue
+        if value is _REQUIRED:
+            raise ConfigError(f"config key '{name}' is required")
+        if isinstance(kind, dict):
+            out[key] = _read(value, kind, name)
+            continue
+        what, test, convert = kind
+        if not test(value):
+            raise ConfigError(f"config key '{name}': expected {what}, "
+                              f"got {value!r}")
+        value = convert(value)
+        if check and value is not None and not check[0](value):
+            raise ConfigError(f"config key '{name}': must be {check[1]}, "
+                              f"got {value!r}")
+        out[key] = value
+    return out
 
 
 def _poly(coeffs):
@@ -68,17 +184,6 @@ def _poly(coeffs):
     return lambda x: float(np.polynomial.polynomial.polyval(x, c))
 
 
-_LQ_KEYS = ("b_bar", "b_hat", "c_bar", "c_hat", "f_bar", "f_tilde", "f_hat")
-
-_TOP_KEYS = ("grid", "actions", "lq", "sigma", "g", "seed", "output_dir",
-             "solver", "hjb", "flow", "bounds", "mc")
-
-_DEFAULTS = {
-    "seed": 1234,
-    "solver": {"tol": None, "max_iter": 200, "scheme": "central"},
-}
-
-
 def load_config(path):
     try:
         with open(path) as fh:
@@ -87,197 +192,51 @@ def load_config(path):
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
     return resolve_config(raw)
 
 
 def resolve_config(raw):
     """Validate, apply defaults, and normalize a raw config dict."""
-    _check_known(raw, "", _TOP_KEYS)
-    out = {}
-    if "grid" in raw:
-        g = raw["grid"]
-        _check_known(g, "grid", ("left", "right", "n_interior"))
-        left = _require(g, "left", "grid.left", _NUM)
-        right = _require(g, "right", "grid.right", _NUM)
-        n_int = _require(g, "n_interior", "grid.n_interior", int,
-                         lambda n: n >= 1, "positive integer")
-        if not (math.isfinite(left) and math.isfinite(right) and left < right):
-            raise ConfigError("config key 'grid.left'/'grid.right': need "
-                              "finite left < right")
-        out["grid"] = {"left": float(left), "right": float(right),
-                       "n_interior": int(n_int)}
-    if "actions" in raw:
-        a = raw["actions"]
-        kind = _require(a, "kind", "actions.kind", str,
-                        lambda k: k in (DISCRETE, INTERVAL),
-                        f"one of {DISCRETE!r}, {INTERVAL!r}")
-        if kind == DISCRETE:
-            _check_known(a, "actions", ("kind", "values"))
-            values = _require(a, "values", "actions.values", list,
-                              lambda v: len(v) >= 1 and
-                              all(isinstance(x, _NUM) for x in v),
-                              "nonempty list of numbers")
-            out["actions"] = {"kind": kind,
-                              "values": [float(v) for v in values]}
-        else:
-            _check_known(a, "actions", ("kind", "alpha", "beta", "n_quad"))
-            alpha = _require(a, "alpha", "actions.alpha", _NUM)
-            beta = _require(a, "beta", "actions.beta", _NUM)
-            n_quad = _require(a, "n_quad", "actions.n_quad", int,
-                              lambda n: n >= 2, "integer >= 2")
-            if alpha >= beta:
-                raise ConfigError("config key 'actions.alpha': need "
-                                  "alpha < beta")
-            out["actions"] = {"kind": kind, "alpha": float(alpha),
-                              "beta": float(beta), "n_quad": int(n_quad)}
-    if "lq" in raw:
-        lq = raw["lq"]
-        _check_known(lq, "lq", _LQ_KEYS)
-        out["lq"] = {k: _coefficient(_require(lq, k, f"lq.{k}", None),
-                                     f"lq.{k}") for k in _LQ_KEYS}
-    for key in ("sigma", "g"):
-        if key in raw:
-            out[key] = _coefficient(raw[key], key)
-    out["seed"] = int(raw.get("seed", _DEFAULTS["seed"]))
-    if "output_dir" in raw:
-        out["output_dir"] = str(raw["output_dir"])
-    solver = dict(_DEFAULTS["solver"])
-    if "solver" in raw:
-        s = raw["solver"]
-        _check_known(s, "solver", ("tol", "max_iter", "scheme"))
-        if "tol" in s and s["tol"] is not None:
-            solver["tol"] = float(_require(s, "tol", "solver.tol", _NUM,
-                                           lambda t: t > 0, "positive"))
-        if "max_iter" in s:
-            solver["max_iter"] = _require(s, "max_iter", "solver.max_iter",
-                                          int, lambda n: n >= 1,
-                                          "positive integer")
-        if "scheme" in s:
-            solver["scheme"] = _require(s, "scheme", "solver.scheme", str,
-                                        lambda v: v in ("central", "upwind"),
-                                        "'central' or 'upwind'")
-    out["solver"] = solver
-    if "hjb" in raw:
-        h = raw["hjb"]
-        _check_known(h, "hjb", ("taus",))
-        taus = _require(h, "taus", "hjb.taus", list,
-                        lambda v: all(isinstance(t, _NUM) and t > 0
-                                      for t in v),
-                        "list of positive numbers")
-        out["hjb"] = {"taus": [float(t) for t in taus]}
-    if "flow" in raw:
-        f = raw["flow"]
-        _check_known(f, "flow", ("scheduler", "horizon", "dt", "record_every",
-                                 "probes", "z0"))
-        sched = _require(f, "scheduler", "flow.scheduler", dict)
-        _check_known(sched, "flow.scheduler", ("kind", "tau", "S", "beta"))
-        kind = _require(sched, "kind", "flow.scheduler.kind", str,
-                        lambda k: k in SCHEDULER_KINDS,
-                        f"one of {SCHEDULER_KINDS}")
-        sched_out = {"kind": kind}
-        if kind == "constant":
-            sched_out["tau"] = float(_require(sched, "tau",
-                                              "flow.scheduler.tau", _NUM,
-                                              lambda t: t > 0, "positive"))
-        elif kind == "horizon_constant":
-            sched_out["S"] = float(_require(sched, "S", "flow.scheduler.S",
-                                            _NUM, lambda t: t > 0,
-                                            "positive"))
-        elif kind == "power_law":
-            sched_out["beta"] = float(_require(sched, "beta",
-                                               "flow.scheduler.beta", _NUM,
-                                               lambda b: b > 0, "positive"))
-        horizon = _require(f, "horizon", "flow.horizon", _NUM,
-                           lambda v: 0 < v < math.inf, "positive and finite")
-        probes = _require(f, "probes", "flow.probes", list,
-                          lambda v: len(v) >= 1 and
-                          all(isinstance(x, _NUM) for x in v),
-                          "nonempty list of positions")
-        out["flow"] = {
-            "scheduler": sched_out,
-            "horizon": float(horizon),
-            "dt": float(f.get("dt", 0.05)),
-            "record_every": int(f.get("record_every", 1)),
-            "probes": [float(p) for p in probes],
-            "z0": str(f.get("z0", "zero")),
-        }
-        dt = out["flow"]["dt"]
-        if dt <= 0:
-            raise ConfigError("config key 'flow.dt': must be positive")
-        steps = round(horizon / dt)
-        if abs(steps * dt - horizon) > 1e-9 * horizon:
+    out = _read(raw, _SPEC, "")
+    grid = out.get("grid")
+    if grid and not grid["left"] < grid["right"]:
+        raise ConfigError("config key 'grid.left'/'grid.right': need "
+                          "left < right")
+    actions = out.get("actions")
+    if actions:
+        keys = _ACTION_KEYS[actions["kind"]]
+        for key in actions:
+            if key not in keys:
+                raise ConfigError(f"unknown config key 'actions.{key}'")
+        for key in keys:
+            if key not in actions:
+                raise ConfigError(f"config key 'actions.{key}' is required")
+        if actions["kind"] == INTERVAL and \
+                not actions["alpha"] < actions["beta"]:
+            raise ConfigError("config key 'actions.alpha': need alpha < beta")
+    flow = out.get("flow")
+    if flow:
+        sched = flow["scheduler"]
+        param = _SCHEDULER_PARAM.get(sched["kind"])
+        if param is not None and param not in sched:
+            raise ConfigError(f"config key 'flow.scheduler.{param}' is "
+                              f"required")
+        flow["scheduler"] = {k: v for k, v in sched.items()
+                             if k in ("kind", param)}
+        horizon, dt = flow["horizon"], flow["dt"]
+        if abs(round(horizon / dt) * dt - horizon) > 1e-9 * horizon:
             raise ConfigError(f"config key 'flow.horizon': {horizon:g} is not "
                               f"a whole multiple of flow.dt = {dt:g}")
-        if out["flow"]["record_every"] < 1:
-            raise ConfigError("config key 'flow.record_every': must be >= 1")
-    if "bounds" in raw:
-        b = raw["bounds"]
-        _check_known(b, "bounds", ("beta_grid", "s_grid", "constant",
-                                   "alpha", "bias_sweep"))
-        beta_grid = b.get("beta_grid", list(BETA_GRID))
-        s_grid = b.get("s_grid", list(S_GRID))
-        if not isinstance(beta_grid, list) or not beta_grid or \
-                not all(isinstance(x, _NUM) and 0 < x for x in beta_grid):
-            raise ConfigError("config key 'bounds.beta_grid': need a "
-                              "nonempty list of positive numbers")
-        if not isinstance(s_grid, list) or not s_grid or \
-                not all(isinstance(x, _NUM) and x > 1 for x in s_grid):
-            raise ConfigError("config key 'bounds.s_grid': need a nonempty "
-                              "list of numbers > 1")
-        out["bounds"] = {"beta_grid": [float(x) for x in beta_grid],
-                         "s_grid": [float(x) for x in s_grid],
-                         "constant": float(b.get("constant", 1.0)),
-                         "alpha": float(b.get("alpha", 1.0))}
-        if "bias_sweep" in b:
-            bs = b["bias_sweep"]
-            _check_known(bs, "bounds.bias_sweep", ("taus", "p_grid", "alpha",
-                                                   "beta"))
-            taus = _require(bs, "taus", "bounds.bias_sweep.taus", list,
-                            lambda v: all(isinstance(t, _NUM) and 0 < t < 1
-                                          for t in v),
-                            "list of taus in (0, 1)")
-            p_grid = _require(bs, "p_grid", "bounds.bias_sweep.p_grid", list,
-                              lambda v: len(v) >= 1 and
-                              all(isinstance(p, _NUM) for p in v),
-                              "nonempty list of numbers")
-            lo = float(bs.get("alpha", -1.0))
-            hi = float(bs.get("beta", 1.0))
-            if lo >= hi:
-                raise ConfigError("config key 'bounds.bias_sweep.alpha': "
-                                  "need alpha < beta")
-            out["bounds"]["bias_sweep"] = {
-                "taus": [float(t) for t in taus],
-                "p_grid": [float(p) for p in p_grid],
-                "alpha": lo, "beta": hi}
-    if "mc" in raw:
-        m = raw["mc"]
-        _check_known(m, "mc", ("x0", "tau", "pde_tau", "n_paths", "dt_sim",
-                               "policy", "bias_allowance"))
-        x0 = _require(m, "x0", "mc.x0", list,
-                      lambda v: len(v) >= 1 and
-                      all(isinstance(x, _NUM) for x in v),
-                      "nonempty list of positions")
-        out["mc"] = {
-            "x0": [float(x) for x in x0],
-            "tau": float(m.get("tau", 0.0)),
-            "pde_tau": (float(m["pde_tau"])
-                        if m.get("pde_tau") is not None else None),
-            "n_paths": int(m.get("n_paths", 100_000)),
-            "dt_sim": float(m.get("dt_sim", 1e-4)),
-            "policy": str(m.get("policy", "uniform")),
-            "bias_allowance": float(m.get("bias_allowance", 5e-3)),
-        }
-        if out["mc"]["tau"] < 0:
-            raise ConfigError("config key 'mc.tau': must be nonnegative")
-        if out["mc"]["n_paths"] < 1:
-            raise ConfigError("config key 'mc.n_paths': must be >= 1")
-        if out["mc"]["dt_sim"] <= 0:
-            raise ConfigError("config key 'mc.dt_sim': must be positive")
-        if out["mc"]["policy"] not in ("uniform", "optimal"):
-            raise ConfigError("config key 'mc.policy': must be 'uniform' "
-                              "or 'optimal'")
+    sweep = out.get("bounds", {}).get("bias_sweep")
+    if sweep and not sweep["alpha"] < sweep["beta"]:
+        raise ConfigError("config key 'bounds.bias_sweep.alpha': need "
+                          "alpha < beta")
+    mc = out.get("mc")
+    if mc and grid and not all(grid["left"] < x < grid["right"]
+                               for x in mc["x0"]):
+        raise ConfigError(f"config key 'mc.x0': every start point must lie "
+                          f"strictly inside ({grid['left']:g}, "
+                          f"{grid['right']:g}), got {mc['x0']}")
     return out
 
 

@@ -39,13 +39,12 @@ def write_csv(path, header, rows):
     return path
 
 
-def write_matrix_csv(path, matrix, row_labels=None, col_labels=None,
-                     row_label_name="x"):
+def write_matrix_csv(path, matrix, row_labels=None, col_labels=None):
     """Feature/policy matrices: one row per grid node, action columns."""
     matrix = np.asarray(matrix)
     if col_labels is None:
         col_labels = [f"a{k}" for k in range(matrix.shape[1])]
-    header = [row_label_name] + [format_value(c) for c in col_labels]
+    header = ["x"] + [format_value(c) for c in col_labels]
     if row_labels is None:
         row_labels = np.arange(matrix.shape[0])
     rows = ([lab] + list(row) for lab, row in zip(row_labels, matrix))
@@ -56,7 +55,7 @@ def read_matrix_csv(path):
     """Inverse of write_matrix_csv; drops the label column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        next(reader, None)  # the header; an empty file gives no rows
         data = [[float(v) for v in row[1:]] for row in reader]
     return np.asarray(data, dtype=np.float64)
 

@@ -99,8 +99,6 @@ class FlowTrajectory:
     step_count: int
     probe_indices: np.ndarray
     probe_x: np.ndarray
-    dt: float
-    scheduler: Scheduler = None
 
 
 def mirror_rhs(problem, z, vf, tau):
@@ -125,8 +123,7 @@ def estimate_rhs_lipschitz(problem, z0, tau, scheme=CENTRAL):
 
 
 def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
-                   record_every=1, scheme=CENTRAL,
-                   check_stability=True) -> FlowTrajectory:
+                   record_every=1, scheme=CENTRAL) -> FlowTrajectory:
     """Integrate the feature flow to time S with fixed-step RK4.
 
     ``probes`` are interior node indices; values are recorded at s = 0 and
@@ -144,13 +141,12 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
     if probes.size == 0 or probes.min() < 0 or probes.max() >= problem.n_interior:
         raise ValueError("probes must be interior node indices")
     tau0 = float(sched.value(0.0))
-    if check_stability:
-        lip = estimate_rhs_lipschitz(problem, z, tau0, scheme)
-        if dt * (tau0 + lip) > 1.0:
-            raise UnstableFlowError(
-                f"dt={dt:g} fails the stability check dt*(tau0 + L) <= 1 "
-                f"with tau0={tau0:g}, L~{lip:.3g}; use dt <= "
-                f"{1.0 / (tau0 + lip):.3g}")
+    lip = estimate_rhs_lipschitz(problem, z, tau0, scheme)
+    if dt * (tau0 + lip) > 1.0:
+        raise UnstableFlowError(
+            f"dt={dt:g} fails the stability check dt*(tau0 + L) <= 1 "
+            f"with tau0={tau0:g}, L~{lip:.3g}; use dt <= "
+            f"{1.0 / (tau0 + lip):.3g}")
     n_steps = int(round(S / dt))
     times, taus, vals, unregs, kls = [], [], [], [], []
 
@@ -192,8 +188,7 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
                           unregularized_values=np.array(unregs),
                           kl_mass=np.array(kls), z_final=z,
                           step_count=n_steps, probe_indices=probes,
-                          probe_x=problem.grid.interior[probes], dt=dt,
-                          scheduler=sched)
+                          probe_x=problem.grid.interior[probes])
 
 
 @dataclass

@@ -137,6 +137,31 @@ def test_run_flow_rejects_partial_last_step(tmp_path, capsys):
     assert not (out / "flow_trajectory.csv").exists()
 
 
+def test_run_flow_rejects_fractional_record_every(tmp_path, capsys):
+    cfg = _write(tmp_path, _base_config(
+        flow={"scheduler": {"kind": "constant", "tau": 0.5}, "horizon": 1.0,
+              "dt": 0.05, "record_every": 1.5, "probes": [0.5]}))
+    out = tmp_path / "run"
+    assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "flow.record_every" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [None, "", "x,a0\n0.5,abc\n"])
+def test_run_flow_unreadable_restart(tmp_path, capsys, content):
+    restart = tmp_path / "restart.csv"
+    if content is not None:
+        restart.write_text(content)
+    cfg = _write(tmp_path, _base_config(
+        flow={"scheduler": {"kind": "constant", "tau": 0.5}, "horizon": 0.5,
+              "dt": 0.05, "probes": [0.5], "z0": str(restart)}))
+    out = tmp_path / "run"
+    assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 1
+    assert "flow.z0" in capsys.readouterr().err
+    assert not any(out.glob("*.csv"))
+
+
 def test_run_flow_restart_roundtrip(tmp_path):
     cfg_dict = _base_config(
         flow={"scheduler": {"kind": "constant", "tau": 0.5}, "horizon": 0.5,
@@ -239,6 +264,15 @@ def test_seed_flag_overrides(tmp_path):
     manifest = json.loads((tmp_path / "seeded" / "solve-hjb-manifest.json")
                           .read_text())
     assert manifest["seed"] == 7
+
+
+def test_negative_seed_flag_rejected(tmp_path, capsys):
+    cfg = _write(tmp_path, _base_config(hjb={"taus": [0.5]}))
+    out = tmp_path / "neg"
+    assert main(["solve-hjb", "--config", cfg, "--seed", "-1",
+                 "--out", str(out)]) == 1
+    assert "'seed'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):
