@@ -8,8 +8,8 @@ from .bounds import (GrowthIntegrals, growth_integrals,
 from .domain import (ActionSpace, ControlProblem, Grid, LQCoefficients,
                      build_grid, lq_benchmark, make_action_space,
                      make_lq_problem, make_problem, manufactured_problem)
-from .elliptic import (AveragedCoefficients, SolverError, ValueField,
-                       average_coefficients, optimal_feature, pde_residual,
+from .elliptic import (SolverError, ValueField, average_coefficients,
+                       optimal_feature, pde_residual,
                        performance_difference_check, solve_on_policy_bellman)
 from .flow import (FlowTrajectory, Scheduler, UnstableFlowError,
                    error_decomposition, integrate_flow, mirror_rhs)

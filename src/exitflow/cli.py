@@ -38,6 +38,9 @@ CHECK_FAILURE = 3
 _NUMERICAL_ERRORS = (SolverError, ConvergenceError, UnstableFlowError,
                      QuadratureError, PathCapError)
 
+# weight of the regularized solve behind mc.policy "optimal" when mc.tau is 0
+_OPTIMAL_POLICY_TAU_AT_ZERO = 0.5
+
 
 def _out_dir(resolved, args):
     if args.out is not None:
@@ -73,14 +76,20 @@ def _tau_tag(tau):
 def cmd_solve_hjb(resolved, out_dir):
     if "hjb" not in resolved:
         raise ConfigError("config key 'hjb' is required for solve-hjb")
+    taus = [0.0, *resolved["hjb"]["taus"]]
+    tags = [_tau_tag(tau) for tau in taus]
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
+            raise ConfigError(f"config key 'hjb.taus': weights "
+                              f"{taus[tags.index(tag)]!r} and {taus[i]!r} "
+                              f"would both write hjb_tau_{tag}.csv")
     problem = build_problem(resolved)
     solver = resolved["solver"]
     outputs = []
     sols = [solve_unregularized_hjb(problem, **solver)]
     for tau in resolved["hjb"]["taus"]:
         sols.append(solve_regularized_hjb(problem, tau, **solver))
-    for sol in sols:
-        tag = _tau_tag(sol.tau)
+    for sol, tag in zip(sols, tags):
         rows = []
         acts = problem.actions.actions
         for i, x in enumerate(problem.grid.interior):
@@ -203,7 +212,7 @@ def cmd_mc_check(resolved, out_dir, seed):
     if mc["policy"] == "uniform":
         pol = uniform_policy(problem.n_interior, problem.actions)
     else:
-        ref_tau = mc["tau"] if mc["tau"] > 0 else 0.5
+        ref_tau = mc["tau"] if mc["tau"] > 0 else _OPTIMAL_POLICY_TAU_AT_ZERO
         sol = solve_regularized_hjb(problem, ref_tau, **solver)
         pol = sol.optimal_policy
     pde_tau = mc["pde_tau"] if mc["pde_tau"] is not None else mc["tau"]

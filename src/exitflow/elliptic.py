@@ -5,14 +5,18 @@ The value of a fixed policy solves, on interior nodes,
     (sigma^2/2) v'' + b_bar v' - c_bar v + f_bar + tau*kl = 0,
     v = g at both endpoints,
 
-with policy-averaged coefficients.  Second derivatives are central; the
-advection term is central by default with an upwind fallback behind the
-``scheme`` flag (central requires the cell Peclet condition
-|b_bar| h / sigma^2 <= 2).  One tridiagonal assembly is shared verbatim
-by the solver, the residual, and the performance-difference check, so
-those identities hold at the level of linear algebra.  The per-action
-generator table b*Dv - c*v + f and the diffusion term (sigma^2/2) v''
-also live here, for the HJB residuals and the flow.
+with policy-averaged coefficients.  Policy evaluation has one path:
+``average_coefficients`` forms b_bar, c_bar and the forcing
+f_bar + tau*kl, ``assemble_system`` turns them into tridiagonal bands, and
+``solve_linear`` solves the bands into a ``ValueField``.  The value solve,
+the residual, the performance-difference check, Howard's uniform-policy
+bootstrap and the Monte Carlo tables all start from the same averages, so
+their identities hold at the level of linear algebra.  Second derivatives
+are central; the advection term is central by default with an upwind
+fallback behind the ``scheme`` flag (central requires the cell Peclet
+condition |b_bar| h / sigma^2 <= 2).  The per-action generator table
+b*Dv - c*v + f and the diffusion term (sigma^2/2) v'' also live here, for
+the HJB residuals and the flow.
 """
 
 from dataclasses import dataclass, replace
@@ -31,30 +35,27 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AveragedCoefficients:
-    """Policy averages of the coefficient tables plus the per-node KL."""
-    b_bar: np.ndarray
-    c_bar: np.ndarray
-    f_bar: np.ndarray
-    kl: np.ndarray
-
-
-@dataclass(frozen=True)
 class ValueField:
     """Nodal values (boundary entries equal g) with interior derivative."""
     v: np.ndarray    # all grid nodes
     dv: np.ndarray   # interior nodes, central differences
-    tau: float
 
     @property
     def interior(self):
         return self.v[1:-1]
 
 
-def average_coefficients(problem, p: Policy) -> AveragedCoefficients:
+def average_coefficients(problem, p: Policy, tau):
+    """Policy averages (b_bar, c_bar, forcing) on interior nodes, with the
+    forcing f_bar + tau*KL(p|mu)."""
     b_bar, c_bar, f_bar = np.einsum("jik,ik->ji", problem.coef_tab, p.weights)
-    return AveragedCoefficients(b_bar=b_bar, c_bar=c_bar, f_bar=f_bar,
-                                kl=kl_to_reference(p))
+    return b_bar, c_bar, f_bar + tau * kl_to_reference(p)
+
+
+def _max_cell_peclet(problem, b_bar):
+    """Largest cell Peclet number |b_bar| h / sigma^2 over interior nodes."""
+    peclet = np.abs(b_bar) * problem.grid.spacing / problem.sigma_interior ** 2
+    return float(peclet.max()) if peclet.size else 0.0
 
 
 def assemble_system(problem, b_bar, c_bar, forcing, scheme=CENTRAL):
@@ -67,8 +68,7 @@ def assemble_system(problem, b_bar, c_bar, forcing, scheme=CENTRAL):
     sig2 = problem.sigma_interior ** 2
     diff = 0.5 * sig2 / h ** 2
     if scheme == CENTRAL:
-        peclet = np.abs(b_bar) * h / sig2
-        pmax = float(peclet.max()) if peclet.size else 0.0
+        pmax = _max_cell_peclet(problem, b_bar)
         if pmax > 2.0:
             raise SolverError(
                 f"cell Peclet number {pmax:.3g} > 2 breaks diagonal dominance "
@@ -91,33 +91,29 @@ def assemble_system(problem, b_bar, c_bar, forcing, scheme=CENTRAL):
     return lower, diag, upper, rhs
 
 
-def solve_linear(problem, b_bar, c_bar, forcing, scheme=CENTRAL):
-    """Solve the interior system; returns (v on all nodes, dv on interior)."""
+def solve_linear(problem, b_bar, c_bar, forcing, scheme=CENTRAL) -> ValueField:
+    """Solve the interior system for v on all nodes and dv on interior."""
     lower, diag, upper, rhs = assemble_system(problem, b_bar, c_bar, forcing,
                                               scheme)
     try:
         v_int = thomas_solve(lower, diag, upper, rhs)
     except ZeroDivisionError as exc:
-        h = problem.grid.spacing
-        pmax = float(np.max(np.abs(b_bar) * h / problem.sigma_interior ** 2))
         raise SolverError(f"singular tridiagonal system (cell Peclet "
-                          f"{pmax:.3g}); coefficients may be degenerate") from exc
+                          f"{_max_cell_peclet(problem, b_bar):.3g}); "
+                          f"coefficients may be degenerate") from exc
     v = np.empty(problem.n_interior + 2)
     v[0] = problem.g_left
     v[-1] = problem.g_right
     v[1:-1] = v_int
-    dv = (v[2:] - v[:-2]) / (2.0 * problem.grid.spacing)
-    return v, dv
+    return ValueField(v=v, dv=(v[2:] - v[:-2]) / (2.0 * problem.grid.spacing))
 
 
 def solve_on_policy_bellman(problem, p: Policy, tau, scheme=CENTRAL) -> ValueField:
     """Value field of policy p with entropy weight tau >= 0."""
     if tau < 0.0:
         raise ValueError("tau must be nonnegative")
-    avg = average_coefficients(problem, p)
-    forcing = avg.f_bar + tau * avg.kl
-    v, dv = solve_linear(problem, avg.b_bar, avg.c_bar, forcing, scheme)
-    return ValueField(v=v, dv=dv, tau=float(tau))
+    return solve_linear(problem, *average_coefficients(problem, p, tau),
+                        scheme)
 
 
 def diffusion(problem, vf: ValueField) -> np.ndarray:
@@ -136,10 +132,8 @@ def optimal_feature(problem, vf: ValueField) -> np.ndarray:
 
 def pde_residual(problem, p: Policy, tau, vf: ValueField, scheme=CENTRAL) -> float:
     """Max-norm residual of the discrete on-policy equation at vf."""
-    avg = average_coefficients(problem, p)
-    forcing = avg.f_bar + tau * avg.kl
-    lower, diag, upper, rhs = assemble_system(problem, avg.b_bar, avg.c_bar,
-                                              forcing, scheme)
+    lower, diag, upper, rhs = assemble_system(
+        problem, *average_coefficients(problem, p, tau), scheme)
     res = tridiag_apply(lower, diag, upper, vf.v[1:-1]) - rhs
     return float(np.max(np.abs(res)))
 
@@ -156,15 +150,15 @@ def performance_difference_check(problem, p: Policy, q: Policy, tau,
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    vp = solve_on_policy_bellman(problem, p, tau, scheme)
+    b_p, c_p, forcing_p = average_coefficients(problem, p, tau)
+    vp = solve_linear(problem, b_p, c_p, forcing_p, scheme)
     vq = solve_on_policy_bellman(problem, q, tau, scheme)
     # (L^a v_q)(x_i) + f(x_i, a) for every action column
     adv = diffusion(problem, vq)[:, None] + optimal_feature(problem, vq) \
         + tau * q.log_density
     forcing = np.einsum("ik,ik->i", p.weights - q.weights, adv) \
         + tau * kl_between(p, q)
-    avg_p = average_coefficients(problem, p)
     # w has zero boundary data
-    w, _ = solve_linear(replace(problem, g_left=0.0, g_right=0.0),
-                        avg_p.b_bar, avg_p.c_bar, forcing, scheme)
-    return float(np.max(np.abs(w[1:-1] - (vp.v[1:-1] - vq.v[1:-1]))))
+    w = solve_linear(replace(problem, g_left=0.0, g_right=0.0), b_p, c_p,
+                     forcing, scheme)
+    return float(np.max(np.abs(w.interior - (vp.interior - vq.interior))))

@@ -98,13 +98,15 @@ def _hard_minimum(problem, vf):
 
 def _one_hot_policy(problem, actions_selected):
     """Deterministic selection stored in policy form: unit weight on the
-    nearest action node, -inf log-density off support."""
+    nearest action node.  Off the support the log-density is stored as 0,
+    a finite placeholder: the zero weights mark the support, so KL values
+    and policy averages never read it."""
     acts = problem.actions.actions
     w = problem.actions.mu_weights
     n = problem.n_interior
     cols = np.argmin(np.abs(acts[None, :] - actions_selected[:, None]), axis=1)
     weights = np.zeros((n, acts.size))
-    logd = np.full((n, acts.size), -np.inf)
+    logd = np.zeros((n, acts.size))
     weights[np.arange(n), cols] = 1.0
     logd[np.arange(n), cols] = -np.log(w[cols])
     return Policy(weights=weights, log_density=logd)
@@ -130,16 +132,14 @@ def solve_unregularized_hjb(problem, tol=None, max_iter=200,
     """
     if tol is None:
         tol = default_tolerance(problem)
-    pol = uniform_policy(problem.n_interior, problem.actions)
-    avg = average_coefficients(problem, pol)
-    b_bar, c_bar, f_bar = avg.b_bar, avg.c_bar, avg.f_bar
+    coefficients = average_coefficients(
+        problem, uniform_policy(problem.n_interior, problem.actions), 0.0)
     history = []
     seen = {}
     best = math.inf
     acts = None
     for it in range(1, max_iter + 1):
-        v, dv = solve_linear(problem, b_bar, c_bar, f_bar, scheme)
-        vf = ValueField(v=v, dv=dv, tau=0.0)
+        vf = solve_linear(problem, *coefficients, scheme)
         ham, new_acts, cols = _hard_minimum(problem, vf)
         res = _residual(problem, vf, ham)
         history.append(res)
@@ -160,7 +160,7 @@ def solve_unregularized_hjb(problem, tol=None, max_iter=200,
             seen[key] = it
         best = min(best, res)
         acts = new_acts
-        b_bar, c_bar, f_bar = _selected_coefficients(problem, acts)
+        coefficients = _selected_coefficients(problem, acts)
     raise ConvergenceError(
         f"Howard iteration did not reach tol={tol:.3g} in {max_iter} "
         f"iterations (last residual {history[-1]:.3g})", history)

@@ -38,20 +38,11 @@ class McEstimate:
 
 
 def _extended_tables(problem, p: Policy, tau):
-    """Nodal tables on all grid nodes, edge values replicated from the
-    nearest interior node."""
-    avg = average_coefficients(problem, p)
-    fkl = avg.f_bar + tau * avg.kl
-
-    def extend(interior):
-        full = np.empty(interior.size + 2)
-        full[1:-1] = interior
-        full[0] = interior[0]
-        full[-1] = interior[-1]
-        return full
-
-    return (extend(avg.b_bar), extend(avg.c_bar), extend(fkl),
-            problem.sigma_nodes.copy())
+    """Nodal b, c, f + tau*kl and sigma tables on all grid nodes, edge
+    values replicated from the nearest interior node."""
+    b_bar, c_bar, forcing = (np.pad(t, 1, mode="edge") for t in
+                             average_coefficients(problem, p, tau))
+    return b_bar, c_bar, forcing, problem.sigma_nodes.copy()
 
 
 def simulate_exit_value(problem, p: Policy, x0, tau, n_paths, dt_sim,

@@ -15,11 +15,7 @@ import numpy as np
 @dataclass(frozen=True)
 class Policy:
     weights: np.ndarray      # (n_interior, n_actions), rows sum to 1
-    log_density: np.ndarray  # ln d(pi)/d(mu) at each (node, action)
-
-    @property
-    def shape(self):
-        return self.weights.shape
+    log_density: np.ndarray  # ln d(pi)/d(mu); finite, also where weight is 0
 
 
 def gibbs_policy(z, actions):

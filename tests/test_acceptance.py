@@ -133,6 +133,7 @@ def test_c04_exponential_convergence():
             time.perf_counter() - t0, 120.0)
 
 
+@pytest.mark.slow
 def test_c05_discrete_annealing_rate():
     t0 = time.perf_counter()
     lq = xf.lq_benchmark("discrete")
@@ -147,6 +148,7 @@ def test_c05_discrete_annealing_rate():
             time.perf_counter() - t0, 600.0)
 
 
+@pytest.mark.slow
 def test_c06_continuous_annealing_rate():
     t0 = time.perf_counter()
     lq = xf.lq_benchmark("interval")
@@ -230,6 +232,7 @@ def test_c09_elliptic_solver_order():
             time.perf_counter() - t0, 1.0)
 
 
+@pytest.mark.slow
 def test_c10_feynman_kac_oracle():
     t0 = time.perf_counter()
     lq = xf.lq_benchmark("discrete", n_interior=49)

@@ -85,6 +85,17 @@ def test_solve_hjb_outputs(tmp_path):
     assert config_digest(resolved) == manifest["config_digest"]
 
 
+@pytest.mark.parametrize("taus", [[0.1, 0.1000001], [0.1, 0.1]])
+def test_solve_hjb_rejects_colliding_output_names(tmp_path, capsys, taus):
+    cfg = _write(tmp_path, _base_config(hjb={"taus": taus}))
+    out = tmp_path / "run"
+    assert main(["solve-hjb", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "'hjb.taus'" in err
+    assert "hjb_tau_0p1.csv" in err
+    assert not list(out.glob("*.csv"))
+
+
 def test_zero_data_hjb_files(tmp_path):
     cfg = _base_config(hjb={"taus": [0.3]})
     cfg["lq"] = {k: 0.0 for k in cfg["lq"]}
@@ -228,6 +239,7 @@ def test_reproduce_figure_defaults(tmp_path):
     assert all(np.isfinite(vals))
 
 
+@pytest.mark.slow
 def test_mc_check_pass_and_csv(tmp_path):
     cfg = _write(tmp_path, _base_config(
         grid={"left": 0.0, "right": 1.0, "n_interior": 49},

@@ -203,3 +203,104 @@ def test_error_decomposition_tau_mismatch(lq):
     wrong = solve_regularized_hjb(lq, 0.4)
     with pytest.raises(ValueError, match="tau mismatch"):
         error_decomposition(lq, traj, wrong, solve_unregularized_hjb(lq))
+
+
+# integrate_flow outputs pinned to values computed before the policy-evaluation
+# refactor: S = 1, dt = 0.1, zero start, probes [1, 4, 7], record_every 5
+FLOW_DISCRETE = {
+    'z_final': [
+        [-1.0729247488730473, -0.7215908340710503, -0.7452569192690535,
+          -1.1439230044670567, -1.91758908966506],
+        [-1.1737112357782864, -0.7701322961851832, -0.7415533565920799,
+          -1.0879744169989767, -1.8093954774058734],
+        [-1.2764785358381585, -0.8201893063454682, -0.7389000768527778,
+          -1.0326108473600872, -1.7013216178673969],
+        [-1.3809348305704252, -0.8716198781711063, -0.7373049257717874,
+          -0.9779899733724685, -1.5936750209731498],
+        [-1.4867726749487502, -0.9242726749487505, -0.7367726749487504,
+          -0.9242726749487505, -1.4867726749487504],
+        [-1.5936750209731498, -0.9779899733724685, -0.7373049257717874,
+          -0.8716198781711063, -1.3809348305704254],
+        [-1.7013216178673969, -1.0326108473600872, -0.7389000768527778,
+          -0.8201893063454682, -1.2764785358381585],
+        [-1.8093954774058734, -1.0879744169989767, -0.7415533565920799,
+          -0.7701322961851832, -1.1737112357782864],
+        [-1.9175890896650598, -1.143923004467057, -0.7452569192690535,
+          -0.7215908340710503, -1.0729247488730473]],
+    'values_at_probe': [
+        [0.11884175995129254, 0.18555123016906566, 0.11884175995129256],
+        [0.11274002119620405, 0.17656757007138885, 0.11274002119620405],
+        [0.10919993470477836, 0.17121978169082877, 0.10919993470477835]],
+    'unregularized_values': [
+        [0.11884175995129254, 0.18555123016906566, 0.11884175995129256],
+        [0.11179475443850226, 0.17516710942346128, 0.11179475443850226],
+        [0.10714674697185984, 0.16813304818899966, 0.10714674697185983]],
+    'kl_mass': [0.0, 0.0016454970816655728, 0.0047954059784440966],
+}
+
+
+FLOW_INTERVAL = {
+    'z_final': [
+        [-8.38666284010638, -6.999645459164216, -4.912127750922485,
+          -2.716274631222859, -1.0591480520775103, -0.47560615186179406,
+          -1.2480877754602369, -3.328055981152534, -6.339048556235794,
+          -9.661145403986954, -12.576543624165243, -14.441257707527749],
+        [-9.102764260880242, -7.658710422519048, -5.472344697684638,
+          -3.1420193237010867, -1.3232426434829503, -0.5610290990616427,
+          -1.1490438213475191, -3.0503403828342255, -5.899682856844698,
+          -9.08730745031193, -11.903857653897543, -13.711535279841014],
+        [-9.849274929236637, -8.34593393445939, -6.056819580303706,
+          -3.5867155816629737, -1.59990997291999, -0.651974274696131,
+          -1.0482429011234433, -2.7638173088075986, -5.445130854293224,
+          -8.492976823103275, -11.20677839736761, -12.955168866895034],
+        [-10.617645953740794, -9.05344652788323, -6.658860419739819,
+          -4.045273273830149, -1.8859855022664767, -0.747405496227231,
+          -0.946846221551683, -2.471776321420451, -4.980607704085388,
+          -7.884970525626503, -10.49330034590311, -12.180832384350218],
+        [-11.398240517863563, -9.772374785711225, -7.270916821501214,
+          -4.511941837775823, -2.1778822606615176, -0.8461272077075113,
+          -0.846127207707511, -2.1778822606615176, -4.511941837775822,
+          -7.270916821501214, -9.772374785711229, -11.398240517863558],
+        [-12.18083238435022, -10.493300345903107, -7.884970525626503,
+          -4.98060770408539, -2.4717763214204505, -0.9468462215516834,
+          -0.7474054962272308, -1.8859855022664764, -4.045273273830148,
+          -6.658860419739819, -9.053446527883235, -10.61764595374079],
+        [-12.95516886689504, -11.206778397367607, -8.492976823103273,
+          -5.445130854293225, -2.763817308807598, -1.048242901123444,
+          -0.651974274696131, -1.59990997291999, -3.5867155816629728,
+          -6.056819580303707, -8.345933934459394, -9.849274929236632],
+        [-13.711535279841021, -11.90385765389754, -9.08730745031193,
+          -5.899682856844699, -3.0503403828342255, -1.1490438213475196,
+          -0.5610290990616427, -1.3232426434829503, -3.142019323701086,
+          -5.472344697684638, -7.65871042251905, -9.102764260880239],
+        [-14.441257707527754, -12.576543624165241, -9.661145403986954,
+          -6.339048556235796, -3.3280559811525343, -1.2480877754602373,
+          -0.47560615186179406, -1.0591480520775103, -2.7162746312228583,
+          -4.912127750922485, -6.999645459164218, -8.386662840106377]],
+    'values_at_probe': [
+        [0.5017763197943463, 0.7834385273804996, 0.5017763197943466],
+        [0.20577260547533133, 0.3241750632814102, 0.20577260547533133],
+        [0.17731127136202265, 0.27902184768513194, 0.17731127136202263]],
+    'unregularized_values': [
+        [0.5017763197943463, 0.7834385273804996, 0.5017763197943466],
+        [0.17270601938450533, 0.27125841699359315, 0.17270601938450536],
+        [0.13441193765316442, 0.210625026019585, 0.1344119376531644]],
+    'kl_mass': [0.0, 0.04860188487019395, 0.07268845063943456],
+}
+
+
+@pytest.mark.parametrize("kind, scheduler, golden", [
+    ("discrete", "inverse_linear", FLOW_DISCRETE),
+    ("interval", "inverse_sqrt", FLOW_INTERVAL)])
+def test_flow_golden_values(kind, scheduler, golden):
+    if kind == "discrete":
+        problem = lq_benchmark("discrete", n_interior=9)
+    else:
+        problem = lq_benchmark("interval", n_interior=9, n_quad=12)
+    z0 = np.zeros((problem.n_interior, problem.actions.n_actions))
+    traj = integrate_flow(problem, z0, Scheduler(kind=scheduler), S=1.0,
+                          dt=0.1, probes=[1, 4, 7], record_every=5)
+    assert traj.times.tolist() == [0.0, 0.5, 1.0]
+    for name, expected in golden.items():
+        np.testing.assert_allclose(getattr(traj, name), expected,
+                                   rtol=1e-12, atol=1e-15)

@@ -5,8 +5,9 @@ import pytest
 
 from exitflow import (gibbs_policy, lq_benchmark, make_action_space,
                       make_problem, optimal_feature, regularization_bias,
-                      solve_on_policy_bellman, solve_regularized_hjb,
-                      solve_unregularized_hjb, uniform_policy)
+                      simulate_exit_value, solve_on_policy_bellman,
+                      solve_regularized_hjb, solve_unregularized_hjb,
+                      uniform_policy)
 from exitflow.domain import LQCoefficients, build_grid, make_lq_problem
 from exitflow.hjb import ConvergenceError, default_tolerance
 
@@ -41,7 +42,7 @@ def test_optimal_feature_reduces_to_cost(lq):
     n = lq.n_interior
     vf = solve_on_policy_bellman(
         lq, uniform_policy(n, lq.actions), 0.0)
-    zero_vf = type(vf)(v=np.zeros(n + 2), dv=np.zeros(n), tau=0.0)
+    zero_vf = type(vf)(v=np.zeros(n + 2), dv=np.zeros(n))
     z = optimal_feature(lq, zero_vf)
     assert np.allclose(z, lq.f_tab)
 
@@ -115,6 +116,25 @@ def test_unregularized_one_hot(lq):
     assert sol.argmin_actions is not None
 
 
+@pytest.mark.parametrize("kind", ["discrete", "interval"])
+def test_unregularized_policy_can_be_evaluated(kind):
+    # the one-hot policy has zero weight off its support; its value and
+    # its Monte Carlo estimate must not turn 0 * log 0 into NaN
+    problem = lq_benchmark(kind)
+    sol = solve_unregularized_hjb(problem)
+    vf = solve_on_policy_bellman(problem, sol.optimal_policy, 0.0)
+    if kind == "discrete":
+        # the selected actions are action nodes, so the value is v*_0
+        assert np.array_equal(vf.v, sol.v_star.v)
+    else:
+        # the nearest-node policy can only do worse than the exact argmin
+        assert np.all(np.isfinite(vf.v))
+        assert np.all(vf.v >= sol.v_star.v)
+    est = simulate_exit_value(problem, sol.optimal_policy, 0.5, 0.0, 200,
+                              1e-3, 1)
+    assert math.isfinite(est.mean) and math.isfinite(est.stderr)
+
+
 def test_action_independent_unregularized(lq):
     grid = build_grid(0.0, 1.0, 15)
     acts = make_action_space(values=[-1.0, 0.0, 1.0])
@@ -154,20 +174,18 @@ def test_interval_unregularized_continuous_argmin(lq_interval):
 
 def test_howard_monotone_values(lq):
     # classical Howard property: values nonincreasing across iterations
-    from exitflow.elliptic import solve_linear
+    from exitflow.elliptic import average_coefficients, solve_linear
     from exitflow.hjb import _hard_minimum, _selected_coefficients
-    from exitflow.elliptic import ValueField, average_coefficients
     pol = uniform_policy(lq.n_interior, lq.actions)
-    avg = average_coefficients(lq, pol)
-    b, c, f = avg.b_bar, avg.c_bar, avg.f_bar
+    coefficients = average_coefficients(lq, pol, 0.0)
     prev = None
     for _ in range(6):
-        v, dv = solve_linear(lq, b, c, f)
+        vf = solve_linear(lq, *coefficients)
         if prev is not None:
-            assert np.all(v <= prev + 1e-9)
-        prev = v
-        _, acts, _ = _hard_minimum(lq, ValueField(v=v, dv=dv, tau=0.0))
-        b, c, f = _selected_coefficients(lq, acts)
+            assert np.all(vf.v <= prev + 1e-9)
+        prev = vf.v
+        _, acts, _ = _hard_minimum(lq, vf)
+        coefficients = _selected_coefficients(lq, acts)
 
 
 def _non_lq_interval_problem():

@@ -15,6 +15,7 @@ def manufactured():
     return manufactured_problem(n_interior=49)
 
 
+@pytest.mark.slow
 def test_manufactured_value(manufactured):
     # v(x) = x(1-x); moderate path count, bias absorbed by the allowance
     pol = uniform_policy(49, manufactured.actions)
@@ -46,6 +47,7 @@ def test_same_seed_bitwise(manufactured):
     assert c.mean != a.mean
 
 
+@pytest.mark.slow
 def test_mean_exit_time_stable_under_dt(manufactured):
     # E[exit time] from 0.5 is 0.125 for this diffusion; halving dt moves
     # the estimate by well under 10%
@@ -56,6 +58,7 @@ def test_mean_exit_time_stable_under_dt(manufactured):
     assert abs(b.mean_exit_time - 0.125) <= 0.01
 
 
+@pytest.mark.slow
 def test_stderr_scales_with_paths(manufactured):
     pol = uniform_policy(49, manufactured.actions)
     a = simulate_exit_value(manufactured, pol, 0.5, 0.0, 10_000, 2e-4, seed=9)
@@ -63,6 +66,7 @@ def test_stderr_scales_with_paths(manufactured):
     assert abs(a.stderr / b.stderr - 2.0) <= 0.4
 
 
+@pytest.mark.slow
 def test_discount_and_kl_accumulation():
     # nonzero c and a non-uniform policy: agreement with the linear solver
     lq = lq_benchmark("discrete", n_interior=49)

@@ -7,9 +7,9 @@ from hypothesis.extra import numpy as hnp
 
 from exitflow import (average_coefficients, gibbs_policy, kl_to_reference,
                       lq_benchmark, make_action_space, make_lq_problem,
-                      performance_difference_check, simulate_exit_value,
-                      solve_on_policy_bellman, solve_regularized_hjb,
-                      solve_unregularized_hjb)
+                      pde_residual, performance_difference_check,
+                      simulate_exit_value, solve_on_policy_bellman,
+                      solve_regularized_hjb, solve_unregularized_hjb)
 from exitflow.domain import LQCoefficients, build_grid
 from exitflow.hamiltonian import softmin_table
 from exitflow.kernels import thomas_solve, tridiag_apply
@@ -84,15 +84,30 @@ def test_gibbs_rows_sum_to_one_and_kl_nonnegative(case):
 def test_stacked_averages_are_convex_combinations(case):
     problem, z = case
     pol = gibbs_policy(z, problem.actions)
-    avg = average_coefficients(problem, pol)
-    assert np.all(avg.kl >= -1e-12)
-    for bar, tab in ((avg.b_bar, problem.b_tab), (avg.c_bar, problem.c_tab),
-                     (avg.f_bar, problem.f_tab)):
+    b_bar, c_bar, forcing = average_coefficients(problem, pol, 0.5)
+    f_bar = average_coefficients(problem, pol, 0.0)[2]
+    kl = kl_to_reference(pol)
+    assert np.all(kl >= -1e-12)
+    assert np.array_equal(forcing, f_bar + 0.5 * kl)
+    for bar, tab in ((b_bar, problem.b_tab), (c_bar, problem.c_tab),
+                     (f_bar, problem.f_tab)):
         assert np.shares_memory(tab, problem.coef_tab)
         scale = 1e-12 * (1.0 + np.max(np.abs(tab)))
         assert np.max(np.abs(bar - np.sum(pol.weights * tab, axis=1))) <= scale
         assert np.all(bar >= tab.min(axis=1) - scale)
         assert np.all(bar <= tab.max(axis=1) + scale)
+
+
+@settings(deadline=None)
+@given(features(), st.floats(0.0, 10.0),
+       st.sampled_from(["central", "upwind"]))
+def test_solver_residual_contract(case, tau, scheme):
+    """The value solve satisfies its own discrete equation."""
+    problem, z = case
+    pol = gibbs_policy(z, problem.actions)
+    vf = solve_on_policy_bellman(problem, pol, tau, scheme)
+    res = pde_residual(problem, pol, tau, vf, scheme)
+    assert res <= 1e-10 * (1.0 + problem.f_sup)
 
 
 @settings(deadline=None, max_examples=25)
