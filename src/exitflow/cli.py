@@ -60,6 +60,7 @@ def _write_manifest(out_dir, command, resolved, seed, outputs, wall_time):
         "wall_time_s": wall_time,
         "resolved_config": resolved,
     }
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{command}-manifest.json")
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -276,7 +277,6 @@ def main(argv=None):
             resolved = resolve_config({**resolved, "seed": args.seed})
         seed = resolved["seed"]
         out_dir = _out_dir(resolved, args)
-        os.makedirs(out_dir, exist_ok=True)
         if args.command == "solve-hjb":
             outputs, code = cmd_solve_hjb(resolved, out_dir)
         elif args.command == "run-flow":

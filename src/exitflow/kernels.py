@@ -3,7 +3,8 @@
 Both are plain Python/numpy.  The tridiagonal solve runs on Python floats:
 at the grid sizes used here (tens to hundreds of rows) per-element numpy
 indexing costs more than the arithmetic, and a LAPACK call would pull in
-``scipy.linalg`` and its memory footprint for a few microseconds.
+``scipy.linalg`` and its memory footprint for a few microseconds.  The
+path simulation alone decides which paths of a batch are still alive.
 """
 
 import numpy as np
@@ -49,51 +50,56 @@ def tridiag_apply(lower, diag, upper, x):
 # ---------------------------------------------------------------------------
 # Euler-Maruyama exit-time simulation.
 #
-# The chunk kernel advances a batch of paths through `n_steps` increments
-# drawn outside the kernel.  Per path and step:
+# The chunk kernel advances the live paths of a batch (`done` false) through
+# `n_steps` increments drawn outside the kernel, one row per live path in
+# ascending path order.  Per path and step:
 #   cost  += gamma * fkl(x) * dt
 #   gamma *= exp(-c(x) * dt)
 #   x     += b(x) * dt + sigma(x) * sqrt(dt) * xi
 # and on leaving (left, right) the discounted exit payoff is added and the
-# path retires.  Coefficients come from nodal tables via linear interpolation
-# (clamped at the ends).
+# path retires: its state is written back and it leaves the live set, so no
+# later step pays for it.  Coefficients come from nodal tables via linear
+# interpolation (clamped at the ends).  `done` and `exit_steps` (equal to
+# `steps` once a path exits) stay in the signature because perfbench's
+# tracer reads `steps` and `normals` at positions 3 and 6.
 # ---------------------------------------------------------------------------
 
 
 def simulate_chunk(x, gamma, cost, steps, done, exit_steps, normals,
                    left, right, spacing, b_tab, c_tab, fkl_tab, s_tab,
                    dt, g_left, g_right):
-    """Advance a batch of paths through one chunk of normal increments."""
+    """Advance the batch's live paths, in place, through one chunk."""
     sqrt_dt = np.sqrt(dt)
-    n_nodes = b_tab.shape[0]
+    tabs = [(t, np.diff(t)) for t in (b_tab, c_tab, fkl_tab, s_tab)]
     n_steps = normals.shape[1]
+    live = np.flatnonzero(~done)
+    rows = np.arange(live.size)
+    xa, ga, ca = x[live], gamma[live], cost[live]
     for j in range(n_steps):
-        active = ~done
-        if not active.any():
+        if live.size == 0:
             break
-        xa = x[active]
         pos = (xa - left) / spacing
-        idx = np.minimum(pos.astype(np.int64), n_nodes - 2)
-        idx = np.maximum(idx, 0)
+        idx = np.maximum(np.minimum(pos.astype(np.int64), b_tab.size - 2), 0)
         w = pos - idx
-        b = b_tab[idx] + w * (b_tab[idx + 1] - b_tab[idx])
-        c = c_tab[idx] + w * (c_tab[idx + 1] - c_tab[idx])
-        fkl = fkl_tab[idx] + w * (fkl_tab[idx + 1] - fkl_tab[idx])
-        sig = s_tab[idx] + w * (s_tab[idx + 1] - s_tab[idx])
-        ga = gamma[active]
-        cost[active] += ga * fkl * dt
+        b, c, fkl, sig = (t[idx] + w * d[idx] for t, d in tabs)
+        ca += ga * fkl * dt
         ga = ga * np.exp(-c * dt)
-        gamma[active] = ga
-        xa = xa + b * dt + sig * sqrt_dt * normals[active, j]
-        x[active] = xa
-        steps[active] += 1
-        out_left = active.copy()
-        out_left[active] = xa <= left
-        out_right = active.copy()
-        out_right[active] = xa >= right
-        exited = out_left | out_right
-        if exited.any():
-            cost[out_left] += gamma[out_left] * g_left
-            cost[out_right] += gamma[out_right] * g_right
-            exit_steps[exited] = steps[exited]
-            done[exited] = True
+        xa = xa + b * dt + sig * sqrt_dt * normals[:, j][rows]
+        out = (xa <= left) | (xa >= right)
+        if out.any():
+            gone = live[out]
+            x_out, g_out = xa[out], ga[out]
+            payoff = np.where(x_out <= left, g_left, g_right)
+            x[gone] = x_out
+            gamma[gone] = g_out
+            cost[gone] = ca[out] + g_out * payoff
+            steps[gone] += j + 1
+            exit_steps[gone] = steps[gone]
+            done[gone] = True
+            keep = ~out
+            live, rows = live[keep], rows[keep]
+            xa, ga, ca = xa[keep], ga[keep], ca[keep]
+    x[live] = xa
+    gamma[live] = ga
+    cost[live] = ca
+    steps[live] += n_steps

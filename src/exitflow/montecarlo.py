@@ -7,7 +7,10 @@ the nearest endpoint.  Coefficients are linear interpolations of the
 policy-averaged nodal tables, extended to the endpoints by replication.
 Paths are simulated in batches with independently spawned substreams, and
 batch results are reduced in a fixed order, so a seed pins the estimate
-bit for bit.
+bit for bit.  Each chunk draws one row of normals per live path, in
+ascending path order, and `kernels.simulate_chunk` advances, retires and
+writes back the paths itself; this module only loops until a batch is
+done and checks the step cap.
 """
 
 from dataclasses import dataclass
@@ -42,7 +45,7 @@ def _extended_tables(problem, p: Policy, tau):
     values replicated from the nearest interior node."""
     b_bar, c_bar, forcing = (np.pad(t, 1, mode="edge") for t in
                              average_coefficients(problem, p, tau))
-    return b_bar, c_bar, forcing, problem.sigma_nodes.copy()
+    return b_bar, c_bar, forcing, problem.sigma_nodes
 
 
 def simulate_exit_value(problem, p: Policy, x0, tau, n_paths, dt_sim,
@@ -52,10 +55,10 @@ def simulate_exit_value(problem, p: Policy, x0, tau, n_paths, dt_sim,
     if not (grid.left < x0 < grid.right):
         raise ValueError(f"x0={x0} must lie strictly inside "
                          f"({grid.left}, {grid.right})")
-    if dt_sim <= 0.0:
-        raise ValueError("dt_sim must be positive")
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
+    if not 0.0 < dt_sim < np.inf:
+        raise ValueError("dt_sim must be positive and finite")
+    if not 0.0 <= tau < np.inf:
+        raise ValueError("tau must be nonnegative and finite")
     n_paths = int(n_paths)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -74,30 +77,15 @@ def simulate_exit_value(problem, p: Policy, x0, tau, n_paths, dt_sim,
         steps = np.zeros(m, dtype=np.int64)
         done = np.zeros(m, dtype=bool)
         exit_steps = np.zeros(m, dtype=np.int64)
-        while True:
-            # draw normals only for live paths; the compacted order is the
-            # ascending path index, so the stream layout is deterministic
-            active = np.flatnonzero(~done)
-            if active.size == 0:
-                break
-            xa = x[active]
-            ga = gamma[active]
-            ca = cost[active]
-            sa = steps[active]
-            ea = exit_steps[active]
-            da = np.zeros(active.size, dtype=bool)
-            normals = rng.standard_normal((active.size, CHUNK_STEPS))
-            simulate_chunk(xa, ga, ca, sa, da, ea, normals,
+        while not done.all():
+            # one row per live path, in ascending path order
+            normals = rng.standard_normal(
+                (m - np.count_nonzero(done), CHUNK_STEPS))
+            simulate_chunk(x, gamma, cost, steps, done, exit_steps, normals,
                            grid.left, grid.right, grid.spacing,
                            b_tab, c_tab, fkl_tab, s_tab, dt_sim,
                            problem.g_left, problem.g_right)
-            x[active] = xa
-            gamma[active] = ga
-            cost[active] = ca
-            steps[active] = sa
-            exit_steps[active] = ea
-            done[active] = da
-            if sa.max() > STEP_CAP:
+            if steps.max() > STEP_CAP:
                 raise PathCapError(
                     f"path exceeded {STEP_CAP} steps without exiting "
                     f"(batch {batch}); check the diffusion coefficient")

@@ -94,6 +94,7 @@ def test_solve_hjb_rejects_colliding_output_names(tmp_path, capsys, taus):
     assert "config error" in err and "'hjb.taus'" in err
     assert "hjb_tau_0p1.csv" in err
     assert not list(out.glob("*.csv"))
+    assert not out.exists()
 
 
 def test_zero_data_hjb_files(tmp_path):
@@ -171,6 +172,19 @@ def test_run_flow_unreadable_restart(tmp_path, capsys, content):
     assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 1
     assert "flow.z0" in capsys.readouterr().err
     assert not any(out.glob("*.csv"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section", [("solve-hjb", "hjb"),
+                                              ("run-flow", "flow"),
+                                              ("mc-check", "mc")])
+def test_missing_section_leaves_no_directory(tmp_path, capsys, command,
+                                             section):
+    cfg = _write(tmp_path, _base_config())
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert f"'{section}' is required" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_flow_restart_roundtrip(tmp_path):

@@ -122,3 +122,42 @@ def test_simulation_chunk_exits_and_pays():
     assert np.all(x >= 1.0)
     assert np.allclose(cost, 7.0)  # g_right, undiscounted
     assert np.all(exit_steps == exit_steps[0])
+
+
+def test_simulation_chunk_skips_retired_paths():
+    # paths 1, 4 and 6 are already done; normals hold one row per live path
+    # in ascending order.  Live paths must end bit for bit where compacting
+    # them, calling the kernel on the compact batch and scattering back put
+    # them; two of them exit (after 3 and 48 steps)
+    n, n_steps, nodes = 8, 300, 7
+    retired = [1, 4, 6]
+    live = [0, 2, 3, 5, 7]
+    x = np.linspace(0.05, 0.95, n)
+    gamma = np.linspace(1.0, 0.65, n)
+    cost = np.linspace(0.0, 0.7, n)
+    steps = np.arange(n, dtype=np.int64) * 10 + 40
+    done = np.isin(np.arange(n), retired)
+    exit_steps = np.where(done, steps, 0)
+    state = [x, gamma, cost, steps, done, exit_steps]
+    before = [a[retired].copy() for a in state]
+    u = (np.arange(len(live) * n_steps) * 0.6180339887498949) % 1.0
+    normals = ((u - 0.5) * np.sqrt(12.0)).reshape(len(live), n_steps)
+    kernels.simulate_chunk(*state, normals, 0.0, 1.0, 1.0 / (nodes - 1),
+                           np.linspace(-0.5, 0.5, nodes),
+                           np.linspace(0.0, 0.3, nodes),
+                           np.linspace(1.0, 2.0, nodes),
+                           np.linspace(0.8, 1.4, nodes), 1e-3, 0.25, 0.75)
+    for a, b in zip(state, before):
+        assert np.array_equal(a[retired], b)
+    assert x[live].tolist() == [
+        -0.009889377341049683, 0.12137893789287274, 0.284982488773651,
+        0.6345640781095777, 1.0160599603364215]
+    assert gamma[live].tolist() == [
+        0.9999795828541499, 0.8837690708433418, 0.8252251845384648,
+        0.7063667356465149, 0.648502571548485]
+    assert cost[live].tolist() == [
+        0.2530629220466819, 0.5213953118966009, 0.633595857033966,
+        0.863893792803303, 1.1965638281074926]
+    assert steps[live].tolist() == [43, 360, 370, 390, 118]
+    assert done[live].tolist() == [True, False, False, False, True]
+    assert exit_steps[live].tolist() == [43, 0, 0, 0, 118]

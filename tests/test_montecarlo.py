@@ -81,14 +81,31 @@ def test_discount_and_kl_accumulation():
 
 def test_validates_inputs(manufactured):
     pol = uniform_policy(49, manufactured.actions)
-    with pytest.raises(ValueError):
-        simulate_exit_value(manufactured, pol, 0.0, 0.0, 10, 1e-3, seed=0)
-    with pytest.raises(ValueError):
-        simulate_exit_value(manufactured, pol, 0.5, 0.0, 10, -1e-3, seed=0)
-    with pytest.raises(ValueError):
-        simulate_exit_value(manufactured, pol, 0.5, -0.1, 10, 1e-3, seed=0)
-    with pytest.raises(ValueError):
-        simulate_exit_value(manufactured, pol, 0.5, 0.0, 0, 1e-3, seed=0)
+    # (x0, tau, n_paths, dt_sim); a NaN or infinite dt_sim would otherwise
+    # run every path to STEP_CAP, and such a tau return a NaN estimate
+    for x0, tau, n_paths, dt_sim in [
+            (0.0, 0.0, 10, 1e-3), (0.5, 0.0, 10, -1e-3), (0.5, -0.1, 10, 1e-3),
+            (0.5, 0.0, 0, 1e-3), (0.5, math.nan, 10, 1e-3),
+            (0.5, math.inf, 10, 1e-3), (0.5, 0.0, 10, math.nan),
+            (0.5, 0.0, 10, math.inf)]:
+        with pytest.raises(ValueError):
+            simulate_exit_value(manufactured, pol, x0, tau, n_paths, dt_sim,
+                                seed=0)
+
+
+def test_estimate_golden_values(monkeypatch):
+    # three batches of 16, 16 and 8 paths, pinned bit for bit: they fix
+    # the stream layout (per batch substreams, one row of normals per live
+    # path in ascending order) that a seed's estimate depends on
+    import exitflow.montecarlo as mc
+    monkeypatch.setattr(mc, "BATCH_PATHS", 16)
+    lq = lq_benchmark("discrete", n_interior=9)
+    z = np.outer(np.sin(np.pi * lq.grid.interior), lq.actions.actions)
+    pol = gibbs_policy(z, lq.actions)
+    est = simulate_exit_value(lq, pol, 0.5, 0.3, 40, 1e-3, seed=7)
+    assert est.mean == 0.15643664245100597
+    assert est.stderr == 0.01737898562752613
+    assert est.mean_exit_time == 0.09875
 
 
 def test_path_cap_near_zero_noise(monkeypatch):
