@@ -136,11 +136,14 @@ def cmd_run_flow(resolved, out_dir):
     solver = resolved["solver"]
     sched = build_scheduler(flow_cfg)
     probes = probe_indices(problem.grid, flow_cfg["probes"])
+    if probes.size < len(flow_cfg["probes"]):
+        raise ConfigError(f"config key 'flow.probes': {flow_cfg['probes']} "
+                          f"snap to only {probes.size} distinct interior "
+                          f"node(s) at spacing {problem.grid.spacing:g}")
     z0 = _initial_feature(problem, flow_cfg, solver)
     traj = integrate_flow(problem, z0, sched, flow_cfg["horizon"],
                           flow_cfg["dt"], probes,
-                          record_every=flow_cfg["record_every"],
-                          scheme=solver["scheme"])
+                          record_every=flow_cfg["record_every"])
     outputs = []
     labels = [format(x, ".6g") for x in traj.probe_x]
     header = ["s", "tau_s"] + [f"v_reg_{x}" for x in labels] \
@@ -217,8 +220,7 @@ def cmd_mc_check(resolved, out_dir, seed):
         sol = solve_regularized_hjb(problem, ref_tau, **solver)
         pol = sol.optimal_policy
     pde_tau = mc["pde_tau"] if mc["pde_tau"] is not None else mc["tau"]
-    vf = solve_on_policy_bellman(problem, pol, pde_tau,
-                                 scheme=solver["scheme"])
+    vf = solve_on_policy_bellman(problem, pol, pde_tau)
     rows = []
     est_rows = []
     ok = True

@@ -19,7 +19,6 @@ import numpy as np
 from .bounds import BETA_GRID, S_GRID
 from .domain import (DISCRETE, INTERVAL, LQCoefficients, build_grid,
                      make_action_space, make_lq_problem)
-from .elliptic import CENTRAL, UPWIND
 from .flow import (CONSTANT, HORIZON_CONSTANT, POWER_LAW, SCHEDULER_KINDS,
                    Scheduler)
 
@@ -87,8 +86,6 @@ _SPEC = {
     "solver": ({
         "tol": (_NUMBER_OR_NULL, None, *_POSITIVE),
         "max_iter": (_INTEGER, 200, *_AT_LEAST_1),
-        "scheme": (_STRING, CENTRAL, lambda v: v in (CENTRAL, UPWIND),
-                   f"{CENTRAL!r} or {UPWIND!r}"),
     }, {}),
     "hjb": ({
         "taus": (_NUMBERS, _REQUIRED, lambda v: all(t > 0 for t in v),
@@ -231,12 +228,13 @@ def resolve_config(raw):
     if sweep and not sweep["alpha"] < sweep["beta"]:
         raise ConfigError("config key 'bounds.bias_sweep.alpha': need "
                           "alpha < beta")
-    mc = out.get("mc")
-    if mc and grid and not all(grid["left"] < x < grid["right"]
-                               for x in mc["x0"]):
-        raise ConfigError(f"config key 'mc.x0': every start point must lie "
-                          f"strictly inside ({grid['left']:g}, "
-                          f"{grid['right']:g}), got {mc['x0']}")
+    for name, points in (("flow.probes", flow and flow["probes"]),
+                         ("mc.x0", out.get("mc", {}).get("x0"))):
+        if points and grid and not all(grid["left"] < x < grid["right"]
+                                       for x in points):
+            raise ConfigError(f"config key '{name}': every point must lie "
+                              f"strictly inside ({grid['left']:g}, "
+                              f"{grid['right']:g}), got {points}")
     return out
 
 

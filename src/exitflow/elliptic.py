@@ -11,12 +11,11 @@ f_bar + tau*kl, ``assemble_system`` turns them into tridiagonal bands, and
 ``solve_linear`` solves the bands into a ``ValueField``.  The value solve,
 the residual, the performance-difference check, Howard's uniform-policy
 bootstrap and the Monte Carlo tables all start from the same averages, so
-their identities hold at the level of linear algebra.  Second derivatives
-are central; the advection term is central by default with an upwind
-fallback behind the ``scheme`` flag (central requires the cell Peclet
-condition |b_bar| h / sigma^2 <= 2).  The per-action generator table
-b*Dv - c*v + f and the diffusion term (sigma^2/2) v'' also live here, for
-the HJB residuals and the flow.
+their identities hold at the level of linear algebra.  Every derivative
+is central, in the solve as in the per-action generator table
+b*Dv - c*v + f and the diffusion term (sigma^2/2) v'' that the HJB
+residuals and the flow read; the advection stencil needs the cell Peclet
+condition |b_bar| h / sigma^2 <= 2, which a finer grid restores.
 """
 
 from dataclasses import dataclass, replace
@@ -25,10 +24,6 @@ import numpy as np
 
 from .kernels import thomas_solve, tridiag_apply
 from .policy import Policy, kl_between, kl_to_reference
-
-CENTRAL = "central"
-UPWIND = "upwind"
-
 
 class SolverError(RuntimeError):
     """Raised when a linear solve cannot be performed as requested."""
@@ -58,43 +53,33 @@ def _max_cell_peclet(problem, b_bar):
     return float(peclet.max()) if peclet.size else 0.0
 
 
-def assemble_system(problem, b_bar, c_bar, forcing, scheme=CENTRAL):
-    """Bands and right-hand side of the interior tridiagonal system.
+def assemble_system(problem, b_bar, c_bar, forcing):
+    """Central-difference bands and rhs of the interior tridiagonal system.
 
     Row i encodes (sigma_i^2/2) v'' + b_i v' - c_i v = -forcing_i with the
     Dirichlet data folded into the rhs.  Returns (lower, diag, upper, rhs).
     """
+    pmax = _max_cell_peclet(problem, b_bar)
+    if pmax > 2.0:
+        raise SolverError(
+            f"cell Peclet number {pmax:.3g} > 2 breaks diagonal dominance "
+            f"of the central advection stencil; raise grid.n_interior so "
+            f"that |b| h / sigma^2 <= 2")
     h = problem.grid.spacing
-    sig2 = problem.sigma_interior ** 2
-    diff = 0.5 * sig2 / h ** 2
-    if scheme == CENTRAL:
-        pmax = _max_cell_peclet(problem, b_bar)
-        if pmax > 2.0:
-            raise SolverError(
-                f"cell Peclet number {pmax:.3g} > 2 breaks diagonal dominance "
-                f"of the central scheme; rerun with scheme='upwind'")
-        adv = b_bar / (2.0 * h)
-        lower = diff - adv
-        upper = diff + adv
-        diag = -2.0 * diff - c_bar
-    elif scheme == UPWIND:
-        bp = np.maximum(b_bar, 0.0)
-        bm = np.minimum(b_bar, 0.0)
-        lower = diff - bm / h
-        upper = diff + bp / h
-        diag = -2.0 * diff - c_bar - (bp - bm) / h
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    diff = 0.5 * problem.sigma_interior ** 2 / h ** 2
+    adv = b_bar / (2.0 * h)
+    lower = diff - adv
+    upper = diff + adv
+    diag = -2.0 * diff - c_bar
     rhs = -np.asarray(forcing, dtype=np.float64).copy()
     rhs[0] -= lower[0] * problem.g_left
     rhs[-1] -= upper[-1] * problem.g_right
     return lower, diag, upper, rhs
 
 
-def solve_linear(problem, b_bar, c_bar, forcing, scheme=CENTRAL) -> ValueField:
+def solve_linear(problem, b_bar, c_bar, forcing) -> ValueField:
     """Solve the interior system for v on all nodes and dv on interior."""
-    lower, diag, upper, rhs = assemble_system(problem, b_bar, c_bar, forcing,
-                                              scheme)
+    lower, diag, upper, rhs = assemble_system(problem, b_bar, c_bar, forcing)
     try:
         v_int = thomas_solve(lower, diag, upper, rhs)
     except ZeroDivisionError as exc:
@@ -108,12 +93,11 @@ def solve_linear(problem, b_bar, c_bar, forcing, scheme=CENTRAL) -> ValueField:
     return ValueField(v=v, dv=(v[2:] - v[:-2]) / (2.0 * problem.grid.spacing))
 
 
-def solve_on_policy_bellman(problem, p: Policy, tau, scheme=CENTRAL) -> ValueField:
+def solve_on_policy_bellman(problem, p: Policy, tau) -> ValueField:
     """Value field of policy p with entropy weight tau >= 0."""
     if tau < 0.0:
         raise ValueError("tau must be nonnegative")
-    return solve_linear(problem, *average_coefficients(problem, p, tau),
-                        scheme)
+    return solve_linear(problem, *average_coefficients(problem, p, tau))
 
 
 def diffusion(problem, vf: ValueField) -> np.ndarray:
@@ -130,29 +114,28 @@ def optimal_feature(problem, vf: ValueField) -> np.ndarray:
         - problem.c_tab * vf.interior[:, None] + problem.f_tab
 
 
-def pde_residual(problem, p: Policy, tau, vf: ValueField, scheme=CENTRAL) -> float:
+def pde_residual(problem, p: Policy, tau, vf: ValueField) -> float:
     """Max-norm residual of the discrete on-policy equation at vf."""
     lower, diag, upper, rhs = assemble_system(
-        problem, *average_coefficients(problem, p, tau), scheme)
+        problem, *average_coefficients(problem, p, tau))
     res = tridiag_apply(lower, diag, upper, vf.v[1:-1]) - rhs
     return float(np.max(np.abs(res)))
 
 
-def performance_difference_check(problem, p: Policy, q: Policy, tau,
-                                 scheme=CENTRAL) -> float:
+def performance_difference_check(problem, p: Policy, q: Policy, tau) -> float:
     """Residual of the exact policy-difference identity.
 
     Builds the advantage-plus-KL forcing h of q's value under the signed
     kernel (p - q), solves the linear equation under p with zero boundary
-    data, and returns the max deviation from v_p - v_q.  On the shared
-    discrete operator this is a linear-algebra identity, so the result is
-    solver roundoff.
+    data, and returns the max deviation from v_p - v_q.  The solves and
+    the generator table share one central-difference operator, so this is
+    a linear-algebra identity and the result is solver roundoff.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     b_p, c_p, forcing_p = average_coefficients(problem, p, tau)
-    vp = solve_linear(problem, b_p, c_p, forcing_p, scheme)
-    vq = solve_on_policy_bellman(problem, q, tau, scheme)
+    vp = solve_linear(problem, b_p, c_p, forcing_p)
+    vq = solve_on_policy_bellman(problem, q, tau)
     # (L^a v_q)(x_i) + f(x_i, a) for every action column
     adv = diffusion(problem, vq)[:, None] + optimal_feature(problem, vq) \
         + tau * q.log_density
@@ -160,5 +143,5 @@ def performance_difference_check(problem, p: Policy, q: Policy, tau,
         + tau * kl_between(p, q)
     # w has zero boundary data
     w = solve_linear(replace(problem, g_left=0.0, g_right=0.0), b_p, c_p,
-                     forcing, scheme)
+                     forcing)
     return float(np.max(np.abs(w.interior - (vp.interior - vq.interior))))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import CENTRAL, optimal_feature, solve_on_policy_bellman
+from .elliptic import optimal_feature, solve_on_policy_bellman
 from .hjb import HjbSolution
 from .policy import gibbs_policy
 
@@ -106,24 +106,24 @@ def mirror_rhs(problem, z, vf, tau):
     return -(optimal_feature(problem, vf) + tau * z)
 
 
-def _rhs(problem, z, tau, scheme):
+def _rhs(problem, z, tau):
     vf = solve_on_policy_bellman(problem, gibbs_policy(z, problem.actions),
-                                 tau, scheme)
+                                 tau)
     return mirror_rhs(problem, z, vf, tau)
 
 
-def estimate_rhs_lipschitz(problem, z0, tau, scheme=CENTRAL):
+def estimate_rhs_lipschitz(problem, z0, tau):
     """Crude local Lipschitz bound of the rhs from one random perturbation."""
     rng = np.random.default_rng(181181)
     delta = 1e-3 * (1.0 + np.max(np.abs(z0))) * rng.standard_normal(z0.shape)
-    f0 = _rhs(problem, z0, tau, scheme)
-    f1 = _rhs(problem, z0 + delta, tau, scheme)
+    f0 = _rhs(problem, z0, tau)
+    f1 = _rhs(problem, z0 + delta, tau)
     num = float(np.max(np.abs(f1 - f0 + tau * delta)))  # strip the -tau*Z part
     return num / float(np.max(np.abs(delta)))
 
 
 def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
-                   record_every=1, scheme=CENTRAL) -> FlowTrajectory:
+                   record_every=1) -> FlowTrajectory:
     """Integrate the feature flow to time S with fixed-step RK4.
 
     ``probes`` are interior node indices; values are recorded at s = 0 and
@@ -141,7 +141,7 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
     if probes.size == 0 or probes.min() < 0 or probes.max() >= problem.n_interior:
         raise ValueError("probes must be interior node indices")
     tau0 = float(sched.value(0.0))
-    lip = estimate_rhs_lipschitz(problem, z, tau0, scheme)
+    lip = estimate_rhs_lipschitz(problem, z, tau0)
     if dt * (tau0 + lip) > 1.0:
         raise UnstableFlowError(
             f"dt={dt:g} fails the stability check dt*(tau0 + L) <= 1 "
@@ -153,8 +153,8 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
     def record(s, z_now):
         tau_s = float(sched.value(s))
         pol = gibbs_policy(z_now, problem.actions)
-        vf = solve_on_policy_bellman(problem, pol, tau_s, scheme)
-        vf0 = solve_on_policy_bellman(problem, pol, 0.0, scheme)
+        vf = solve_on_policy_bellman(problem, pol, tau_s)
+        vf0 = solve_on_policy_bellman(problem, pol, 0.0)
         vr = vf.v[1:-1][probes]
         vu = vf0.v[1:-1][probes]
         times.append(s)
@@ -171,10 +171,10 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
 
     record(0.0, z)
     for step, (tau_0, tau_h, tau_1) in enumerate(stage_taus, start=1):
-        k1 = _rhs(problem, z, tau_0, scheme)
-        k2 = _rhs(problem, z + 0.5 * dt * k1, tau_h, scheme)
-        k3 = _rhs(problem, z + 0.5 * dt * k2, tau_h, scheme)
-        k4 = _rhs(problem, z + dt * k3, tau_1, scheme)
+        k1 = _rhs(problem, z, tau_0)
+        k2 = _rhs(problem, z + 0.5 * dt * k1, tau_h)
+        k3 = _rhs(problem, z + 0.5 * dt * k2, tau_h)
+        k4 = _rhs(problem, z + dt * k3, tau_1)
         z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s = step * dt
         if not np.all(np.isfinite(z)):

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .domain import DISCRETE
-from .elliptic import (CENTRAL, ValueField, average_coefficients, diffusion,
+from .elliptic import (ValueField, average_coefficients, diffusion,
                        optimal_feature, solve_linear, solve_on_policy_bellman)
 from .hamiltonian import hard_hamiltonian, softmin_table
 from .policy import Policy, gibbs_policy, uniform_policy
@@ -48,7 +48,7 @@ def _residual(problem, vf, ham):
 
 
 def solve_regularized_hjb(problem, tau, tol=None, max_iter=200,
-                          scheme=CENTRAL, z0=None) -> HjbSolution:
+                          z0=None) -> HjbSolution:
     """Fixed point of the softmin HJB for tau > 0.
 
     Starts from the uniform policy (or the Gibbs image of ``z0``) and
@@ -67,7 +67,7 @@ def solve_regularized_hjb(problem, tau, tol=None, max_iter=200,
     history = []
     vf = None
     for it in range(1, max_iter + 1):
-        vf = solve_on_policy_bellman(problem, pol, tau, scheme)
+        vf = solve_on_policy_bellman(problem, pol, tau)
         z = optimal_feature(problem, vf)
         res = _residual(problem, vf,
                         softmin_table(z, problem.actions.mu_weights, tau))
@@ -120,8 +120,7 @@ def _selected_coefficients(problem, acts):
     return b, c, f
 
 
-def solve_unregularized_hjb(problem, tol=None, max_iter=200,
-                            scheme=CENTRAL) -> HjbSolution:
+def solve_unregularized_hjb(problem, tol=None, max_iter=200) -> HjbSolution:
     """Howard iteration for the hard-min HJB (tau = 0).
 
     Bootstraps from the uniform-policy averages, then alternates linear
@@ -139,7 +138,7 @@ def solve_unregularized_hjb(problem, tol=None, max_iter=200,
     best = math.inf
     acts = None
     for it in range(1, max_iter + 1):
-        vf = solve_linear(problem, *coefficients, scheme)
+        vf = solve_linear(problem, *coefficients)
         ham, new_acts, cols = _hard_minimum(problem, vf)
         res = _residual(problem, vf, ham)
         history.append(res)
@@ -166,16 +165,16 @@ def solve_unregularized_hjb(problem, tol=None, max_iter=200,
         f"iterations (last residual {history[-1]:.3g})", history)
 
 
-def regularization_bias(problem, tau_list, tol=None, scheme=CENTRAL):
+def regularization_bias(problem, tau_list, tol=None):
     """(tau, sup|v*_tau - v*_0|) for a descending list of taus."""
     taus = [float(t) for t in tau_list]
     if any(t <= 0.0 for t in taus):
         raise ValueError("taus must be positive")
     if any(t1 <= t2 for t1, t2 in zip(taus, taus[1:])):
         raise ValueError("taus must be sorted in descending order")
-    base = solve_unregularized_hjb(problem, tol=tol, scheme=scheme)
+    base = solve_unregularized_hjb(problem, tol=tol)
     out = []
     for tau in taus:
-        sol = solve_regularized_hjb(problem, tau, tol=tol, scheme=scheme)
+        sol = solve_regularized_hjb(problem, tau, tol=tol)
         out.append((tau, float(np.max(np.abs(sol.v_star.v - base.v_star.v)))))
     return out

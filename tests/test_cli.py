@@ -187,6 +187,35 @@ def test_missing_section_leaves_no_directory(tmp_path, capsys, command,
     assert not out.exists()
 
 
+def test_run_flow_rejects_colliding_probes(tmp_path, capsys):
+    # 0.5 and 0.51 snap to the same node at spacing 0.05
+    cfg = _write(tmp_path, _base_config(
+        flow={"scheduler": {"kind": "constant", "tau": 0.5}, "horizon": 0.5,
+              "dt": 0.05, "probes": [0.5, 0.51]}))
+    out = tmp_path / "run"
+    assert main(["run-flow", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "'flow.probes'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve-hjb", "run-flow"])
+def test_peclet_failure_names_the_grid_remedy(tmp_path, capsys, command):
+    # b = 200 with sigma = 1 at spacing 0.05: cell Peclet number 10
+    cfg = _base_config(
+        actions={"kind": "discrete", "values": [1.0]}, sigma=1.0,
+        hjb={"taus": [0.5]},
+        flow={"scheduler": {"kind": "constant", "tau": 0.5}, "horizon": 0.5,
+              "dt": 0.05, "probes": [0.5]})
+    cfg["lq"]["b_hat"] = 200.0
+    out = tmp_path / "run"
+    assert main([command, "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Peclet" in err and "grid.n_interior" in err
+    assert not out.exists()
+
+
 def test_run_flow_restart_roundtrip(tmp_path):
     cfg_dict = _base_config(
         flow={"scheduler": {"kind": "constant", "tau": 0.5}, "horizon": 0.5,

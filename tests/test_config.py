@@ -21,7 +21,7 @@ FULL = {
     "g": 0.0,
     "seed": 5,
     "output_dir": "runs",
-    "solver": {"tol": 1e-9, "max_iter": 50, "scheme": "central"},
+    "solver": {"tol": 1e-9, "max_iter": 50},
     "hjb": {"taus": [0.5]},
     "flow": {"scheduler": {"kind": "constant", "tau": 0.5}, "horizon": 1.0,
              "dt": 0.05, "record_every": 2, "probes": [0.5], "z0": "zero"},
@@ -52,8 +52,9 @@ MALFORMED = (
     + [(k, [True, 0.5]) for k in NUMBER_LIST_KEYS]
     + [(k, v) for k in SECTION_KEYS for v in (5, [1.0])]
     + [("mc.x0", v) for v in ([0.0], [1.0], [-0.5], [0.5, 2.0])]
+    + [("flow.probes", v) for v in ([0.0], [1.0], [-3.0, 0.5], [0.5, 7.0])]
     + [("flow.z0", "restart.txt"), ("actions.kind", "grid"),
-       ("seed", -1), ("mc.pde_tau", -0.5)]
+       ("seed", -1), ("mc.pde_tau", -0.5), ("solver.scheme", "central")]
 )
 
 
@@ -97,11 +98,11 @@ def test_mc_x0_unchecked_without_grid():
 
 @pytest.mark.parametrize("name,digest", [
     ("figure",
-     "58175b83d34322d8e1dbb723c2976314f73de0406a8c5c6be5168d3e3f0b5b62"),
+     "c3fa1654a3f143da6c96bdbced149da258a20e0bb33a0e2ee1c29303a5318d00"),
     ("lq_discrete",
-     "78234a5cdc7c2a7d987d372ed62bf22d7557a3c58fe2b068cff1df1f1b7a58f0"),
+     "af8ee4d0abf940c916117ecf6733e59bf6767dacde1f7d2369bcebe6ed5b3e4f"),
     ("lq_interval",
-     "633108bd074174ea8af1e5d3f61fa412bef45344a4d31e7dff2db18fae3b5441"),
+     "e1d38355ecee1a41264b596687c2fb4b91c6f2a4830c4a6189102696cff91cdb"),
 ])
 def test_shipped_config_digests(name, digest):
     # a change to the reader that alters a resolved shipped config shows here

@@ -121,29 +121,16 @@ def test_comparison_principle(lq):
         assert np.min(vf.v) >= -1e-10
 
 
-def test_peclet_violation_reports_upwind():
+def test_peclet_violation_names_the_grid_remedy():
     grid = build_grid(0.0, 1.0, 19)
     acts = make_action_space(values=[1.0])
     prob = make_problem(grid, acts, b=lambda x, a: 200.0 * a,
                         c=lambda x, a: 0.0, f=lambda x, a: 1.0,
                         sigma=lambda x: 1.0, g=lambda x: 0.0)
     pol = uniform_policy(19, acts)
-    with pytest.raises(SolverError, match="Peclet"):
+    with pytest.raises(SolverError,
+                       match="Peclet number 10 .*grid.n_interior"):
         solve_on_policy_bellman(prob, pol, 0.0)
-    vf = solve_on_policy_bellman(prob, pol, 0.0, scheme="upwind")
-    assert np.all(np.isfinite(vf.v))
-    assert np.min(vf.v) >= -1e-12
-
-
-def test_upwind_residual_consistent():
-    grid = build_grid(0.0, 1.0, 19)
-    acts = make_action_space(values=[1.0])
-    prob = make_problem(grid, acts, b=lambda x, a: 200.0 * a,
-                        c=lambda x, a: 0.0, f=lambda x, a: 1.0,
-                        sigma=lambda x: 1.0, g=lambda x: 0.0)
-    pol = uniform_policy(19, acts)
-    vf = solve_on_policy_bellman(prob, pol, 0.0, scheme="upwind")
-    assert pde_residual(prob, pol, 0.0, vf, scheme="upwind") <= 1e-10 * 2.0
 
 
 def test_performance_difference_identical_policies(lq):

@@ -1,15 +1,19 @@
 """Invariants checked over random inputs drawn by hypothesis."""
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from exitflow import (average_coefficients, gibbs_policy, kl_to_reference,
-                      lq_benchmark, make_action_space, make_lq_problem,
-                      pde_residual, performance_difference_check,
-                      simulate_exit_value, solve_on_policy_bellman,
-                      solve_regularized_hjb, solve_unregularized_hjb)
+from exitflow import (SolverError, average_coefficients, gibbs_policy,
+                      kl_to_reference, lq_benchmark, make_action_space,
+                      make_lq_problem, pde_residual,
+                      performance_difference_check, simulate_exit_value,
+                      solve_on_policy_bellman, solve_regularized_hjb,
+                      solve_unregularized_hjb)
 from exitflow.domain import LQCoefficients, build_grid
 from exitflow.hamiltonian import softmin_table
 from exitflow.kernels import thomas_solve, tridiag_apply
@@ -99,14 +103,39 @@ def test_stacked_averages_are_convex_combinations(case):
 
 
 @settings(deadline=None)
-@given(features(), st.floats(0.0, 10.0),
-       st.sampled_from(["central", "upwind"]))
-def test_solver_residual_contract(case, tau, scheme):
+@given(features(), st.floats(0.0, 10.0))
+def test_solver_residual_contract(case, tau):
     """The value solve satisfies its own discrete equation."""
     problem, z = case
     pol = gibbs_policy(z, problem.actions)
-    vf = solve_on_policy_bellman(problem, pol, tau, scheme)
-    res = pde_residual(problem, pol, tau, vf, scheme)
+    vf = solve_on_policy_bellman(problem, pol, tau)
+    res = pde_residual(problem, pol, tau, vf)
+    assert res <= 1e-10 * (1.0 + problem.f_sup)
+
+
+@settings(deadline=None)
+@given(features(), st.floats(0.0, 10.0), st.floats(0.0, 4.0),
+       st.sampled_from([-1.0, 1.0]))
+def test_peclet_gate(case, tau, target, sign):
+    """The value solve fails exactly when a cell Peclet number of b_bar
+    exceeds 2, and otherwise satisfies its own discrete equation."""
+    problem, z = case
+    pol = gibbs_policy(z, problem.actions)
+    # a drift bounded away from 0, scaled so the largest Peclet number of
+    # its policy average is about target
+    h, sig2 = problem.grid.spacing, problem.sigma_interior ** 2
+    drift = sign * (1.0 + np.abs(problem.b_tab))
+    peclet = np.max(np.abs(np.sum(pol.weights * drift, axis=1)) * h / sig2)
+    coef_tab = problem.coef_tab.copy()
+    coef_tab[0] = (target / peclet) * drift
+    problem = replace(problem, coef_tab=coef_tab)
+    b_bar = average_coefficients(problem, pol, tau)[0]
+    if np.max(np.abs(b_bar) * h / sig2) > 2.0:
+        with pytest.raises(SolverError, match="Peclet"):
+            solve_on_policy_bellman(problem, pol, tau)
+        return
+    vf = solve_on_policy_bellman(problem, pol, tau)
+    res = pde_residual(problem, pol, tau, vf)
     assert res <= 1e-10 * (1.0 + problem.f_sup)
 
 
