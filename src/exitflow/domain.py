@@ -5,11 +5,15 @@ running cost f, diffusion sigma, exit cost g) together with their values
 tabulated once on the grid x action nodes; all downstream solvers read
 the tables.  The linear-quadratic family (b and c affine in the action,
 f quadratic) is first-class because it admits closed-form action minima.
+Its seven maps of x are evaluated once per interior node, and the b, c, f
+table is formed from those values by broadcasting over the action nodes,
+so building an LQ problem calls each map O(n) times whatever the number
+of actions.
 """
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,6 +67,28 @@ class LQCoefficients:
     f_tilde: Callable[[float], float]
     f_hat: Callable[[float], float]
 
+    def at(self, x):
+        """The seven map values at x, in field order."""
+        return [getattr(self, k.name)(x) for k in fields(self)]
+
+
+def _lq_affine(bar, hat, a):
+    """b = b_bar + b_hat*a or c = c_bar + c_hat*a; broadcasts."""
+    return bar + hat * a
+
+
+def _lq_quadratic(f_bar, f_tilde, f_hat, a):
+    """f = f_bar + f_tilde*a + f_hat*a*a; broadcasts."""
+    return f_bar + f_tilde * a + f_hat * a * a
+
+
+def lq_coefficients(t, a):
+    """(b, c, f) at actions ``a`` from the seven LQ map values ``t`` in
+    field order: scalars at one x, or per-node rows that broadcast
+    against ``a``."""
+    return (_lq_affine(t[0], t[1], a), _lq_affine(t[2], t[3], a),
+            _lq_quadratic(t[4], t[5], t[6], a))
+
 
 @dataclass(frozen=True)
 class ControlProblem:
@@ -72,6 +98,8 @@ class ControlProblem:
     Monte Carlo boundary data); ``coef_tab`` stacks b, c and f on interior
     nodes x action nodes, shape (3, n_interior, n_actions), and is what the
     PDE solvers consume; ``b_tab``, ``c_tab`` and ``f_tab`` are views of it.
+    On LQ problems ``lq_tab`` holds the seven LQ maps on interior nodes,
+    shape (7, n_interior) in field order, read-only; it is None otherwise.
     """
     grid: Grid
     actions: ActionSpace
@@ -86,6 +114,7 @@ class ControlProblem:
     g_left: float = 0.0
     g_right: float = 0.0
     lq: Optional[LQCoefficients] = None
+    lq_tab: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def n_interior(self):
@@ -178,11 +207,21 @@ def _tabulate(fn, xs, acts):
 
 
 def make_problem(grid, actions, b, c, f, sigma, g, lq=None):
-    """Tabulate coefficients and validate nondegeneracy/nonnegativity."""
+    """Tabulate coefficients and validate nondegeneracy/nonnegativity.
+
+    ``lq``, when given, holds the maps that b, c and f are built from; the
+    table is then formed from their per-node values, on which f_hat > 0
+    and c >= 0 at both ends of the action set (alpha and beta on
+    intervals) are checked.
+    """
     xs = grid.interior
     acts = actions.actions
-    coef_tab = np.stack([_tabulate(fn, xs, acts) for fn in (b, c, f)])
-    sig_int = np.array([sigma(x) for x in xs], dtype=np.float64)
+    if lq is None:
+        lq_tab = None
+        coef_tab = np.stack([_tabulate(fn, xs, acts) for fn in (b, c, f)])
+    else:
+        lq_tab = _lq_table(lq, xs, actions)
+        coef_tab = np.stack(lq_coefficients(lq_tab[:, :, None], acts))
     sig_all = np.array([sigma(x) for x in grid.nodes], dtype=np.float64)
     for name, tab in zip("bcf", coef_tab):
         if not np.all(np.isfinite(tab)):
@@ -199,30 +238,43 @@ def make_problem(grid, actions, b, c, f, sigma, g, lq=None):
         raise ValueError("exit cost g non-finite at the boundary")
     return ControlProblem(grid=grid, actions=actions, b=b, c=c, f=f,
                           sigma=sigma, g=g, coef_tab=coef_tab,
-                          sigma_interior=sig_int,
+                          sigma_interior=sig_all[1:-1],
                           sigma_nodes=sig_all, g_left=g_left,
-                          g_right=g_right, lq=lq)
+                          g_right=g_right, lq=lq, lq_tab=lq_tab)
+
+
+def _lq_table(lq, xs, actions):
+    """The seven LQ maps at the nodes ``xs``, validated: f_hat > 0, and
+    c >= 0 at both ends of the action set, hence on all of it."""
+    tab = np.ascontiguousarray(
+        np.array([lq.at(x) for x in xs], dtype=np.float64).T)
+    tab.flags.writeable = False
+    bad = np.flatnonzero(tab[6] <= 0.0)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"f_hat must be positive, got {tab[6][i]} "
+                         f"at x={xs[i]}")
+    if actions.kind == INTERVAL:
+        ends = (actions.alpha, actions.beta)
+    else:
+        ends = (float(np.min(actions.actions)), float(np.max(actions.actions)))
+    for a in ends:
+        bad = np.flatnonzero(_lq_affine(tab[2], tab[3], a) < 0.0)
+        if bad.size:
+            raise ValueError(f"discount c negative at x={xs[bad[0]]}, a={a}")
+    return tab
 
 
 def make_lq_problem(lq: LQCoefficients, grid, actions, sigma, g):
     """Assemble a problem with b, c affine and f quadratic in the action."""
-    lo = float(np.min(actions.actions))
-    hi = float(np.max(actions.actions))
-    for x in grid.interior:
-        if lq.f_hat(x) <= 0.0:
-            raise ValueError(f"f_hat must be positive, got {lq.f_hat(x)} at x={x}")
-        for a in (lo, hi):
-            if lq.c_bar(x) + lq.c_hat(x) * a < 0.0:
-                raise ValueError(f"discount c negative at x={x}, a={a}")
-
     def b(x, a):
-        return lq.b_bar(x) + lq.b_hat(x) * a
+        return _lq_affine(lq.b_bar(x), lq.b_hat(x), a)
 
     def c(x, a):
-        return lq.c_bar(x) + lq.c_hat(x) * a
+        return _lq_affine(lq.c_bar(x), lq.c_hat(x), a)
 
     def f(x, a):
-        return lq.f_bar(x) + lq.f_tilde(x) * a + lq.f_hat(x) * a * a
+        return _lq_quadratic(lq.f_bar(x), lq.f_tilde(x), lq.f_hat(x), a)
 
     return make_problem(grid, actions, b, c, f, sigma, g, lq=lq)
 

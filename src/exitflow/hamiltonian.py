@@ -12,9 +12,8 @@ is small enough that exp(-z/tau) turns into an unresolved spike.
 import math
 
 import numpy as np
-from scipy.special import erf, erfcx
 
-from .domain import DISCRETE, make_action_space
+from .domain import DISCRETE, lq_coefficients, make_action_space
 
 # below this tau, interval quadrature under-resolves the softmin spike and
 # LQ problems switch to the closed form
@@ -94,15 +93,13 @@ def hard_hamiltonian(problem, x, u, p):
         k = int(np.argmin(z))
         return float(z[k]), float(actions.actions[k])
 
+    if problem.lq is not None:
+        ham, a = lq_hard_minimum(problem.lq.at(x), p, u, actions.alpha,
+                                 actions.beta)
+        return float(ham), float(a)
+
     def phi(a):
         return problem.b(x, a) * p - problem.c(x, a) * u + problem.f(x, a)
-
-    if problem.lq is not None:
-        lq = problem.lq
-        slope = lq.b_hat(x) * p - lq.c_hat(x) * u + lq.f_tilde(x)
-        fh = lq.f_hat(x)
-        a = min(max(-slope / (2.0 * fh), actions.alpha), actions.beta)
-        return float(phi(a)), float(a)
 
     z = _z_values(problem, x, u, p, actions.actions)
     k = int(np.argmin(z))
@@ -110,6 +107,27 @@ def hard_hamiltonian(problem, x, u, p):
     hi = actions.beta if k == actions.n_actions - 1 else actions.actions[k + 1]
     a = _golden_section(phi, lo, hi, tol=1e-10)
     return float(phi(a)), float(a)
+
+
+def _lq_slope(t, p, u):
+    """Linear coefficient b_hat*p - c_hat*u + f_tilde of b*p - c*u + f in
+    the action, from the seven LQ map values ``t``."""
+    return t[1] * p - t[3] * u + t[5]
+
+
+def lq_hard_minimum(t, p, u, alpha, beta):
+    """Minimum over [alpha, beta] of b*p - c*u + f and its minimizer, the
+    vertex -slope/(2*f_hat) clamped to the interval, from the seven LQ map
+    values ``t``: scalars at one x, or per-node rows with per-node p, u.
+
+    The clamp orders ties and signed zeros as Python's max(a, alpha) and
+    min(a, beta) do, so scalar and per-node calls agree bit for bit.
+    """
+    a = -_lq_slope(t, p, u) / (2.0 * t[6])
+    a = np.where(alpha > a, alpha, a)
+    a = np.where(beta < a, beta, a)
+    b, c, f = lq_coefficients(t, a)
+    return b * p - c * u + f, a
 
 
 def _golden_section(fn, lo, hi, tol):
@@ -140,10 +158,10 @@ def lq_reduction(problem, x, u, p, tau):
     lq = problem.lq
     if lq is None:
         raise ValueError("problem has no LQ structure")
-    const = lq.b_bar(x) * p - lq.c_bar(x) * u + lq.f_bar(x)
-    two_fhat = 2.0 * lq.f_hat(x)
-    slope = lq.b_hat(x) * p - lq.c_hat(x) * u + lq.f_tilde(x)
-    return const, two_fhat, slope / two_fhat, tau / two_fhat
+    t = lq.at(x)
+    const = t[0] * p - t[2] * u + t[4]
+    two_fhat = 2.0 * t[6]
+    return const, two_fhat, _lq_slope(t, p, u) / two_fhat, tau / two_fhat
 
 
 def interval_quadratic_min(p, alpha, beta):
@@ -161,6 +179,9 @@ def interval_quadratic_softmin(p, tau, alpha, beta):
     sign the difference of erfs cancels catastrophically, so those branches
     run on scaled complementary error functions instead.
     """
+    # imported here, so that importing the package leaves scipy unloaded
+    from scipy.special import erf, erfcx
+
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     if alpha >= beta:

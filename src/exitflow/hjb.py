@@ -4,8 +4,10 @@ For tau > 0 the fixed point alternates a linear on-policy solve with the
 exact improvement map Z <- -(b*Dv - c*v + f)/tau, whose Gibbs image is
 the softmin-optimal policy; convergence is measured by the semilinear
 residual (sigma^2/2) v'' + H_tau(x, v, Dv).  The tau = 0 solve is Howard
-iteration with hard per-node argmins (exact vertex clamping on interval
-LQ problems, node argmin on discrete ones).
+iteration with hard per-node argmins: the node argmin of the coefficient
+table on discrete action sets, and on interval LQ problems the clamped
+vertex, evaluated over all nodes at once from the per-node LQ values; only
+interval problems without LQ structure search each node separately.
 """
 
 import math
@@ -14,10 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import DISCRETE
+from .domain import DISCRETE, lq_coefficients
 from .elliptic import (ValueField, average_coefficients, diffusion,
                        optimal_feature, solve_linear, solve_on_policy_bellman)
-from .hamiltonian import hard_hamiltonian, softmin_table
+from .hamiltonian import hard_hamiltonian, lq_hard_minimum, softmin_table
 from .policy import Policy, gibbs_policy, uniform_policy
 
 
@@ -84,12 +86,17 @@ def solve_regularized_hjb(problem, tau, tol=None, max_iter=200,
 
 def _hard_minimum(problem, vf):
     """Per-node minimum of b*Dv - c*v + f, a minimizing action, and its
-    column on discrete action sets (None on intervals)."""
-    if problem.actions.kind == DISCRETE:
+    column on discrete action sets (None on intervals).  Discrete and
+    interval LQ problems take it over all nodes at once."""
+    actions = problem.actions
+    if actions.kind == DISCRETE:
         z = optimal_feature(problem, vf)
         cols = np.argmin(z, axis=1)
-        return z[np.arange(cols.size), cols], problem.actions.actions[cols], \
-            cols
+        return z[np.arange(cols.size), cols], actions.actions[cols], cols
+    if problem.lq_tab is not None:
+        ham, acts = lq_hard_minimum(problem.lq_tab, vf.dv, vf.interior,
+                                    actions.alpha, actions.beta)
+        return ham, acts, None
     ham, acts = np.array([hard_hamiltonian(problem, x, u, p) for x, u, p
                           in zip(problem.grid.interior, vf.interior,
                                  vf.dv)]).T
@@ -112,12 +119,17 @@ def _one_hot_policy(problem, actions_selected):
     return Policy(weights=weights, log_density=logd)
 
 
-def _selected_coefficients(problem, acts):
+def _selected_coefficients(problem, acts, cols):
+    """b, c and f on interior nodes under the per-node selection ``acts``:
+    columns ``cols`` of the table on discrete action sets, the LQ form on
+    interval LQ problems, the coefficient maps otherwise."""
+    if cols is not None:
+        return problem.coef_tab[:, np.arange(cols.size), cols]
+    if problem.lq_tab is not None:
+        return lq_coefficients(problem.lq_tab, acts)
     xs = problem.grid.interior
-    b = np.array([problem.b(x, a) for x, a in zip(xs, acts)])
-    c = np.array([problem.c(x, a) for x, a in zip(xs, acts)])
-    f = np.array([problem.f(x, a) for x, a in zip(xs, acts)])
-    return b, c, f
+    return [np.array([fn(x, a) for x, a in zip(xs, acts)])
+            for fn in (problem.b, problem.c, problem.f)]
 
 
 def solve_unregularized_hjb(problem, tol=None, max_iter=200) -> HjbSolution:
@@ -159,7 +171,7 @@ def solve_unregularized_hjb(problem, tol=None, max_iter=200) -> HjbSolution:
             seen[key] = it
         best = min(best, res)
         acts = new_acts
-        coefficients = _selected_coefficients(problem, acts)
+        coefficients = _selected_coefficients(problem, acts, cols)
     raise ConvergenceError(
         f"Howard iteration did not reach tol={tol:.3g} in {max_iter} "
         f"iterations (last residual {history[-1]:.3g})", history)

@@ -216,6 +216,20 @@ def test_peclet_failure_names_the_grid_remedy(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_discount_negative_at_interval_end_rejected(tmp_path, capsys):
+    # c = 0.01 + 0.0102*a is nonnegative at every Gauss-Legendre node
+    # (the extreme ones are +-0.9603) but negative at alpha = -1
+    cfg = _base_config(actions={"kind": "interval", "alpha": -1.0,
+                                "beta": 1.0, "n_quad": 8},
+                       hjb={"taus": [0.5]})
+    cfg["lq"].update(c_bar=0.01, c_hat=0.0102, b_hat=-5.0, f_hat=0.05)
+    out = tmp_path / "run"
+    assert main(["solve-hjb", "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 1
+    assert "invalid problem coefficients" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_flow_restart_roundtrip(tmp_path):
     cfg_dict = _base_config(
         flow={"scheduler": {"kind": "constant", "tau": 0.5}, "horizon": 0.5,

@@ -103,7 +103,7 @@ def test_mc_x0_unchecked_without_grid():
      "af8ee4d0abf940c916117ecf6733e59bf6767dacde1f7d2369bcebe6ed5b3e4f"),
     ("lq_interval",
      "e1d38355ecee1a41264b596687c2fb4b91c6f2a4830c4a6189102696cff91cdb"),
-])
+], ids=["figure", "lq_discrete", "lq_interval"])
 def test_shipped_config_digests(name, digest):
     # a change to the reader that alters a resolved shipped config shows here
     path = os.path.join(ROOT, "configs", name + ".json")

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from exitflow import build_grid, lq_benchmark, make_action_space, make_problem
+from exitflow import (build_grid, lq_benchmark, make_action_space,
+                      make_problem, manufactured_problem)
 from exitflow.domain import LQCoefficients, make_lq_problem
 
 
@@ -132,6 +133,47 @@ def test_make_lq_problem_rejects_bad_coefficients():
         make_lq_problem(bad_c, grid, actions, _const(1.0), _const(0.0))
 
 
+def test_make_lq_problem_checks_discount_at_interval_ends():
+    # Gauss-Legendre nodes stop at +-0.9603 for n_quad = 8, where
+    # c = 0.01 - 0.0102 * 0.9603 >= 0, but c(x, -1) = -0.0002
+    grid = build_grid(0.0, 1.0, 29)
+    actions = make_action_space(alpha=-1.0, beta=1.0, n_quad=8)
+    lq = LQCoefficients(b_bar=_const(0.0), b_hat=_const(-5.0),
+                        c_bar=_const(0.01), c_hat=_const(0.0102),
+                        f_bar=_const(0.0), f_tilde=_const(0.0),
+                        f_hat=_const(0.05))
+    with pytest.raises(ValueError, match="discount c negative .* a=-1.0"):
+        make_lq_problem(lq, grid, actions, _const(1.0), _const(0.0))
+
+
+@pytest.mark.parametrize("n,values,n_quad", [
+    (7, [0.0, 1.0], None), (7, None, 2), (7, None, 64), (40, None, 64)])
+def test_lq_build_evaluates_maps_per_node(n, values, n_quad):
+    # each LQ map is evaluated once per interior node whatever the number
+    # of actions, and sigma once per grid node
+    calls = {}
+
+    def counted(name, value):
+        def fn(x):
+            calls[name] = calls.get(name, 0) + 1
+            return value
+        return fn
+
+    lq = LQCoefficients(**{k: counted(k, 1.0) for k in (
+        "b_bar", "b_hat", "c_bar", "c_hat", "f_bar", "f_tilde", "f_hat")})
+    if values is None:
+        actions = make_action_space(alpha=-0.5, beta=0.5, n_quad=n_quad)
+    else:
+        actions = make_action_space(values=values)
+    prob = make_lq_problem(lq, build_grid(0.0, 1.0, n), actions,
+                           sigma=counted("sigma", 1.0), g=_const(0.0))
+    assert calls.pop("sigma") == n + 2
+    assert calls == {k: n for k in calls} and len(calls) == 7
+    assert prob.lq_tab.shape == (7, n)
+    assert not prob.lq_tab.flags.writeable
+    assert np.shares_memory(prob.sigma_interior, prob.sigma_nodes)
+
+
 def test_make_problem_rejects_degenerate_sigma():
     grid = build_grid(0.0, 1.0, 3)
     actions = make_action_space(values=[0.0])
@@ -145,6 +187,7 @@ def test_lq_benchmark_shapes():
     d = lq_benchmark("discrete")
     assert d.actions.n_actions == 5 and d.n_interior == 29
     assert d.lq is not None
+    assert manufactured_problem().lq_tab is None
     i = lq_benchmark("interval", n_quad=32)
     assert i.actions.kind == "interval"
     assert abs(i.actions.mu_weights.sum() - 1.0) <= 1e-12

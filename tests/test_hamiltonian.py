@@ -87,6 +87,26 @@ def test_hard_min_interval_lq(p_shift, expected_a, expected_val):
     assert abs(val - expected_val) <= 1e-12
 
 
+def test_hard_min_interval_lq_clamps_like_python_min_max():
+    # a vertex of -0.0 at alpha = 0.0 stays -0.0, as min(max(a, alpha),
+    # beta) leaves it (numpy's maximum would return 0.0), at one x and
+    # over all nodes, so the selected actions print the same either way
+    from exitflow.domain import LQCoefficients, make_lq_problem
+    from exitflow.hamiltonian import lq_hard_minimum
+    coeffs = LQCoefficients(b_bar=lambda x: 0.0, b_hat=lambda x: 1.0,
+                            c_bar=lambda x: 0.0, c_hat=lambda x: 0.0,
+                            f_bar=lambda x: 0.0, f_tilde=lambda x: 0.0,
+                            f_hat=lambda x: 1.0)
+    prob = make_lq_problem(coeffs, build_grid(0.0, 1.0, 3),
+                           make_action_space(alpha=0.0, beta=1.0, n_quad=4),
+                           sigma=lambda x: 1.0, g=lambda x: 0.0)
+    val, amin = hard_hamiltonian(prob, 0.5, 0.0, 0.0)
+    assert val == 0.0 and math.copysign(1.0, amin) == -1.0
+    _, acts = lq_hard_minimum(prob.lq_tab, np.zeros(3), np.zeros(3),
+                              0.0, 1.0)
+    assert np.all(np.signbit(acts))
+
+
 def test_hard_min_interval_generic_golden_section():
     # non-LQ action dependence: cos(a) on [0, 6], unique minimum at pi
     grid = build_grid(0.0, 1.0, 1)

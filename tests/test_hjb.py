@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,8 +185,8 @@ def test_howard_monotone_values(lq):
         if prev is not None:
             assert np.all(vf.v <= prev + 1e-9)
         prev = vf.v
-        _, acts, _ = _hard_minimum(lq, vf)
-        coefficients = _selected_coefficients(lq, acts)
+        _, acts, cols = _hard_minimum(lq, vf)
+        coefficients = _selected_coefficients(lq, acts, cols)
 
 
 def _non_lq_interval_problem():
@@ -226,6 +227,31 @@ def test_howard_non_lq_interval(monkeypatch):
                 + prob.f(x, a)
         dense = min(z(a) for a in scan)
         assert z(sol.argmin_actions[i]) <= dense + 1e-12
+
+
+@pytest.mark.parametrize("kind", ["discrete", "interval"])
+def test_howard_lq_calls_no_closures(monkeypatch, lq, lq_interval, kind):
+    # on LQ problems Howard reads the tables: no per-node hard_hamiltonian
+    # and no b, c or f evaluation, so its cost is vector work per iteration
+    import exitflow.hamiltonian
+    import exitflow.hjb
+    base = lq if kind == "discrete" else lq_interval
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(fn)
+            return fn(*args)
+        return wrapped
+
+    for module in (exitflow.hamiltonian, exitflow.hjb):
+        monkeypatch.setattr(module, "hard_hamiltonian",
+                            counting(exitflow.hamiltonian.hard_hamiltonian),
+                            raising=False)
+    prob = replace(base, b=counting(base.b), c=counting(base.c),
+                   f=counting(base.f))
+    sol = solve_unregularized_hjb(prob)
+    assert sol.iterations > 1 and calls == []
 
 
 def test_regularization_bias_zero_data():

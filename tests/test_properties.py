@@ -14,8 +14,11 @@ from exitflow import (SolverError, average_coefficients, gibbs_policy,
                       performance_difference_check, simulate_exit_value,
                       solve_on_policy_bellman, solve_regularized_hjb,
                       solve_unregularized_hjb)
-from exitflow.domain import LQCoefficients, build_grid
-from exitflow.hamiltonian import softmin_table
+from exitflow.config import _poly
+from exitflow.domain import LQCoefficients, _tabulate, build_grid
+from exitflow.elliptic import ValueField
+from exitflow.hamiltonian import hard_hamiltonian, softmin_table
+from exitflow.hjb import _hard_minimum, _selected_coefficients
 from exitflow.kernels import thomas_solve, tridiag_apply
 
 PROBLEMS = {"discrete": lq_benchmark("discrete", n_interior=9, n_actions=5),
@@ -214,3 +217,96 @@ def test_exit_value_repeats_bitwise_for_a_seed(case, seed, x0, tau):
             for _ in range(2))
     assert (a.mean, a.stderr, a.mean_exit_time) == \
         (b.mean, b.stderr, b.mean_exit_time)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@st.composite
+def lq_maps_problems(draw, kind=None):
+    """LQ problems whose seven maps are config polynomials of degree <= 2
+    in x (constants included), with f_hat > 0 and c >= 0 on random
+    discrete or interval action sets inside [-1.2, 1.2]."""
+    def poly(lo, hi, spread):
+        coeffs = [draw(st.floats(lo, hi))]
+        coeffs += [draw(st.floats(-spread, spread))
+                   for _ in range(draw(st.integers(0, 2)))]
+        return coeffs
+
+    raw = {"b_bar": poly(-1.0, 1.0, 1.0), "b_hat": poly(-2.0, 2.0, 1.0),
+           "c_bar": poly(0.6, 1.0, 0.1), "c_hat": poly(-0.1, 0.1, 0.1),
+           "f_bar": poly(-1.0, 1.0, 1.0), "f_tilde": poly(-1.0, 1.0, 1.0),
+           "f_hat": poly(0.5, 2.0, 0.2)}
+    lq = LQCoefficients(**{k: _poly(v) for k, v in raw.items()})
+    if (kind or draw(st.sampled_from(["discrete", "interval"]))) \
+            == "discrete":
+        actions = make_action_space(values=draw(st.lists(
+            st.floats(-1.2, 1.2), min_size=1, max_size=6)))
+    else:
+        alpha, beta = sorted(draw(st.lists(
+            st.floats(-1.2, 1.2), min_size=2, max_size=2, unique=True)))
+        actions = make_action_space(alpha=alpha, beta=beta,
+                                    n_quad=draw(st.integers(2, 16)))
+    grid = build_grid(0.0, 1.0, draw(st.integers(1, 12)))
+    return lq, make_lq_problem(lq, grid, actions, sigma=_poly([1.0]),
+                               g=_poly([0.0]))
+
+
+def _value_field(draw, n):
+    v = draw(hnp.arrays(np.float64, n + 2, elements=st.floats(-3.0, 3.0)))
+    return ValueField(v=v, dv=(v[2:] - v[:-2]) / (2.0 / (n + 1)))
+
+
+@settings(deadline=None)
+@given(lq_maps_problems())
+def test_lq_table_matches_closure_tabulation(case):
+    # the per-node LQ values broadcast over the actions give the same
+    # bytes as evaluating the coefficient maps at every (x, a) pair
+    lq, problem = case
+    xs, acts = problem.grid.interior, problem.actions.actions
+    reference = (lambda x, a: lq.b_bar(x) + lq.b_hat(x) * a,
+                 lambda x, a: lq.c_bar(x) + lq.c_hat(x) * a,
+                 lambda x, a: lq.f_bar(x) + lq.f_tilde(x) * a
+                 + lq.f_hat(x) * a * a)
+    for fns in (reference, (problem.b, problem.c, problem.f)):
+        table = np.stack([_tabulate(fn, xs, acts) for fn in fns])
+        assert problem.coef_tab.tobytes() == table.tobytes()
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_interval_lq_howard_step_matches_per_node_minimum(data):
+    # Howard's per-node vector step equals hard_hamiltonian at each node,
+    # and both equal the clamped vertex written with Python's min and max
+    lq, problem = data.draw(lq_maps_problems("interval"))
+    vf = _value_field(data.draw, problem.n_interior)
+    alpha, beta = problem.actions.alpha, problem.actions.beta
+    ham, acts, cols = _hard_minimum(problem, vf)
+    assert cols is None
+    for i, x in enumerate(problem.grid.interior):
+        u, p = vf.interior[i], vf.dv[i]
+        node_ham, node_a = hard_hamiltonian(problem, x, u, p)
+        slope = lq.b_hat(x) * p - lq.c_hat(x) * u + lq.f_tilde(x)
+        a = min(max(-slope / (2.0 * lq.f_hat(x)), alpha), beta)
+        ref = problem.b(x, a) * p - problem.c(x, a) * u + problem.f(x, a)
+        assert _bits([ham[i], acts[i]]) == _bits([node_ham, node_a]) \
+            == _bits([ref, a])
+    selected = _selected_coefficients(problem, acts, cols)
+    for row, fn in zip(selected, (problem.b, problem.c, problem.f)):
+        assert _bits(row) == _bits([fn(x, a) for x, a
+                                    in zip(problem.grid.interior, acts)])
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_discrete_selected_coefficients_match_closures(data):
+    lq, problem = data.draw(lq_maps_problems("discrete"))
+    n, n_actions = problem.n_interior, problem.actions.n_actions
+    cols = data.draw(hnp.arrays(np.int64, n,
+                                elements=st.integers(0, n_actions - 1)))
+    acts = problem.actions.actions[cols]
+    selected = _selected_coefficients(problem, acts, cols)
+    for row, fn in zip(selected, (problem.b, problem.c, problem.f)):
+        assert _bits(row) == _bits([fn(x, a) for x, a
+                                    in zip(problem.grid.interior, acts)])
