@@ -159,19 +159,9 @@ def cmd_run_flow(resolved, out_dir):
                                     traj.z_final,
                                     row_labels=problem.grid.interior,
                                     col_labels=problem.actions.actions))
-    # error decomposition at every record (solutions cached by tau, so
-    # constant schedulers solve once)
-    unreg = solve_unregularized_hjb(problem, **solver)
-    cache = {}
-    regs = []
-    for tau in traj.tau_values:
-        tau = float(tau)
-        if tau not in cache:
-            cache[tau] = solve_regularized_hjb(problem, tau, **solver)
-        regs.append(cache[tau])
-    decomp = error_decomposition(problem, traj, regs, unreg)
+    decomp = error_decomposition(problem, traj, **solver)
     rows = []
-    for i, s in enumerate(decomp.times):
+    for i, s in enumerate(traj.times):
         for j, x in enumerate(traj.probe_x):
             rows.append((s, x, decomp.kl_term[i, j], decomp.optimization[i, j],
                          decomp.bias[i, j], decomp.total[i, j]))

@@ -21,6 +21,7 @@ from .domain import (DISCRETE, INTERVAL, LQCoefficients, build_grid,
                      make_action_space, make_lq_problem)
 from .flow import (CONSTANT, HORIZON_CONSTANT, POWER_LAW, SCHEDULER_KINDS,
                    Scheduler)
+from .hjb import MAX_ITER
 
 
 class ConfigError(ValueError):
@@ -85,7 +86,7 @@ _SPEC = {
     "output_dir": (_STRING, _ABSENT),
     "solver": ({
         "tol": (_NUMBER_OR_NULL, None, *_POSITIVE),
-        "max_iter": (_INTEGER, 200, *_AT_LEAST_1),
+        "max_iter": (_INTEGER, MAX_ITER, *_AT_LEAST_1),
     }, {}),
     "hjb": ({
         "taus": (_NUMBERS, _REQUIRED, lambda v: all(t > 0 for t in v),
@@ -114,7 +115,7 @@ _SPEC = {
         "s_grid": (_NUMBERS, list(S_GRID),
                    lambda v: len(v) > 0 and min(v) > 1,
                    "a nonempty list of numbers > 1"),
-        "constant": (_NUMBER, 1.0),
+        "constant": (_NUMBER, 1.0, *_POSITIVE),
         "alpha": (_NUMBER, 1.0),
         "bias_sweep": ({
             "taus": (_NUMBERS, _REQUIRED, lambda v: all(0 < t < 1 for t in v),
@@ -132,7 +133,7 @@ _SPEC = {
         "dt_sim": (_NUMBER, 1e-4, *_POSITIVE),
         "policy": (_STRING, "uniform", lambda v: v in ("uniform", "optimal"),
                    "'uniform' or 'optimal'"),
-        "bias_allowance": (_NUMBER, 5e-3),
+        "bias_allowance": (_NUMBER, 5e-3, *_NONNEGATIVE),
     }, _ABSENT),
 }
 

@@ -4,7 +4,9 @@ The feature matrix evolves by dZ/ds = -(b*Dv - c*v + f + tau_s * Z) where
 v is the entropy-weighted value of the current Gibbs policy, re-solved at
 every Runge-Kutta stage.  Trajectories record both the regularized value
 and the plain value of the running policy at probe nodes; the plain value
-costs one extra linear solve with the KL forcing dropped.
+costs one extra linear solve with the KL forcing dropped.  The error
+decomposition of a trajectory solves its own reference HJBs: the hard-min
+optimum once and the softmin optimum once per distinct recorded tau.
 """
 
 import math
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import optimal_feature, solve_on_policy_bellman
-from .hjb import HjbSolution
+from .hjb import solve_regularized_hjb, solve_unregularized_hjb
 from .policy import gibbs_policy
 
 CONSTANT = "constant"
@@ -193,50 +195,32 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
 
 @dataclass
 class ErrorDecomposition:
-    """Per record-time split of the plain-value error into the (negative)
-    KL part, the optimization error, and the regularization bias."""
-    times: np.ndarray
-    kl_term: np.ndarray        # (n_times, n_probes) <= 0
+    """Split of the plain-value error at each trajectory record into the
+    (negative) KL part, the optimization error, and the regularization bias."""
+    kl_term: np.ndarray        # (n_records, n_probes) <= 0
     optimization: np.ndarray   # >= -1e-8
     bias: np.ndarray           # >= -1e-8
     total: np.ndarray
 
 
-def error_decomposition(problem, traj: FlowTrajectory, hjb_reg,
-                        hjb_unreg: HjbSolution,
-                        indices=None) -> ErrorDecomposition:
-    """Split v_0^pi - v_0^* at the probes for selected record indices.
+def error_decomposition(problem, traj: FlowTrajectory,
+                        **solver) -> ErrorDecomposition:
+    """Split v_0^pi - v_0^* at the probes at every record.
 
-    ``hjb_reg`` is one HjbSolution (constant schedulers) or a sequence
-    aligned with ``indices``; each solution's tau must match the recorded
-    tau at its index.
+    Solves the unregularized HJB once and the regularized HJB once per
+    distinct recorded tau, so a constant schedule makes one solve of each;
+    ``solver`` (tol, max_iter) goes to every solve.
     """
-    if indices is None:
-        indices = np.arange(traj.times.size)
-    indices = np.asarray(indices, dtype=np.int64)
-    if isinstance(hjb_reg, HjbSolution):
-        regs = [hjb_reg] * indices.size
-    else:
-        regs = list(hjb_reg)
-        if len(regs) != indices.size:
-            raise ValueError("need one regularized solution per index")
-    probes_full = traj.probe_indices
-    v0_star = hjb_unreg.v_star.v[1:-1][probes_full]
-    kl_t, opt_t, bias_t, tot_t = [], [], [], []
-    for idx, sol in zip(indices, regs):
-        tau_rec = traj.tau_values[idx]
-        if abs(sol.tau - tau_rec) > 1e-12 * (1.0 + tau_rec):
-            raise ValueError(
-                f"tau mismatch at record {idx}: trajectory has "
-                f"{tau_rec:.17g}, solution has {sol.tau:.17g}")
-        v_reg = traj.values_at_probe[idx]
-        v_unreg = traj.unregularized_values[idx]
-        v_tau_star = sol.v_star.v[1:-1][probes_full]
-        kl_t.append(v_unreg - v_reg)
-        opt_t.append(v_reg - v_tau_star)
-        bias_t.append(v_tau_star - v0_star)
-        tot_t.append(v_unreg - v0_star)
-    return ErrorDecomposition(times=traj.times[indices],
-                              kl_term=np.array(kl_t),
-                              optimization=np.array(opt_t),
-                              bias=np.array(bias_t), total=np.array(tot_t))
+    def at_probes(sol):
+        return sol.v_star.v[1:-1][traj.probe_indices]
+
+    taus = traj.tau_values.tolist()
+    v0_star = at_probes(solve_unregularized_hjb(problem, **solver))
+    by_tau = {tau: at_probes(solve_regularized_hjb(problem, tau, **solver))
+              for tau in dict.fromkeys(taus)}
+    v_tau_star = np.array([by_tau[tau] for tau in taus])
+    v_reg, v_unreg = traj.values_at_probe, traj.unregularized_values
+    return ErrorDecomposition(kl_term=v_unreg - v_reg,
+                              optimization=v_reg - v_tau_star,
+                              bias=v_tau_star - v0_star,
+                              total=v_unreg - v0_star)

@@ -28,10 +28,14 @@ def softmin_table(z, weights, tau):
     return m - tau * np.log(acc)
 
 
+def _z_at(problem, x, u, p, a):
+    """b(x, a)*p - c(x, a)*u + f(x, a) at one action."""
+    return problem.b(x, a) * p - problem.c(x, a) * u + problem.f(x, a)
+
+
 def _z_values(problem, x, u, p, acts):
     """b(x, a)*p - c(x, a)*u + f(x, a) at each action node in ``acts``."""
-    return np.array([problem.b(x, a) * p - problem.c(x, a) * u
-                     + problem.f(x, a) for a in acts])
+    return np.array([_z_at(problem, x, u, p, a) for a in acts])
 
 
 def _escalated_order(z, tau, alpha, beta, base):
@@ -51,13 +55,12 @@ def _escalated_order(z, tau, alpha, beta, base):
     return max(base, min(4096, needed))
 
 
-def soft_hamiltonian(problem, x, u, p, tau, n_quad=None):
+def soft_hamiltonian(problem, x, u, p, tau):
     """Regularized Hamiltonian at a single (x, u, p).
 
     Interval LQ problems switch to the exact error-function profile below
     TAU_CLOSED_FORM; other interval evaluations raise the quadrature
-    order as tau shrinks so the spike stays resolved.  Pass ``n_quad`` to
-    pin the resolution instead.
+    order as tau shrinks so the spike stays resolved.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -65,14 +68,13 @@ def soft_hamiltonian(problem, x, u, p, tau, n_quad=None):
     if actions.kind == DISCRETE:
         z = _z_values(problem, x, u, p, actions.actions)
         return float(softmin_table(z, actions.mu_weights, tau)[0])
-    if problem.lq is not None and tau < TAU_CLOSED_FORM and n_quad is None:
+    if problem.lq is not None and tau < TAU_CLOSED_FORM:
         const, two_fhat, p_t, tau_t = lq_reduction(problem, x, u, p, tau)
         return const + two_fhat * interval_quadratic_softmin(
             p_t, tau_t, actions.alpha, actions.beta)
     z = _z_values(problem, x, u, p, actions.actions)
-    if n_quad is None:
-        n_quad = _escalated_order(z, tau, actions.alpha, actions.beta,
-                                  actions.n_actions)
+    n_quad = _escalated_order(z, tau, actions.alpha, actions.beta,
+                              actions.n_actions)
     if n_quad != actions.n_actions:
         actions = make_action_space(alpha=actions.alpha, beta=actions.beta,
                                     n_quad=n_quad)
@@ -98,15 +100,21 @@ def hard_hamiltonian(problem, x, u, p):
                                  actions.beta)
         return float(ham), float(a)
 
-    def phi(a):
-        return problem.b(x, a) * p - problem.c(x, a) * u + problem.f(x, a)
+    a = interval_argmin(problem, x, u, p,
+                        _z_values(problem, x, u, p, actions.actions))
+    return float(_z_at(problem, x, u, p, a)), float(a)
 
-    z = _z_values(problem, x, u, p, actions.actions)
+
+def interval_argmin(problem, x, u, p, z):
+    """Minimizer over [alpha, beta] of b*p - c*u + f at x: golden-section
+    search between the action nodes either side of the node minimum of
+    ``z``, the values at the action nodes."""
+    actions = problem.actions
     k = int(np.argmin(z))
     lo = actions.alpha if k == 0 else actions.actions[k - 1]
     hi = actions.beta if k == actions.n_actions - 1 else actions.actions[k + 1]
-    a = _golden_section(phi, lo, hi, tol=1e-10)
-    return float(phi(a)), float(a)
+    return _golden_section(lambda a: _z_at(problem, x, u, p, a), lo, hi,
+                           tol=1e-10)
 
 
 def _lq_slope(t, p, u):

@@ -6,8 +6,10 @@ the softmin-optimal policy; convergence is measured by the semilinear
 residual (sigma^2/2) v'' + H_tau(x, v, Dv).  The tau = 0 solve is Howard
 iteration with hard per-node argmins: the node argmin of the coefficient
 table on discrete action sets, and on interval LQ problems the clamped
-vertex, evaluated over all nodes at once from the per-node LQ values; only
-interval problems without LQ structure search each node separately.
+vertex, evaluated over all nodes at once from the per-node LQ values.
+Other interval problems refine each node's minimum over the feature
+table by golden-section search.  Each argmin step also returns b, c and f
+at the selected actions, which the next linear solve takes.
 """
 
 import math
@@ -19,8 +21,12 @@ import numpy as np
 from .domain import DISCRETE, lq_coefficients
 from .elliptic import (ValueField, average_coefficients, diffusion,
                        optimal_feature, solve_linear, solve_on_policy_bellman)
-from .hamiltonian import hard_hamiltonian, lq_hard_minimum, softmin_table
+from .hamiltonian import interval_argmin, lq_hard_minimum, softmin_table
 from .policy import Policy, gibbs_policy, uniform_policy
+
+
+# iteration cap of both solvers; also the default of solver.max_iter
+MAX_ITER = 200
 
 
 class ConvergenceError(RuntimeError):
@@ -32,7 +38,6 @@ class ConvergenceError(RuntimeError):
 @dataclass
 class HjbSolution:
     v_star: ValueField
-    tau: float
     iterations: int
     final_residual: float
     optimal_policy: Policy
@@ -49,7 +54,7 @@ def _residual(problem, vf, ham):
     return float(np.max(np.abs(diffusion(problem, vf) + ham)))
 
 
-def solve_regularized_hjb(problem, tau, tol=None, max_iter=200,
+def solve_regularized_hjb(problem, tau, tol=None, max_iter=MAX_ITER,
                           z0=None) -> HjbSolution:
     """Fixed point of the softmin HJB for tau > 0.
 
@@ -75,7 +80,7 @@ def solve_regularized_hjb(problem, tau, tol=None, max_iter=200,
                         softmin_table(z, problem.actions.mu_weights, tau))
         history.append(res)
         if res <= tol:
-            return HjbSolution(v_star=vf, tau=float(tau), iterations=it,
+            return HjbSolution(v_star=vf, iterations=it,
                                final_residual=res, optimal_policy=pol,
                                residual_history=history)
         pol = gibbs_policy(-z / tau, problem.actions)
@@ -85,22 +90,27 @@ def solve_regularized_hjb(problem, tau, tol=None, max_iter=200,
 
 
 def _hard_minimum(problem, vf):
-    """Per-node minimum of b*Dv - c*v + f, a minimizing action, and its
-    column on discrete action sets (None on intervals).  Discrete and
-    interval LQ problems take it over all nodes at once."""
+    """Per-node minimum of b*Dv - c*v + f, a minimizing action, the
+    coefficients (b, c, f) at that action, and its column on discrete
+    action sets (None on intervals).  Discrete and interval LQ problems
+    take it over all nodes at once."""
     actions = problem.actions
-    if actions.kind == DISCRETE:
-        z = optimal_feature(problem, vf)
-        cols = np.argmin(z, axis=1)
-        return z[np.arange(cols.size), cols], actions.actions[cols], cols
-    if problem.lq_tab is not None:
+    if problem.lq_tab is not None and actions.kind != DISCRETE:
         ham, acts = lq_hard_minimum(problem.lq_tab, vf.dv, vf.interior,
                                     actions.alpha, actions.beta)
-        return ham, acts, None
-    ham, acts = np.array([hard_hamiltonian(problem, x, u, p) for x, u, p
-                          in zip(problem.grid.interior, vf.interior,
-                                 vf.dv)]).T
-    return ham, acts, None
+        return ham, acts, lq_coefficients(problem.lq_tab, acts), None
+    z = optimal_feature(problem, vf)
+    if actions.kind == DISCRETE:
+        rows = np.arange(problem.n_interior)
+        cols = np.argmin(z, axis=1)
+        return (z[rows, cols], actions.actions[cols],
+                problem.coef_tab[:, rows, cols], cols)
+    xs = problem.grid.interior
+    acts = np.array([interval_argmin(problem, x, u, p, row) for x, u, p, row
+                     in zip(xs, vf.interior, vf.dv, z)])
+    b, c, f = (np.array([fn(x, a) for x, a in zip(xs, acts)])
+               for fn in (problem.b, problem.c, problem.f))
+    return b * vf.dv - c * vf.interior + f, acts, (b, c, f), None
 
 
 def _one_hot_policy(problem, actions_selected):
@@ -119,20 +129,8 @@ def _one_hot_policy(problem, actions_selected):
     return Policy(weights=weights, log_density=logd)
 
 
-def _selected_coefficients(problem, acts, cols):
-    """b, c and f on interior nodes under the per-node selection ``acts``:
-    columns ``cols`` of the table on discrete action sets, the LQ form on
-    interval LQ problems, the coefficient maps otherwise."""
-    if cols is not None:
-        return problem.coef_tab[:, np.arange(cols.size), cols]
-    if problem.lq_tab is not None:
-        return lq_coefficients(problem.lq_tab, acts)
-    xs = problem.grid.interior
-    return [np.array([fn(x, a) for x, a in zip(xs, acts)])
-            for fn in (problem.b, problem.c, problem.f)]
-
-
-def solve_unregularized_hjb(problem, tol=None, max_iter=200) -> HjbSolution:
+def solve_unregularized_hjb(problem, tol=None,
+                            max_iter=MAX_ITER) -> HjbSolution:
     """Howard iteration for the hard-min HJB (tau = 0).
 
     Bootstraps from the uniform-policy averages, then alternates linear
@@ -151,12 +149,12 @@ def solve_unregularized_hjb(problem, tol=None, max_iter=200) -> HjbSolution:
     acts = None
     for it in range(1, max_iter + 1):
         vf = solve_linear(problem, *coefficients)
-        ham, new_acts, cols = _hard_minimum(problem, vf)
+        ham, new_acts, selected, cols = _hard_minimum(problem, vf)
         res = _residual(problem, vf, ham)
         history.append(res)
         stationary = acts is not None and np.array_equal(new_acts, acts)
         if res <= tol or stationary:
-            return HjbSolution(v_star=vf, tau=0.0, iterations=it,
+            return HjbSolution(v_star=vf, iterations=it,
                                final_residual=res,
                                optimal_policy=_one_hot_policy(problem, new_acts),
                                residual_history=history,
@@ -170,8 +168,7 @@ def solve_unregularized_hjb(problem, tol=None, max_iter=200) -> HjbSolution:
                     f"residual decrease (residual {res:.3g})", history)
             seen[key] = it
         best = min(best, res)
-        acts = new_acts
-        coefficients = _selected_coefficients(problem, acts, cols)
+        acts, coefficients = new_acts, selected
     raise ConvergenceError(
         f"Howard iteration did not reach tol={tol:.3g} in {max_iter} "
         f"iterations (last residual {history[-1]:.3g})", history)

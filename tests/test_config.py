@@ -54,7 +54,9 @@ MALFORMED = (
     + [("mc.x0", v) for v in ([0.0], [1.0], [-0.5], [0.5, 2.0])]
     + [("flow.probes", v) for v in ([0.0], [1.0], [-3.0, 0.5], [0.5, 7.0])]
     + [("flow.z0", "restart.txt"), ("actions.kind", "grid"),
-       ("seed", -1), ("mc.pde_tau", -0.5), ("solver.scheme", "central")]
+       ("seed", -1), ("mc.pde_tau", -0.5), ("solver.scheme", "central"),
+       ("bounds.constant", -1.0), ("bounds.constant", 0.0),
+       ("mc.bias_allowance", -0.5)]
 )
 
 

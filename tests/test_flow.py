@@ -165,9 +165,7 @@ def test_error_decomposition_identity(lq):
     sched = Scheduler(kind="constant", tau=tau)
     traj = integrate_flow(lq, np.zeros((29, 5)), sched, S=3.0, dt=0.05,
                           probes=[7, 21], record_every=10)
-    reg = solve_regularized_hjb(lq, tau)
-    unreg = solve_unregularized_hjb(lq)
-    dec = error_decomposition(lq, traj, reg, unreg)
+    dec = error_decomposition(lq, traj)
     s = dec.kl_term + dec.optimization + dec.bias
     assert np.max(np.abs(s - dec.total)) <= 1e-10
     assert np.all(dec.kl_term <= 1e-12)
@@ -180,9 +178,7 @@ def test_error_decomposition_zero_data():
     sched = Scheduler(kind="constant", tau=0.5)
     traj = integrate_flow(prob, np.ones((7, 2)), sched, S=1.0, dt=0.05,
                           probes=[3], record_every=10)
-    reg = solve_regularized_hjb(prob, 0.5)
-    unreg = solve_unregularized_hjb(prob)
-    dec = error_decomposition(prob, traj, reg, unreg)
+    dec = error_decomposition(prob, traj)
     assert np.max(np.abs(dec.total)) <= 1e-10
 
 
@@ -192,17 +188,37 @@ def test_error_decomposition_optimal_start(lq):
     z0 = -optimal_feature(lq, sol.v_star) / tau
     sched = Scheduler(kind="constant", tau=tau)
     traj = integrate_flow(lq, z0, sched, S=0.1, dt=0.05, probes=[14])
-    dec = error_decomposition(lq, traj, sol, solve_unregularized_hjb(lq))
+    dec = error_decomposition(lq, traj, tol=1e-12 * (1.0 + lq.f_sup))
     assert abs(dec.optimization[0, 0]) <= 1e-9
 
 
-def test_error_decomposition_tau_mismatch(lq):
-    sched = Scheduler(kind="constant", tau=0.5)
+@pytest.mark.parametrize("kind,params", [("constant", {"tau": 0.5}),
+                                         ("inverse_linear", {})])
+def test_error_decomposition_solves_once_per_distinct_tau(monkeypatch, lq,
+                                                          kind, params):
+    import exitflow.flow
+    sched = Scheduler(kind=kind, **params)
     traj = integrate_flow(lq, np.zeros((29, 5)), sched, S=1.0, dt=0.05,
-                          probes=[14], record_every=10)
-    wrong = solve_regularized_hjb(lq, 0.4)
-    with pytest.raises(ValueError, match="tau mismatch"):
-        error_decomposition(lq, traj, wrong, solve_unregularized_hjb(lq))
+                          probes=[7, 21], record_every=5)
+    howard, policy_iteration = [], []
+
+    def counting(calls, fn):
+        def wrapped(problem, *args, **kwargs):
+            calls.append((*args, kwargs))
+            return fn(problem, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(exitflow.flow, "solve_unregularized_hjb",
+                        counting(howard, solve_unregularized_hjb))
+    monkeypatch.setattr(exitflow.flow, "solve_regularized_hjb",
+                        counting(policy_iteration, solve_regularized_hjb))
+    dec = error_decomposition(lq, traj, max_iter=50)
+    # five records: one tau under the constant schedule, five otherwise
+    distinct = sorted(set(traj.tau_values.tolist()), reverse=True)
+    assert len(distinct) == (1 if kind == "constant" else 5)
+    assert howard == [({"max_iter": 50},)]
+    assert policy_iteration == [(tau, {"max_iter": 50}) for tau in distinct]
+    assert dec.total.shape == (5, 2)
 
 
 # integrate_flow outputs pinned to values computed before the policy-evaluation

@@ -166,12 +166,20 @@ def test_interval_softmin_no_cancellation_far_out():
             assert math.isfinite(soft)
 
 
+def _softmin_512(problem, x, u, p, tau):
+    """Softmin of b*p - c*u + f on a pinned 512-node rule over [-1, 1]."""
+    acts = make_action_space(alpha=-1.0, beta=1.0, n_quad=512)
+    z = [problem.b(x, a) * p - problem.c(x, a) * u + problem.f(x, a)
+         for a in acts.actions]
+    return float(softmin_table(np.array(z), acts.mu_weights, tau)[0])
+
+
 def test_lq_reduction_consistency():
     # closed form through the reduction == direct softmin quadrature
     lq = lq_benchmark("interval", alpha=-1.0, beta=1.0, n_quad=64)
     for tau in (1.0, 0.1, 1e-2, 1e-3):
         for p in (-2.0, 0.0, 1.5):
-            direct = soft_hamiltonian(lq, 0.5, 0.2, p, tau, n_quad=512)
+            direct = _softmin_512(lq, 0.5, 0.2, p, tau)
             const, two_fhat, p_t, tau_t = lq_reduction(lq, 0.5, 0.2, p, tau)
             closed = const + two_fhat * interval_quadratic_softmin(
                 p_t, tau_t, -1.0, 1.0)
@@ -191,7 +199,7 @@ def test_quadrature_matches_closed_form_across_tau():
     # pinned 512-node rule resolves tau down to 1e-4
     for tau in (1e-3, 1e-4):
         for p in (-2.0, 0.0, 2.5):
-            direct = soft_hamiltonian(lq, 0.5, 0.2, p, tau, n_quad=512)
+            direct = _softmin_512(lq, 0.5, 0.2, p, tau)
             const, tf, pt, tt = lq_reduction(lq, 0.5, 0.2, p, tau)
             closed = const + tf * interval_quadratic_softmin(pt, tt, -1.0, 1.0)
             assert abs(direct - closed) <= 1e-8

@@ -176,7 +176,7 @@ def test_interval_unregularized_continuous_argmin(lq_interval):
 def test_howard_monotone_values(lq):
     # classical Howard property: values nonincreasing across iterations
     from exitflow.elliptic import average_coefficients, solve_linear
-    from exitflow.hjb import _hard_minimum, _selected_coefficients
+    from exitflow.hjb import _hard_minimum
     pol = uniform_policy(lq.n_interior, lq.actions)
     coefficients = average_coefficients(lq, pol, 0.0)
     prev = None
@@ -185,15 +185,15 @@ def test_howard_monotone_values(lq):
         if prev is not None:
             assert np.all(vf.v <= prev + 1e-9)
         prev = vf.v
-        _, acts, cols = _hard_minimum(lq, vf)
-        coefficients = _selected_coefficients(lq, acts, cols)
+        _, _, coefficients, _ = _hard_minimum(lq, vf)
 
 
 def _non_lq_interval_problem():
     # convex in the action on [-1, 1] but not of LQ form, so Howard runs
-    # the golden-section refinement of hard_hamiltonian at every node
+    # a golden-section refinement at every node; 64 action nodes are more
+    # than the about 46 evaluations that search makes
     grid = build_grid(0.0, 1.0, 15)
-    acts = make_action_space(alpha=-1.0, beta=1.0, n_quad=16)
+    acts = make_action_space(alpha=-1.0, beta=1.0, n_quad=64)
     return make_problem(grid, acts, b=lambda x, a: 0.5 * a + 0.2 * x,
                         c=lambda x, a: 0.1,
                         f=lambda x, a: 1.0 + (1.2 + x) * a * a
@@ -204,19 +204,28 @@ def _non_lq_interval_problem():
 def test_howard_non_lq_interval(monkeypatch):
     import exitflow.hamiltonian
     import exitflow.hjb
-    prob = _non_lq_interval_problem()
-    calls = []
+    base = _non_lq_interval_problem()
+    calls, b_calls = [], []
     original = exitflow.hamiltonian.hard_hamiltonian
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
+    def counting_b(x, a):
+        b_calls.append(x)
+        return base.b(x, a)
+
     for module in (exitflow.hamiltonian, exitflow.hjb):
         monkeypatch.setattr(module, "hard_hamiltonian", counting,
                             raising=False)
+    prob = replace(base, b=counting_b)
     sol = solve_unregularized_hjb(prob)
-    assert len(calls) == prob.n_interior * sol.iterations
+    # Howard reads the node minimum from the feature table: no per-node
+    # hard_hamiltonian, and no scan of the actions through the closures
+    assert calls == []
+    assert len(b_calls) < prob.actions.n_actions * prob.n_interior \
+        * sol.iterations
     assert sol.final_residual <= default_tolerance(prob)
     # each selected action minimizes b*Dv - c*v + f against a dense scan
     scan = np.linspace(-1.0, 1.0, 20001)

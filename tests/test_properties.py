@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from exitflow import (SolverError, average_coefficients, gibbs_policy,
                       kl_to_reference, lq_benchmark, make_action_space,
-                      make_lq_problem, pde_residual,
+                      make_lq_problem, optimal_feature, pde_residual,
                       performance_difference_check, simulate_exit_value,
                       solve_on_policy_bellman, solve_regularized_hjb,
                       solve_unregularized_hjb)
@@ -18,7 +18,7 @@ from exitflow.config import _poly
 from exitflow.domain import LQCoefficients, _tabulate, build_grid
 from exitflow.elliptic import ValueField
 from exitflow.hamiltonian import hard_hamiltonian, softmin_table
-from exitflow.hjb import _hard_minimum, _selected_coefficients
+from exitflow.hjb import _hard_minimum
 from exitflow.kernels import thomas_solve, tridiag_apply
 
 PROBLEMS = {"discrete": lq_benchmark("discrete", n_interior=9, n_actions=5),
@@ -282,7 +282,7 @@ def test_interval_lq_howard_step_matches_per_node_minimum(data):
     lq, problem = data.draw(lq_maps_problems("interval"))
     vf = _value_field(data.draw, problem.n_interior)
     alpha, beta = problem.actions.alpha, problem.actions.beta
-    ham, acts, cols = _hard_minimum(problem, vf)
+    ham, acts, selected, cols = _hard_minimum(problem, vf)
     assert cols is None
     for i, x in enumerate(problem.grid.interior):
         u, p = vf.interior[i], vf.dv[i]
@@ -292,7 +292,6 @@ def test_interval_lq_howard_step_matches_per_node_minimum(data):
         ref = problem.b(x, a) * p - problem.c(x, a) * u + problem.f(x, a)
         assert _bits([ham[i], acts[i]]) == _bits([node_ham, node_a]) \
             == _bits([ref, a])
-    selected = _selected_coefficients(problem, acts, cols)
     for row, fn in zip(selected, (problem.b, problem.c, problem.f)):
         assert _bits(row) == _bits([fn(x, a) for x, a
                                     in zip(problem.grid.interior, acts)])
@@ -302,11 +301,10 @@ def test_interval_lq_howard_step_matches_per_node_minimum(data):
 @given(st.data())
 def test_discrete_selected_coefficients_match_closures(data):
     lq, problem = data.draw(lq_maps_problems("discrete"))
-    n, n_actions = problem.n_interior, problem.actions.n_actions
-    cols = data.draw(hnp.arrays(np.int64, n,
-                                elements=st.integers(0, n_actions - 1)))
-    acts = problem.actions.actions[cols]
-    selected = _selected_coefficients(problem, acts, cols)
+    vf = _value_field(data.draw, problem.n_interior)
+    ham, acts, selected, cols = _hard_minimum(problem, vf)
+    assert _bits(acts) == _bits(problem.actions.actions[cols])
+    assert _bits(ham) == _bits(optimal_feature(problem, vf).min(axis=1))
     for row, fn in zip(selected, (problem.b, problem.c, problem.f)):
         assert _bits(row) == _bits([fn(x, a) for x, a
                                     in zip(problem.grid.interior, acts)])
