@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import CONSTANT, INVERSE_LINEAR, INVERSE_SQRT, POWER_LAW, Scheduler
+from .flow import (CONSTANT, HORIZON_CONSTANT, INVERSE_LINEAR, INVERSE_SQRT,
+                   POWER_LAW, Scheduler)
 
 
 # default grids of the bound-vs-beta figure: power-law exponents and horizons
@@ -74,15 +75,15 @@ def _log_integral(log_f, s):
 def growth_integrals(sched: Scheduler, s) -> GrowthIntegrals:
     """ln(I1), ln(I2) for the scheduler at time s.
 
-    Constant, inverse-linear and inverse-sqrt schedules use closed forms;
-    power-law and horizon-constant schedules fall back to log-domain
+    Constant, horizon-constant, inverse-linear and inverse-sqrt schedules
+    use closed forms; power-law schedules fall back to log-domain
     quadrature.
     """
     s = float(s)
     if s <= 0.0:
         raise ValueError("s must be positive")
-    if sched.kind == CONSTANT:
-        tau = sched.tau
+    if sched.kind in (CONSTANT, HORIZON_CONSTANT):
+        tau = float(sched.value(0.0))
         log_I1 = tau * s + math.log1p(-math.exp(-tau * s)) - math.log(tau)
         return GrowthIntegrals(s=s, log_I1=log_I1,
                                log_I2=log_I1 + math.log(tau))

@@ -8,7 +8,8 @@ f quadratic) is first-class because it admits closed-form action minima.
 Its seven maps of x are evaluated once per interior node, and the b, c, f
 table is formed from those values by broadcasting over the action nodes,
 so building an LQ problem calls each map O(n) times whatever the number
-of actions.
+of actions.  ``coefficients_at`` builds the same tables at one point, on
+or off the grid, for the pointwise Hamiltonians.
 """
 
 import functools
@@ -206,6 +207,26 @@ def _tabulate(fn, xs, acts):
     return out
 
 
+def _tables(b, c, f, lq, xs, acts):
+    """(coef_tab, lq_tab) at the nodes ``xs`` x actions ``acts``: b, c and
+    f stacked to shape (3, xs.size, acts.size), and, when ``lq`` is given,
+    its seven maps at ``xs``, shape (7, xs.size) in field order and
+    read-only, from which the b, c, f table is broadcast (None otherwise).
+    """
+    if lq is None:
+        return np.stack([_tabulate(fn, xs, acts) for fn in (b, c, f)]), None
+    lq_tab = np.ascontiguousarray(
+        np.array([lq.at(x) for x in xs], dtype=np.float64).T)
+    lq_tab.flags.writeable = False
+    return np.stack(lq_coefficients(lq_tab[:, :, None], acts)), lq_tab
+
+
+def coefficients_at(problem, x):
+    """The problem's (coef_tab, lq_tab) at one point x, on or off the grid."""
+    return _tables(problem.b, problem.c, problem.f, problem.lq,
+                   np.array([x], dtype=np.float64), problem.actions.actions)
+
+
 def make_problem(grid, actions, b, c, f, sigma, g, lq=None):
     """Tabulate coefficients and validate nondegeneracy/nonnegativity.
 
@@ -215,13 +236,9 @@ def make_problem(grid, actions, b, c, f, sigma, g, lq=None):
     intervals) are checked.
     """
     xs = grid.interior
-    acts = actions.actions
-    if lq is None:
-        lq_tab = None
-        coef_tab = np.stack([_tabulate(fn, xs, acts) for fn in (b, c, f)])
-    else:
-        lq_tab = _lq_table(lq, xs, actions)
-        coef_tab = np.stack(lq_coefficients(lq_tab[:, :, None], acts))
+    coef_tab, lq_tab = _tables(b, c, f, lq, xs, actions.actions)
+    if lq_tab is not None:
+        _check_lq(lq_tab, xs, actions)
     sig_all = np.array([sigma(x) for x in grid.nodes], dtype=np.float64)
     for name, tab in zip("bcf", coef_tab):
         if not np.all(np.isfinite(tab)):
@@ -243,12 +260,9 @@ def make_problem(grid, actions, b, c, f, sigma, g, lq=None):
                           g_right=g_right, lq=lq, lq_tab=lq_tab)
 
 
-def _lq_table(lq, xs, actions):
-    """The seven LQ maps at the nodes ``xs``, validated: f_hat > 0, and
+def _check_lq(tab, xs, actions):
+    """Validate the seven LQ maps at the nodes ``xs``: f_hat > 0, and
     c >= 0 at both ends of the action set, hence on all of it."""
-    tab = np.ascontiguousarray(
-        np.array([lq.at(x) for x in xs], dtype=np.float64).T)
-    tab.flags.writeable = False
     bad = np.flatnonzero(tab[6] <= 0.0)
     if bad.size:
         i = bad[0]
@@ -262,7 +276,6 @@ def _lq_table(lq, xs, actions):
         bad = np.flatnonzero(_lq_affine(tab[2], tab[3], a) < 0.0)
         if bad.size:
             raise ValueError(f"discount c negative at x={xs[bad[0]]}, a={a}")
-    return tab
 
 
 def make_lq_problem(lq: LQCoefficients, grid, actions, sigma, g):

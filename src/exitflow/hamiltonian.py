@@ -2,22 +2,24 @@
 
 The softmin at weight tau is -tau*log of the mu-average of exp(-z/tau)
 with z(a) = b(x,a)*p - c(x,a)*u + f(x,a); it sandwiches the hard minimum
-from above by tau*ln(N) on N-point uniform action sets.  For quadratic-
-in-action problems on an interval the softmin reduces, after dividing
-out the curvature, to a scalar profile evaluated in closed form via
-(scaled) error functions; that path takes over from quadrature when tau
-is small enough that exp(-z/tau) turns into an unresolved spike.
+from above by tau*ln(N) on N-point uniform action sets.  On discrete
+action sets it is the weighted log-sum-exp of the tabulated z.  For
+quadratic-in-action problems on an interval the softmin reduces, after
+dividing out the curvature, to a scalar profile evaluated in closed form
+via (scaled) error functions at every tau.
+
+The hard minimum has one implementation, ``hard_minimum``, which takes
+per-node rows of the coefficient tables: Howard iteration calls it on
+the whole grid and ``hard_hamiltonian`` on the one-point tables of
+``domain.coefficients_at``.
 """
 
 import math
 
 import numpy as np
 
-from .domain import DISCRETE, lq_coefficients, make_action_space
-
-# below this tau, interval quadrature under-resolves the softmin spike and
-# LQ problems switch to the closed form
-TAU_CLOSED_FORM = 1e-3
+from .domain import (DISCRETE, _gauss_legendre, coefficients_at,
+                     lq_coefficients)
 
 
 def softmin_table(z, weights, tau):
@@ -33,76 +35,63 @@ def _z_at(problem, x, u, p, a):
     return problem.b(x, a) * p - problem.c(x, a) * u + problem.f(x, a)
 
 
-def _z_values(problem, x, u, p, acts):
-    """b(x, a)*p - c(x, a)*u + f(x, a) at each action node in ``acts``."""
-    return np.array([_z_at(problem, x, u, p, a) for a in acts])
-
-
-def _escalated_order(z, tau, alpha, beta, base):
-    """Quadrature order that resolves the exp(-z/tau) spike.
-
-    The feature scale is sqrt(tau/curvature) for an interior minimum and
-    tau/slope at an endpoint one; both are estimated from the spread of z
-    over the interval.  Capped at 4096 nodes.
-    """
-    span = beta - alpha
-    z_range = float(np.max(z) - np.min(z))
-    if z_range <= 0.0:
-        return base
-    curvature = 4.0 * z_range / span ** 2
-    width = max(math.sqrt(tau / curvature), tau * span / z_range)
-    needed = int(math.ceil(4.0 * span / width))
-    return max(base, min(4096, needed))
+def _feature(coef, u, p):
+    """b*p - c*u + f per node and action, from a (3, n, N) coefficient
+    table and per-node u, p."""
+    return coef[0] * p[:, None] - coef[1] * u[:, None] + coef[2]
 
 
 def soft_hamiltonian(problem, x, u, p, tau):
     """Regularized Hamiltonian at a single (x, u, p).
 
-    Interval LQ problems switch to the exact error-function profile below
-    TAU_CLOSED_FORM; other interval evaluations raise the quadrature
-    order as tau shrinks so the spike stays resolved.
+    Discrete action sets take the softmin of the tabulated z at x; interval
+    problems need LQ structure (ValueError otherwise) and take the exact
+    error-function profile.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     actions = problem.actions
     if actions.kind == DISCRETE:
-        z = _z_values(problem, x, u, p, actions.actions)
+        coef, _ = coefficients_at(problem, x)
+        z = _feature(coef, np.array([u]), np.array([p]))
         return float(softmin_table(z, actions.mu_weights, tau)[0])
-    if problem.lq is not None and tau < TAU_CLOSED_FORM:
-        const, two_fhat, p_t, tau_t = lq_reduction(problem, x, u, p, tau)
-        return const + two_fhat * interval_quadratic_softmin(
-            p_t, tau_t, actions.alpha, actions.beta)
-    z = _z_values(problem, x, u, p, actions.actions)
-    n_quad = _escalated_order(z, tau, actions.alpha, actions.beta,
-                              actions.n_actions)
-    if n_quad != actions.n_actions:
-        actions = make_action_space(alpha=actions.alpha, beta=actions.beta,
-                                    n_quad=n_quad)
-        z = _z_values(problem, x, u, p, actions.actions)
-    return float(softmin_table(z, actions.mu_weights, tau)[0])
+    const, two_fhat, p_t, tau_t = lq_reduction(problem, x, u, p, tau)
+    return float(const + two_fhat * interval_quadratic_softmin(
+        p_t, tau_t, actions.alpha, actions.beta))
 
 
 def hard_hamiltonian(problem, x, u, p):
-    """Unregularized Hamiltonian and a minimizing action.
+    """Unregularized Hamiltonian and a minimizing action at one (x, u, p):
+    ``hard_minimum`` on the one-point tables at x."""
+    xs, us, ps = (np.array([v], dtype=np.float64) for v in (x, u, p))
+    ham, acts, _ = hard_minimum(problem, xs, us, ps,
+                                *coefficients_at(problem, x))
+    return float(ham[0]), float(acts[0])
 
-    Discrete: exact node minimum, ties to the smallest action.  Interval
+
+def hard_minimum(problem, xs, u, p, coef, lq_rows):
+    """Per-node minimum over the actions of b*p - c*u + f, a minimizing
+    action, and the coefficients (b, c, f) there, at the nodes ``xs`` with
+    per-node ``u``, ``p``, coefficient table ``coef`` of shape (3, n, N)
+    and LQ map values ``lq_rows`` of shape (7, n), or None.
+
+    Discrete: node argmin of the table, ties to the first node.  Interval
     with LQ structure: quadratic vertex clamped to [alpha, beta].  Other
-    intervals: node scan refined by golden-section search.
+    intervals: golden-section search around each row's node minimum.
     """
     actions = problem.actions
+    if actions.kind != DISCRETE and lq_rows is not None:
+        return lq_hard_minimum(lq_rows, p, u, actions.alpha, actions.beta)
+    z = _feature(coef, u, p)
     if actions.kind == DISCRETE:
-        z = _z_values(problem, x, u, p, actions.actions)
-        k = int(np.argmin(z))
-        return float(z[k]), float(actions.actions[k])
-
-    if problem.lq is not None:
-        ham, a = lq_hard_minimum(problem.lq.at(x), p, u, actions.alpha,
-                                 actions.beta)
-        return float(ham), float(a)
-
-    a = interval_argmin(problem, x, u, p,
-                        _z_values(problem, x, u, p, actions.actions))
-    return float(_z_at(problem, x, u, p, a)), float(a)
+        rows = np.arange(xs.size)
+        cols = np.argmin(z, axis=1)
+        return z[rows, cols], actions.actions[cols], coef[:, rows, cols]
+    acts = np.array([interval_argmin(problem, x, ui, pi, row)
+                     for x, ui, pi, row in zip(xs, u, p, z)])
+    b, c, f = (np.array([fn(x, a) for x, a in zip(xs, acts)])
+               for fn in (problem.b, problem.c, problem.f))
+    return b * p - c * u + f, acts, (b, c, f)
 
 
 def interval_argmin(problem, x, u, p, z):
@@ -124,9 +113,10 @@ def _lq_slope(t, p, u):
 
 
 def lq_hard_minimum(t, p, u, alpha, beta):
-    """Minimum over [alpha, beta] of b*p - c*u + f and its minimizer, the
-    vertex -slope/(2*f_hat) clamped to the interval, from the seven LQ map
-    values ``t``: scalars at one x, or per-node rows with per-node p, u.
+    """Minimum over [alpha, beta] of b*p - c*u + f, its minimizer (the
+    vertex -slope/(2*f_hat) clamped to the interval) and (b, c, f) there,
+    from the seven LQ map values ``t``: scalars at one x, or per-node rows
+    with per-node p, u.
 
     The clamp orders ties and signed zeros as Python's max(a, alpha) and
     min(a, beta) do, so scalar and per-node calls agree bit for bit.
@@ -135,7 +125,7 @@ def lq_hard_minimum(t, p, u, alpha, beta):
     a = np.where(alpha > a, alpha, a)
     a = np.where(beta < a, beta, a)
     b, c, f = lq_coefficients(t, a)
-    return b * p - c * u + f, a
+    return b * p - c * u + f, a, (b, c, f)
 
 
 def _golden_section(fn, lo, hi, tol):
@@ -185,7 +175,9 @@ def interval_quadratic_softmin(p, tau, alpha, beta):
     Completing the square turns the average into a Gaussian integral over
     [(alpha+p)/sqrt(2 tau), (beta+p)/sqrt(2 tau)]; when both limits share a
     sign the difference of erfs cancels catastrophically, so those branches
-    run on scaled complementary error functions instead.
+    run on scaled complementary error functions instead, or, where the
+    integrand varies by less than a factor e and those cancel too, on a
+    fixed Gauss-Legendre rule.
     """
     # imported here, so that importing the package leaves scipy unloaded
     from scipy.special import erf, erfcx
@@ -202,17 +194,27 @@ def interval_quadratic_softmin(p, tau, alpha, beta):
     if lo >= 0.0:
         # hard minimum at a = alpha; integral = e^{-lo^2}(erfcx(lo) - e^{lo^2-hi^2} erfcx(hi))
         hard = p * alpha + 0.5 * alpha * alpha
+        if (hi - lo) * (hi + lo) <= 1.0:
+            return hard - tau * _log_flat_mean(lo, hi)
         rest = erfcx(lo) - math.exp(lo * lo - hi * hi) * erfcx(hi)
         return hard - tau * (log_pref + math.log(rest))
     if hi <= 0.0:
-        # hard minimum at a = beta; mirror the first branch
-        hard = p * beta + 0.5 * beta * beta
-        rest = erfcx(-hi) - math.exp(hi * hi - lo * lo) * erfcx(-lo)
-        return hard - tau * (log_pref + math.log(rest))
+        # hard minimum at a = beta: the mirror image a -> -a of the first branch
+        return interval_quadratic_softmin(-p, tau, -beta, -alpha)
     # interior minimum at a = -p; erf arguments straddle zero, no cancellation
     hard = -0.5 * p * p
     rest = erf(hi) - erf(lo)
     return hard - tau * (log_pref + math.log(rest))
+
+
+def _log_flat_mean(lo, hi):
+    """ln of the mean of exp(lo^2 - t^2) over t in [lo, hi], 0 <= lo, where
+    the exponent stays within [-1, 0]: the 16-node Gauss-Legendre rule is
+    exact to rounding there.  Written in the distance d = t - lo, so that
+    it keeps its accuracy when hi - lo is far below lo."""
+    x, w = _gauss_legendre(16)
+    d = 0.5 * (hi - lo) * (x + 1.0)
+    return math.log(0.5 * float(w @ np.exp(-d * (2.0 * lo + d))))
 
 
 def discrete_bias_gap(problem, samples, tau):
@@ -231,7 +233,7 @@ def discrete_bias_gap(problem, samples, tau):
     return gap
 
 
-def bias_sweep_rows(tau_list, p_list, alpha=-1.0, beta=1.0):
+def bias_sweep_rows(tau_list, p_list, alpha, beta):
     """Rows (tau, p, soft, hard, gap, gap_over_tau_log) for the interval
     quadratic profile; feeds the bias-sweep CSV."""
     rows = []

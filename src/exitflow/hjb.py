@@ -4,12 +4,13 @@ For tau > 0 the fixed point alternates a linear on-policy solve with the
 exact improvement map Z <- -(b*Dv - c*v + f)/tau, whose Gibbs image is
 the softmin-optimal policy; convergence is measured by the semilinear
 residual (sigma^2/2) v'' + H_tau(x, v, Dv).  The tau = 0 solve is Howard
-iteration with hard per-node argmins: the node argmin of the coefficient
-table on discrete action sets, and on interval LQ problems the clamped
-vertex, evaluated over all nodes at once from the per-node LQ values.
-Other interval problems refine each node's minimum over the feature
-table by golden-section search.  Each argmin step also returns b, c and f
-at the selected actions, which the next linear solve takes.
+iteration with hard per-node argmins from ``hamiltonian.hard_minimum``,
+the same node-wise minimum that ``hard_hamiltonian`` evaluates at one
+point: the node argmin of the coefficient table on discrete action sets,
+the clamped vertex from the per-node LQ values on interval LQ problems,
+and a golden-section refinement of each node's minimum elsewhere.  Each
+argmin step also returns b, c and f at the selected actions, which the
+next linear solve takes.
 """
 
 import math
@@ -18,10 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import DISCRETE, lq_coefficients
+from .domain import DISCRETE
 from .elliptic import (ValueField, average_coefficients, diffusion,
                        optimal_feature, solve_linear, solve_on_policy_bellman)
-from .hamiltonian import interval_argmin, lq_hard_minimum, softmin_table
+from .hamiltonian import hard_minimum, softmin_table
 from .policy import Policy, gibbs_policy, uniform_policy
 
 
@@ -89,30 +90,6 @@ def solve_regularized_hjb(problem, tau, tol=None, max_iter=MAX_ITER,
         f"iterations (last residual {history[-1]:.3g})", history)
 
 
-def _hard_minimum(problem, vf):
-    """Per-node minimum of b*Dv - c*v + f, a minimizing action, the
-    coefficients (b, c, f) at that action, and its column on discrete
-    action sets (None on intervals).  Discrete and interval LQ problems
-    take it over all nodes at once."""
-    actions = problem.actions
-    if problem.lq_tab is not None and actions.kind != DISCRETE:
-        ham, acts = lq_hard_minimum(problem.lq_tab, vf.dv, vf.interior,
-                                    actions.alpha, actions.beta)
-        return ham, acts, lq_coefficients(problem.lq_tab, acts), None
-    z = optimal_feature(problem, vf)
-    if actions.kind == DISCRETE:
-        rows = np.arange(problem.n_interior)
-        cols = np.argmin(z, axis=1)
-        return (z[rows, cols], actions.actions[cols],
-                problem.coef_tab[:, rows, cols], cols)
-    xs = problem.grid.interior
-    acts = np.array([interval_argmin(problem, x, u, p, row) for x, u, p, row
-                     in zip(xs, vf.interior, vf.dv, z)])
-    b, c, f = (np.array([fn(x, a) for x, a in zip(xs, acts)])
-               for fn in (problem.b, problem.c, problem.f))
-    return b * vf.dv - c * vf.interior + f, acts, (b, c, f), None
-
-
 def _one_hot_policy(problem, actions_selected):
     """Deterministic selection stored in policy form: unit weight on the
     nearest action node.  Off the support the log-density is stored as 0,
@@ -149,7 +126,9 @@ def solve_unregularized_hjb(problem, tol=None,
     acts = None
     for it in range(1, max_iter + 1):
         vf = solve_linear(problem, *coefficients)
-        ham, new_acts, selected, cols = _hard_minimum(problem, vf)
+        ham, new_acts, selected = hard_minimum(
+            problem, problem.grid.interior, vf.interior, vf.dv,
+            problem.coef_tab, problem.lq_tab)
         res = _residual(problem, vf, ham)
         history.append(res)
         stationary = acts is not None and np.array_equal(new_acts, acts)
@@ -159,8 +138,10 @@ def solve_unregularized_hjb(problem, tol=None,
                                optimal_policy=_one_hot_policy(problem, new_acts),
                                residual_history=history,
                                argmin_actions=new_acts)
-        if cols is not None:
-            key = cols.tobytes()
+        if problem.actions.kind == DISCRETE:
+            # argmin takes the first of equal entries, so the selected
+            # actions determine the selected columns
+            key = new_acts.tobytes()
             if key in seen and res >= best - 1e-15:
                 raise ConvergenceError(
                     f"Howard iteration is cycling: selection repeated at "

@@ -32,6 +32,7 @@ def test_inverse_sqrt_closed_form():
     ("constant", {"tau": 0.7}),
     ("inverse_linear", {}),
     ("inverse_sqrt", {}),
+    ("horizon_constant", {"horizon": 40.0}),
 ])
 def test_closed_forms_match_quadrature(kind, param):
     sched = Scheduler(kind=kind, **param)

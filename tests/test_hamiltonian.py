@@ -102,8 +102,8 @@ def test_hard_min_interval_lq_clamps_like_python_min_max():
                            sigma=lambda x: 1.0, g=lambda x: 0.0)
     val, amin = hard_hamiltonian(prob, 0.5, 0.0, 0.0)
     assert val == 0.0 and math.copysign(1.0, amin) == -1.0
-    _, acts = lq_hard_minimum(prob.lq_tab, np.zeros(3), np.zeros(3),
-                              0.0, 1.0)
+    _, acts, _ = lq_hard_minimum(prob.lq_tab, np.zeros(3), np.zeros(3),
+                                 0.0, 1.0)
     assert np.all(np.signbit(acts))
 
 
@@ -166,6 +166,26 @@ def test_interval_softmin_no_cancellation_far_out():
             assert math.isfinite(soft)
 
 
+@pytest.mark.parametrize("width", [5e-324, 1e-16, 1e-9, 1e-3])
+def test_interval_softmin_narrow_interval(width):
+    # minimum at an end of an interval so narrow that the erfcx difference
+    # cancels; oracle: the average of exp(-(z - hard)/tau) over s in [0, 1]
+    # at distance d = width*s from that end, and the mirror image a -> -a
+    alpha = 0.3
+    # the subnormal width stands for the next float above alpha
+    beta = alpha + width if width > 1e-300 else np.nextafter(alpha, 1.0)
+    for p in (-0.2, 0.0, 2.0):
+        for tau in (1e-5, 1e-2, 1.0):
+            w = beta - alpha
+            val, _ = quad(lambda s: math.exp(-((p + alpha) * w * s
+                                               + 0.5 * (w * s) ** 2) / tau),
+                          0.0, 1.0, epsabs=0.0, epsrel=1e-13)
+            oracle = p * alpha + 0.5 * alpha * alpha - tau * math.log(val)
+            for got in (interval_quadratic_softmin(p, tau, alpha, beta),
+                        interval_quadratic_softmin(-p, tau, -beta, -alpha)):
+                assert abs(got - oracle) <= 1e-13 * (1.0 + abs(oracle))
+
+
 def _softmin_512(problem, x, u, p, tau):
     """Softmin of b*p - c*u + f on a pinned 512-node rule over [-1, 1]."""
     acts = make_action_space(alpha=-1.0, beta=1.0, n_quad=512)
@@ -187,14 +207,13 @@ def test_lq_reduction_consistency():
 
 
 def test_quadrature_matches_closed_form_across_tau():
-    # dual route: the auto-resolved quadrature softmin against the exact
-    # error-function profile; the order escalates as the spike narrows
+    # soft_hamiltonian (the exact error-function profile) against a pinned
+    # 512-node quadrature of the softmin
     lq = lq_benchmark("interval", alpha=-1.0, beta=1.0, n_quad=32)
     for tau in (1e-1, 1e-2, 1e-3):
         for p in (-2.0, -0.5, 0.0, 0.9, 2.5):
-            direct = soft_hamiltonian(lq, 0.5, 0.2, p, tau)
-            const, tf, pt, tt = lq_reduction(lq, 0.5, 0.2, p, tau)
-            closed = const + tf * interval_quadratic_softmin(pt, tt, -1.0, 1.0)
+            direct = _softmin_512(lq, 0.5, 0.2, p, tau)
+            closed = soft_hamiltonian(lq, 0.5, 0.2, p, tau)
             assert abs(direct - closed) <= 1e-8
     # pinned 512-node rule resolves tau down to 1e-4
     for tau in (1e-3, 1e-4):
@@ -207,8 +226,8 @@ def test_quadrature_matches_closed_form_across_tau():
 
 def test_soft_hamiltonian_switches_to_closed_form():
     lq = lq_benchmark("interval", alpha=-1.0, beta=1.0, n_quad=8)
-    # tau below the switch threshold: coarse quadrature would be far off,
-    # the closed form keeps the sandwich tight
+    # at tau = 1e-5 the 8-node rule would be far off; the closed form
+    # keeps the sandwich tight
     tau = 1e-5
     soft = soft_hamiltonian(lq, 0.5, 0.0, 0.3, tau)
     hard, _ = hard_hamiltonian(lq, 0.5, 0.0, 0.3)
@@ -251,9 +270,25 @@ def test_softmin_table_matches_scalar():
 
 
 
-def test_escalated_calls_repeat_exactly():
-    # tau = 0.01 on an 8-node rule escalates the quadrature order; the
-    # second call reuses the rule the first one built
+@pytest.mark.parametrize("tau", [1e-5, 1e-3, 0.01, 0.7])
+def test_interval_lq_soft_hamiltonian_is_the_closed_form(tau):
+    # every tau takes the error-function profile, bit for bit, and no
+    # Gauss-Legendre rule is built on the way
+    from exitflow import domain
     lq = lq_benchmark("interval", alpha=-1.0, beta=1.0, n_quad=8)
-    first = soft_hamiltonian(lq, 0.5, 0.2, 0.7, 0.01)
-    assert soft_hamiltonian(lq, 0.5, 0.2, 0.7, 0.01) == first
+    misses = domain._gauss_legendre.cache_info().misses
+    for p in (-2.0, 0.0, 0.7, 2.5):
+        const, tf, pt, tt = lq_reduction(lq, 0.5, 0.2, p, tau)
+        closed = const + tf * interval_quadratic_softmin(pt, tt, -1.0, 1.0)
+        assert soft_hamiltonian(lq, 0.5, 0.2, p, tau) == closed
+    assert domain._gauss_legendre.cache_info().misses == misses
+
+
+def test_soft_hamiltonian_rejects_non_lq_interval():
+    prob = make_problem(build_grid(0.0, 1.0, 1),
+                        make_action_space(alpha=0.0, beta=6.0, n_quad=24),
+                        b=lambda x, a: 0.0, c=lambda x, a: 0.0,
+                        f=lambda x, a: math.cos(a), sigma=lambda x: 1.0,
+                        g=lambda x: 0.0)
+    with pytest.raises(ValueError):
+        soft_hamiltonian(prob, 0.5, 0.0, 0.0, 0.1)

@@ -176,7 +176,7 @@ def test_interval_unregularized_continuous_argmin(lq_interval):
 def test_howard_monotone_values(lq):
     # classical Howard property: values nonincreasing across iterations
     from exitflow.elliptic import average_coefficients, solve_linear
-    from exitflow.hjb import _hard_minimum
+    from exitflow.hamiltonian import hard_minimum
     pol = uniform_policy(lq.n_interior, lq.actions)
     coefficients = average_coefficients(lq, pol, 0.0)
     prev = None
@@ -185,7 +185,8 @@ def test_howard_monotone_values(lq):
         if prev is not None:
             assert np.all(vf.v <= prev + 1e-9)
         prev = vf.v
-        _, _, coefficients, _ = _hard_minimum(lq, vf)
+        _, _, coefficients = hard_minimum(lq, lq.grid.interior, vf.interior,
+                                          vf.dv, lq.coef_tab, lq.lq_tab)
 
 
 def _non_lq_interval_problem():

@@ -17,8 +17,8 @@ from exitflow import (SolverError, average_coefficients, gibbs_policy,
 from exitflow.config import _poly
 from exitflow.domain import LQCoefficients, _tabulate, build_grid
 from exitflow.elliptic import ValueField
-from exitflow.hamiltonian import hard_hamiltonian, softmin_table
-from exitflow.hjb import _hard_minimum
+from exitflow.hamiltonian import (hard_hamiltonian, hard_minimum,
+                                  soft_hamiltonian, softmin_table)
 from exitflow.kernels import thomas_solve, tridiag_apply
 
 PROBLEMS = {"discrete": lq_benchmark("discrete", n_interior=9, n_actions=5),
@@ -253,6 +253,12 @@ def lq_maps_problems(draw, kind=None):
                                g=_poly([0.0]))
 
 
+def _howard_step(problem, vf):
+    """The node-wise minimum as Howard iteration calls it."""
+    return hard_minimum(problem, problem.grid.interior, vf.interior, vf.dv,
+                        problem.coef_tab, problem.lq_tab)
+
+
 def _value_field(draw, n):
     v = draw(hnp.arrays(np.float64, n + 2, elements=st.floats(-3.0, 3.0)))
     return ValueField(v=v, dv=(v[2:] - v[:-2]) / (2.0 / (n + 1)))
@@ -282,8 +288,7 @@ def test_interval_lq_howard_step_matches_per_node_minimum(data):
     lq, problem = data.draw(lq_maps_problems("interval"))
     vf = _value_field(data.draw, problem.n_interior)
     alpha, beta = problem.actions.alpha, problem.actions.beta
-    ham, acts, selected, cols = _hard_minimum(problem, vf)
-    assert cols is None
+    ham, acts, selected = _howard_step(problem, vf)
     for i, x in enumerate(problem.grid.interior):
         u, p = vf.interior[i], vf.dv[i]
         node_ham, node_a = hard_hamiltonian(problem, x, u, p)
@@ -302,9 +307,33 @@ def test_interval_lq_howard_step_matches_per_node_minimum(data):
 def test_discrete_selected_coefficients_match_closures(data):
     lq, problem = data.draw(lq_maps_problems("discrete"))
     vf = _value_field(data.draw, problem.n_interior)
-    ham, acts, selected, cols = _hard_minimum(problem, vf)
+    ham, acts, selected = _howard_step(problem, vf)
+    cols = np.argmin(optimal_feature(problem, vf), axis=1)
     assert _bits(acts) == _bits(problem.actions.actions[cols])
     assert _bits(ham) == _bits(optimal_feature(problem, vf).min(axis=1))
     for row, fn in zip(selected, (problem.b, problem.c, problem.f)):
         assert _bits(row) == _bits([fn(x, a) for x, a
                                     in zip(problem.grid.interior, acts)])
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_interval_lq_soft_hamiltonian_sandwich(data):
+    # hard minimum <= H_tau <= the uniform mean of z over [alpha, beta]
+    # (Jensen), and H_tau is nondecreasing in tau
+    lq, problem = data.draw(lq_maps_problems("interval"))
+    x = data.draw(st.floats(0.0, 1.0))
+    u, p = (data.draw(st.floats(-3.0, 3.0)) for _ in range(2))
+    tau_lo, tau_hi = sorted(data.draw(st.floats(1e-4, 1.0)) for _ in range(2))
+    alpha, beta = problem.actions.alpha, problem.actions.beta
+    hard, _ = hard_hamiltonian(problem, x, u, p)
+    soft_lo, soft_hi = (soft_hamiltonian(problem, x, u, p, tau)
+                        for tau in (tau_lo, tau_hi))
+    k0 = lq.b_bar(x) * p - lq.c_bar(x) * u + lq.f_bar(x)
+    k1 = lq.b_hat(x) * p - lq.c_hat(x) * u + lq.f_tilde(x)
+    mean = k0 + k1 * (alpha + beta) / 2.0 + lq.f_hat(x) \
+        * (alpha * alpha + alpha * beta + beta * beta) / 3.0
+    tol = 1e-12 * (1.0 + abs(hard) + abs(mean))
+    assert hard <= soft_lo + tol
+    assert soft_lo <= soft_hi + tol
+    assert soft_hi <= mean + tol
