@@ -70,7 +70,10 @@ class LQCoefficients:
 
     def at(self, x):
         """The seven map values at x, in field order."""
-        return [getattr(self, k.name)(x) for k in fields(self)]
+        return [getattr(self, name)(x) for name in _LQ_FIELDS]
+
+
+_LQ_FIELDS = tuple(k.name for k in fields(LQCoefficients))
 
 
 def _lq_affine(bar, hat, a):

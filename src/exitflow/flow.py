@@ -86,7 +86,9 @@ class Scheduler:
         elif self.beta == 1.0:
             out = np.log1p(s)
         else:
-            out = (np.power(1.0 + s, 1.0 - self.beta) - 1.0) / (1.0 - self.beta)
+            # expm1 keeps full precision for beta near 1, where
+            # ((1+s)^(1-beta) - 1)/(1-beta) cancels
+            out = np.expm1((1.0 - self.beta) * np.log1p(s)) / (1.0 - self.beta)
         return out if out.ndim else float(out)
 
 

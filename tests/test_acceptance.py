@@ -5,6 +5,7 @@ at their stated tolerances; wall-clock budgets are asserted with the
 stated (very generous) limits.
 """
 
+import json
 import math
 import time
 
@@ -16,10 +17,14 @@ from exitflow.domain import LQCoefficients, build_grid, make_lq_problem
 from exitflow.hamiltonian import interval_quadratic_min
 
 
-def _report(num, name, ok, detail, elapsed, budget):
+def _report(num, name, ok, detail, elapsed, budget, measured=None):
+    """Print the PASS/FAIL line, then ``measured`` as one JSON line."""
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {num:02d}] {status} {name}: {detail} "
           f"({elapsed:.1f}s / budget {budget:.0f}s)", flush=True)
+    if measured is not None:
+        print(json.dumps({"criterion": num, "measured": measured}),
+              flush=True)
     assert ok, f"criterion {num}: {name}: {detail}"
     assert elapsed < budget, f"criterion {num} exceeded runtime budget"
 
@@ -142,10 +147,12 @@ def test_c05_discrete_annealing_rate():
                              probes=[14], record_every=20)
     base = xf.solve_unregularized_hjb(lq)
     err = traj.unregularized_values[:, 0] - base.v_star.v[15]
-    slope = _slope_loglog(traj.times, err, 10.0, 1000.0)
+    window = (10.0, 1000.0)
+    slope = _slope_loglog(traj.times, err, *window)
     _report(5, "discrete annealing rate", -1.3 <= slope <= -0.8,
             f"log-log slope {slope:.3f} (band [-1.3, -0.8])",
-            time.perf_counter() - t0, 600.0)
+            time.perf_counter() - t0, 600.0,
+            measured={"window": window, "slope": slope})
 
 
 @pytest.mark.slow
@@ -202,8 +209,10 @@ def test_c08_figure_reproduction():
     finite = all(math.isfinite(b) for _, _, b in rows)
     argmins = {}
     interior = {}
+    curves = {}
     for S in s_grid:
         pts = [(b, bound) for b, s, bound in rows if s == S]
+        curves[f"{S:g}"] = pts
         bounds = [bound for _, bound in pts]
         k = int(np.argmin(bounds))
         argmins[S] = pts[k][0]
@@ -213,7 +222,7 @@ def test_c08_figure_reproduction():
     detail = (f"finite={finite}, argmins={ {int(S): a for S, a in argmins.items()} }, "
               f"interior={ {int(S): i for S, i in interior.items()} }")
     _report(8, "figure reproduction", finite and drift and all_interior,
-            detail, time.perf_counter() - t0, 10.0)
+            detail, time.perf_counter() - t0, 10.0, measured=curves)
 
 
 def test_c09_elliptic_solver_order():

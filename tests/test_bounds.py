@@ -48,10 +48,62 @@ def test_quadrature_I2_matches_universal_identity():
     for sched in (Scheduler(kind="power_law", beta=0.35),
                   Scheduler(kind="horizon_constant", horizon=40.0)):
         for s in (2.0, 20.0, 200.0):
-            gi = growth_integrals(sched, s)
+            gi = growth_integrals_quadrature(sched, s)
             t = sched.integral(s)
             expect = t + math.log1p(-math.exp(-t))
             assert abs(gi.log_I2 - expect) <= 1e-8 * (1.0 + abs(expect))
+
+
+@pytest.mark.parametrize("beta", [0.02, 0.1, 0.5, 0.9, 1.0, 1.5])
+def test_power_law_growth_matches_full_quadrature(beta):
+    sched = Scheduler(kind="power_law", beta=beta)
+    for s in (10.0, 1e3, 1e4):
+        gi = growth_integrals(sched, s)
+        q = growth_integrals_quadrature(sched, s)
+        assert abs(gi.log_I1 - q.log_I1) <= 1e-10 * (1.0 + abs(q.log_I1))
+        assert abs(gi.log_I2 - q.log_I2) <= 1e-10 * (1.0 + abs(q.log_I2))
+
+
+@pytest.mark.parametrize("beta,kind", [(0.5, "inverse_sqrt"),
+                                       (1.0, "inverse_linear")])
+def test_power_law_window_matches_named_closed_forms(beta, kind):
+    # at beta = 0.5 the I1 window starts after 0 for s = 1e4 and 1e5
+    power = Scheduler(kind="power_law", beta=beta)
+    named = Scheduler(kind=kind)
+    for s in (1e3, 1e4, 1e5):
+        gi = growth_integrals(power, s)
+        cf = growth_integrals(named, s)
+        assert abs(gi.log_I1 - cf.log_I1) <= 1e-12 * abs(cf.log_I1)
+        assert abs(gi.log_I2 - cf.log_I2) <= 1e-12 * abs(cf.log_I2)
+
+
+def test_power_law_growth_work_stays_in_window(monkeypatch):
+    # both integrands are functions of T, so counting the points T is
+    # taken at counts the integrand points
+    points = []
+    integral = Scheduler.integral
+
+    def counted(self, s):
+        points.append(np.size(s))
+        return integral(self, s)
+
+    monkeypatch.setattr(Scheduler, "integral", counted)
+    gi = growth_integrals(Scheduler(kind="power_law", beta=0.02), 1e5)
+    assert math.isfinite(gi.log_I1)
+    assert sum(points) <= 1024
+
+
+@pytest.mark.parametrize("beta", [1.0 + 1e-9, 1.0 - 1e-9,
+                                  1.0 + 1e-6, 1.0 - 1e-6])
+def test_power_law_integral_near_beta_one(beta):
+    # T(s) = ((1+s)^(1-beta) - 1)/(1-beta) = log1p(s) sum_k u^k/(k+1)!
+    # with u = (1-beta) log1p(s); five terms reach double precision here
+    sched = Scheduler(kind="power_law", beta=beta)
+    for s in (10.0, 1e4):
+        u = (1.0 - beta) * math.log1p(s)
+        expect = math.log1p(s) * sum(u ** k / math.factorial(k + 1)
+                                     for k in range(5))
+        assert abs(sched.integral(s) - expect) <= 1e-14 * expect
 
 
 def test_growth_invariants():

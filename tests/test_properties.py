@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from exitflow import (SolverError, average_coefficients, gibbs_policy,
-                      kl_to_reference, lq_benchmark, make_action_space,
-                      make_lq_problem, optimal_feature, pde_residual,
+from exitflow import (Scheduler, SolverError, average_coefficients,
+                      gibbs_policy, growth_integrals,
+                      growth_integrals_quadrature, kl_to_reference,
+                      lq_benchmark, make_action_space, make_lq_problem,
+                      optimal_feature, pde_residual,
                       performance_difference_check, simulate_exit_value,
                       solve_on_policy_bellman, solve_regularized_hjb,
                       solve_unregularized_hjb)
@@ -337,3 +339,17 @@ def test_interval_lq_soft_hamiltonian_sandwich(data):
     assert hard <= soft_lo + tol
     assert soft_lo <= soft_hi + tol
     assert soft_hi <= mean + tol
+
+
+@settings(deadline=None)
+@given(st.floats(0.02, 2.0), st.floats(1.0, 1e4))
+def test_power_law_growth_integrals(beta, s):
+    # the closed-form I2 and windowed I1 agree with full-domain quadrature,
+    # and I2/I1 lies between tau_s and tau_0
+    sched = Scheduler(kind="power_law", beta=beta)
+    gi = growth_integrals(sched, s)
+    q = growth_integrals_quadrature(sched, s)
+    assert abs(gi.log_I1 - q.log_I1) <= 1e-9 * (1.0 + abs(q.log_I1))
+    assert abs(gi.log_I2 - q.log_I2) <= 1e-9 * (1.0 + abs(q.log_I2))
+    assert gi.log_I2 <= gi.log_I1 + np.log(sched.value(0.0)) + 1e-9
+    assert np.exp(gi.log_I2 - gi.log_I1) >= sched.value(s) - 1e-9
