@@ -99,7 +99,7 @@ def growth_integrals(sched: Scheduler, s) -> GrowthIntegrals:
         raise ValueError("s must be positive")
     if sched.kind in (CONSTANT, HORIZON_CONSTANT):
         tau = float(sched.value(0.0))
-        log_I1 = tau * s + math.log1p(-math.exp(-tau * s)) - math.log(tau)
+        log_I1 = tau * s + math.log(-math.expm1(-tau * s)) - math.log(tau)
         return GrowthIntegrals(s=s, log_I1=log_I1,
                                log_I2=log_I1 + math.log(tau))
     if sched.kind == INVERSE_LINEAR:
@@ -107,13 +107,12 @@ def growth_integrals(sched: Scheduler, s) -> GrowthIntegrals:
         return GrowthIntegrals(s=s, log_I1=math.log(0.5 * s * s + s),
                                log_I2=math.log(s))
     if sched.kind == INVERSE_SQRT:
-        # I1 = (e^y (2 sqrt(1+s) - 1) - 1)/2 with y = 2 sqrt(1+s) - 2,
-        # I2 = e^y - 1
-        r = math.sqrt(1.0 + s)
-        y = 2.0 * r - 2.0
-        log_I1 = -math.log(2.0) + y + math.log(2.0 * r - 1.0) \
-            + math.log1p(-math.exp(-y) / (2.0 * r - 1.0))
-        log_I2 = y + math.log1p(-math.exp(-y))
+        # I1 = (e^y (1 + y) - 1)/2 = e^y (y - expm1(-y))/2 and
+        # I2 = e^y - 1 with y = 2 sqrt(1+s) - 2, formed without the
+        # cancellation of 2 sqrt(1+s) - 2 at small s
+        y = 2.0 * s / (1.0 + math.sqrt(1.0 + s))
+        log_I1 = -math.log(2.0) + y + math.log(y - math.expm1(-y))
+        log_I2 = y + math.log(-math.expm1(-y))
         return GrowthIntegrals(s=s, log_I1=log_I1, log_I2=log_I2)
     # power law, tau_0 = 1
     t = sched.integral(s)

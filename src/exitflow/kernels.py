@@ -4,7 +4,14 @@ Both are plain Python/numpy.  The tridiagonal solve runs on Python floats:
 at the grid sizes used here (tens to hundreds of rows) per-element numpy
 indexing costs more than the arithmetic, and a LAPACK call would pull in
 ``scipy.linalg`` and its memory footprint for a few microseconds.  The
-path simulation alone decides which paths of a batch are still alive.
+path simulation alone decides which paths of a batch are still alive.  It
+has two walks with the same bits: a numpy step over all live paths for the
+bulk of a batch, and a walk of each path on Python floats once a chunk
+starts with at most ``SCALAR_PATHS`` of them, a threshold measured where
+the two cost the same rather than a setting.  The walk keeps numpy's
+exponential, whose last bit differs from ``math.exp`` on some arguments,
+and the bulk keeps no whole-chunk history of positions, which would raise
+peak memory.
 """
 
 import numpy as np
@@ -59,10 +66,42 @@ def tridiag_apply(lower, diag, upper, x):
 # and on leaving (left, right) the discounted exit payoff is added and the
 # path retires: its state is written back and it leaves the live set, so no
 # later step pays for it.  Coefficients come from nodal tables via linear
-# interpolation (clamped at the ends).  `done` and `exit_steps` (equal to
-# `steps` once a path exits) stay in the signature because perfbench's
-# tracer reads `steps` and `normals` at positions 3 and 6.
+# interpolation (clamped at the right end; a live path has x > left).
+# `done` and `exit_steps` (equal to `steps` once a path exits) stay in the
+# signature because perfbench's tracer reads `steps` and `normals` at
+# positions 3 and 6.
+#
+# Two walks give the same bits.  A chunk that starts with more than
+# SCALAR_PATHS live paths runs one numpy step for all of them at a time.
+# A chunk that starts with fewer (the tail of a batch, where a few slow
+# paths keep it alive) walks each path on Python floats instead, as
+# `thomas_solve` does: there numpy's per-call overhead, 20-40 us a step
+# whatever the path count, is most of the cost.  The position recursion
+# does not involve gamma or the cost, so the walk first takes the
+# positions alone, then forms c, f + tau*KL, the discount factors and both
+# running sums and products on arrays of at most n_steps + 1 entries, in
+# the vector loop's order of operations.
+#
+# The discount factor stays `np.exp`, on arrays: numpy's SIMD exponential
+# and `math.exp` differ in the last bit on a few per cent of arguments,
+# while `np.exp` gives an element the same bits whatever the array length.
+# The bulk keeps no (paths x steps) history to accumulate a whole chunk at
+# once: storing one raised the `oracle` benchmark's peak RSS from 63 to
+# 75 MB and slowed its first 1000-path chunk by a third.  SCALAR_PATHS is
+# a measured crossover, not a setting: at dt = 2e-4 a vector chunk with a
+# few dozen paths costs 5-10 ms, a path walked through a whole chunk
+# 0.12-0.3 ms, and the `oracle` wall time is flat for thresholds from 24
+# to 96.  Either side of it gives the same result.
 # ---------------------------------------------------------------------------
+
+SCALAR_PATHS = 24
+
+
+def _nodes(xa, left, spacing, top):
+    """Cell index and in-cell weight of each position."""
+    pos = (xa - left) / spacing
+    idx = np.minimum(pos.astype(np.int64), top)
+    return idx, pos - idx
 
 
 def simulate_chunk(x, gamma, cost, steps, done, exit_steps, normals,
@@ -70,17 +109,21 @@ def simulate_chunk(x, gamma, cost, steps, done, exit_steps, normals,
                    dt, g_left, g_right):
     """Advance the batch's live paths, in place, through one chunk."""
     sqrt_dt = np.sqrt(dt)
+    top = b_tab.size - 2
     tabs = [(t, np.diff(t)) for t in (b_tab, c_tab, fkl_tab, s_tab)]
     n_steps = normals.shape[1]
     live = np.flatnonzero(~done)
+    if live.size <= SCALAR_PATHS:
+        _walk_paths(x, gamma, cost, steps, done, exit_steps, normals, live,
+                    float(left), float(right), float(spacing), tabs,
+                    float(dt), float(sqrt_dt), top, g_left, g_right)
+        return
     rows = np.arange(live.size)
     xa, ga, ca = x[live], gamma[live], cost[live]
     for j in range(n_steps):
         if live.size == 0:
             break
-        pos = (xa - left) / spacing
-        idx = np.maximum(np.minimum(pos.astype(np.int64), b_tab.size - 2), 0)
-        w = pos - idx
+        idx, w = _nodes(xa, left, spacing, top)
         b, c, fkl, sig = (t[idx] + w * d[idx] for t, d in tabs)
         ca += ga * fkl * dt
         ga = ga * np.exp(-c * dt)
@@ -103,3 +146,44 @@ def simulate_chunk(x, gamma, cost, steps, done, exit_steps, normals,
     gamma[live] = ga
     cost[live] = ca
     steps[live] += n_steps
+
+
+def _walk_paths(x, gamma, cost, steps, done, exit_steps, normals, live,
+                left, right, spacing, tabs, dt, sqrt_dt, top, g_left,
+                g_right):
+    """simulate_chunk's scalar walk, one live path after another."""
+    (b_tab, b_diff), (c_tab, c_diff), (f_tab, f_diff), (s_tab, s_diff) = tabs
+    bt, bd, st, sd = (a.tolist() for a in (b_tab, b_diff, s_tab, s_diff))
+    for row, p in enumerate(live.tolist()):
+        xj = float(x[p])
+        starts = []
+        for z in normals[row].tolist():
+            pos = (xj - left) / spacing
+            i = int(pos)
+            if i > top:
+                i = top
+            w = pos - i
+            starts.append(xj)
+            xj = xj + (bt[i] + w * bd[i]) * dt \
+                + (st[i] + w * sd[i]) * sqrt_dt * z
+            if xj <= left or xj >= right:
+                break
+        k = len(starts)
+        idx, w = _nodes(np.array(starts), left, spacing, top)
+        ga = np.empty(k + 1)
+        ga[0] = gamma[p]
+        ga[1:] = np.exp(-(c_tab[idx] + w * c_diff[idx]) * dt)
+        np.multiply.accumulate(ga, out=ga)
+        ca = np.empty(k + 1)
+        ca[0] = cost[p]
+        ca[1:] = ga[:-1] * (f_tab[idx] + w * f_diff[idx]) * dt
+        total = np.add.accumulate(ca)[-1]
+        x[p] = xj
+        gamma[p] = ga[-1]
+        steps[p] += k
+        if xj <= left or xj >= right:
+            cost[p] = total + ga[-1] * (g_left if xj <= left else g_right)
+            exit_steps[p] = steps[p]
+            done[p] = True
+        else:
+            cost[p] = total

@@ -43,6 +43,25 @@ def test_closed_forms_match_quadrature(kind, param):
         assert abs(cf.log_I2 - q.log_I2) <= 1e-9 * (1.0 + abs(cf.log_I2))
 
 
+@pytest.mark.parametrize("kind,param", [
+    ("constant", {"tau": 0.7}),
+    ("inverse_sqrt", {}),
+    ("horizon_constant", {"horizon": 40.0}),
+])
+def test_closed_forms_at_small_s(kind, param):
+    # I1 = s + O(s^2) for every scheduler with tau_0 <= 1; ln(1 - e^{-x})
+    # must neither raise nor lose digits once x is near machine epsilon
+    sched = Scheduler(kind=kind, **param)
+    gi = growth_integrals(sched, 1e-17)
+    assert math.isfinite(gi.log_I1) and math.isfinite(gi.log_I2)
+    assert abs(gi.log_I1 - math.log(1e-17)) <= 1e-15 * abs(math.log(1e-17))
+    for s in (1e-8, 1e-6):
+        cf = growth_integrals(sched, s)
+        q = growth_integrals_quadrature(sched, s)
+        assert abs(cf.log_I1 - q.log_I1) <= 1e-13 * abs(q.log_I1)
+        assert abs(cf.log_I2 - q.log_I2) <= 1e-13 * abs(q.log_I2)
+
+
 def test_quadrature_I2_matches_universal_identity():
     # I2 = exp(integral of tau) - 1 for every scheduler
     for sched in (Scheduler(kind="power_law", beta=0.35),

@@ -75,7 +75,7 @@ def _chunk_state(n):
             np.zeros(n, dtype=np.int64))
 
 
-def test_simulation_chunk_golden_values():
+def test_simulation_chunk_golden_values(chunk_walk):
     # fixed normals: a scaled golden-ratio sequence, uniform with unit
     # variance; two paths exit (left at step 14, right at step 245)
     n, steps = 6, 300
@@ -124,7 +124,7 @@ def test_simulation_chunk_exits_and_pays():
     assert np.all(exit_steps == exit_steps[0])
 
 
-def test_simulation_chunk_skips_retired_paths():
+def test_simulation_chunk_skips_retired_paths(chunk_walk):
     # paths 1, 4 and 6 are already done; normals hold one row per live path
     # in ascending order.  Live paths must end bit for bit where compacting
     # them, calling the kernel on the compact batch and scattering back put

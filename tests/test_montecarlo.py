@@ -93,7 +93,7 @@ def test_validates_inputs(manufactured):
                                 seed=0)
 
 
-def test_estimate_golden_values(monkeypatch):
+def test_estimate_golden_values(monkeypatch, chunk_walk):
     # three batches of 16, 16 and 8 paths, pinned bit for bit: they fix
     # the stream layout (per batch substreams, one row of normals per live
     # path in ascending order) that a seed's estimate depends on

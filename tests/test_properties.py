@@ -1,6 +1,7 @@
 """Invariants checked over random inputs drawn by hypothesis."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from exitflow import (Scheduler, SolverError, average_coefficients,
                       performance_difference_check, simulate_exit_value,
                       solve_on_policy_bellman, solve_regularized_hjb,
                       solve_unregularized_hjb)
+from exitflow import kernels
 from exitflow.config import _poly
 from exitflow.domain import LQCoefficients, _tabulate, build_grid
 from exitflow.elliptic import ValueField
@@ -353,3 +355,68 @@ def test_power_law_growth_integrals(beta, s):
     assert abs(gi.log_I2 - q.log_I2) <= 1e-9 * (1.0 + abs(q.log_I2))
     assert gi.log_I2 <= gi.log_I1 + np.log(sched.value(0.0)) + 1e-9
     assert np.exp(gi.log_I2 - gi.log_I1) >= sched.value(s) - 1e-9
+
+
+@st.composite
+def chunk_cases(draw):
+    """Nodal tables, a batch state and its normals for one simulate_chunk
+    call.  Live paths include a start within one step of each edge, one in
+    the last cell (where the cell position can round to n - 1) and one
+    that sits still until its last normal throws it out, so it exits on
+    the chunk's final step; retired paths are interleaved with them."""
+    nodes = draw(st.integers(3, 12))
+    left = draw(st.floats(-1.0, 1.0))
+    width = draw(st.floats(1.0, 3.0))
+    right = left + width
+    tables = [draw(hnp.arrays(np.float64, nodes, elements=st.floats(lo, hi)))
+              for lo, hi in ((-5.0, 5.0), (0.0, 3.0), (-2.0, 2.0),
+                             (0.05, 2.0))]
+    dt = draw(st.floats(1e-5, 2e-3))
+    n_steps = draw(st.integers(1, 32))
+    # at most |b| dt + 4 sigma sqrt(dt) per step; the middle start drifts
+    # at most 5 * 2e-3 * 31 < width / 2 before its last step
+    reach = 5.0 * dt + 8.0 * np.sqrt(dt)
+    inside = np.nextafter(left, right), np.nextafter(right, left)
+    starts = [max(left + draw(st.floats(0.0, 1.0)) * reach, inside[0]),
+              min(right - draw(st.floats(0.0, 1.0)) * reach, inside[1]),
+              inside[1], left + 0.5 * width]
+    starts += [left + u * width for u in draw(
+        st.lists(st.floats(0.01, 0.99), max_size=6))]
+    n_retired = draw(st.integers(0, 4))
+    n = len(starts) + n_retired
+    order = draw(st.permutations(range(n)))
+    done = np.array([order[k] >= len(starts) for k in range(n)])
+    x = np.array([starts[i] if i < len(starts) else right for i in order])
+    gamma = draw(hnp.arrays(np.float64, n, elements=st.floats(0.1, 1.0)))
+    cost = draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    steps = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1000)))
+    exit_steps = np.where(done, steps, 0)
+    normals = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))) \
+        .standard_normal((len(starts), n_steps))
+    late = order.index(3)  # batch index of the middle start
+    row = int(np.count_nonzero(~done[:late]))
+    normals[row] = 0.0
+    normals[row, -1] = draw(st.sampled_from([-1e6, 1e6]))
+    state = [x, gamma, cost, steps, done, exit_steps]
+    args = (left, right, width / (nodes - 1), *tables, dt,
+            draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    return state, normals, args, late
+
+
+@settings(deadline=None)
+@given(chunk_cases())
+def test_chunk_walks_agree_bitwise(case):
+    # the per-path walk on Python floats and the numpy step over all live
+    # paths leave every output array with the same bits
+    state, normals, args, late = case
+    n_steps = normals.shape[1]
+    steps_before = state[3][late]
+    outs = []
+    for limit in (0, 1_000_000):
+        out = [a.copy() for a in state]
+        with mock.patch.object(kernels, "SCALAR_PATHS", limit):
+            kernels.simulate_chunk(*out, normals, *args)
+        outs.append(out)
+        assert out[4][late] and out[5][late] == steps_before + n_steps
+    for a, b in zip(*outs):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
