@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import _gauss_legendre
-from .flow import (CONSTANT, HORIZON_CONSTANT, INVERSE_LINEAR, INVERSE_SQRT,
-                   POWER_LAW, Scheduler)
+from .flow import _CONSTANT_KINDS, INVERSE_SQRT, POWER_LAW, Scheduler
 
 
 # default grids of the bound-vs-beta figure: power-law exponents and horizons
@@ -84,41 +83,32 @@ def _log_integral(log_f, s, start=0.0):
 def growth_integrals(sched: Scheduler, s) -> GrowthIntegrals:
     """ln(I1), ln(I2) for the scheduler at time s.
 
-    Constant, horizon-constant, inverse-linear and inverse-sqrt schedules
-    use closed forms for both.  Power-law schedules take I2 = e^{T(s)} - 1
-    and integrate I1 by log-domain quadrature over the window
-    [max(0, s - L/tau_s), s] with L = 40 + ln(1 + s).  As tau is
-    nonincreasing, T(s) - T(x) >= tau_s (s - x), so the mass left of the
-    window is at most s e^{T(s) - L} < e^{T(s) - 40}; as tau <= tau_0 = 1,
-    I1 >= (1 - 1/e) e^{T(s)} once the window starts after 0 (then
+    Every schedule takes I2 = e^{T(s)} - 1.  I1 is I2/tau on constant
+    schedules and a closed form on inverse_sqrt and on power laws with
+    beta = 1; other power laws integrate it by log-domain quadrature over
+    the window [max(0, s - L/tau_s), s] with L = 40 + ln(1 + s).  As tau
+    is nonincreasing, T(s) - T(x) >= tau_s (s - x), so the mass left of
+    the window is at most s e^{T(s) - L} < e^{T(s) - 40}; as tau <= tau_0
+    = 1, I1 >= (1 - 1/e) e^{T(s)} once the window starts after 0 (then
     s > 40).  The share of I1 dropped is therefore below
     e^{-40}/(1 - 1/e) < 7e-18.
     """
     s = float(s)
     if s <= 0.0:
         raise ValueError("s must be positive")
-    if sched.kind in (CONSTANT, HORIZON_CONSTANT):
-        tau = float(sched.value(0.0))
-        log_I1 = tau * s + math.log(-math.expm1(-tau * s)) - math.log(tau)
-        return GrowthIntegrals(s=s, log_I1=log_I1,
-                               log_I2=log_I1 + math.log(tau))
-    if sched.kind == INVERSE_LINEAR:
-        # I1 = s^2/2 + s, I2 = s
-        return GrowthIntegrals(s=s, log_I1=math.log(0.5 * s * s + s),
-                               log_I2=math.log(s))
-    if sched.kind == INVERSE_SQRT:
-        # I1 = (e^y (1 + y) - 1)/2 = e^y (y - expm1(-y))/2 and
-        # I2 = e^y - 1 with y = 2 sqrt(1+s) - 2, formed without the
-        # cancellation of 2 sqrt(1+s) - 2 at small s
-        y = 2.0 * s / (1.0 + math.sqrt(1.0 + s))
-        log_I1 = -math.log(2.0) + y + math.log(y - math.expm1(-y))
-        log_I2 = y + math.log(-math.expm1(-y))
-        return GrowthIntegrals(s=s, log_I1=log_I1, log_I2=log_I2)
-    # power law, tau_0 = 1
     t = sched.integral(s)
-    start = max(0.0, s - (40.0 + math.log1p(s)) / sched.value(s))
-    return GrowthIntegrals(s=s, log_I1=_log_integral(sched.integral, s, start),
-                           log_I2=t + math.log(-math.expm1(-t)))
+    log_I2 = t + math.log(-math.expm1(-t))
+    if sched.kind in _CONSTANT_KINDS:
+        log_I1 = log_I2 - math.log(sched.tau)
+    elif sched.kind == INVERSE_SQRT:
+        # I1 = (e^t (1 + t) - 1)/2 = e^t (t - expm1(-t))/2
+        log_I1 = -math.log(2.0) + t + math.log(t - math.expm1(-t))
+    elif sched.beta == 1.0:
+        log_I1 = math.log(0.5 * s * s + s)
+    else:
+        start = max(0.0, s - (40.0 + math.log1p(s)) / sched.value(s))
+        log_I1 = _log_integral(sched.integral, s, start)
+    return GrowthIntegrals(s=s, log_I1=log_I1, log_I2=log_I2)
 
 
 def growth_integrals_quadrature(sched: Scheduler, s) -> GrowthIntegrals:
@@ -133,22 +123,20 @@ def growth_integrals_quadrature(sched: Scheduler, s) -> GrowthIntegrals:
     return GrowthIntegrals(s=s, log_I1=log_I1, log_I2=log_I2)
 
 
-def optimization_bound(sched: Scheduler, s, tau_ref, C=1.0, discrete=False):
+def optimization_bound(sched: Scheduler, s, C=1.0, discrete=False):
     """Scheduler-explicit bound on the optimization error at time s.
 
-    Continuous action spaces: (C/tau)((1+tau)/I1 + (I2/I1 - tau));
-    finite action spaces drop the 1/tau prefactor and the (1+tau) factor.
-    ``tau_ref`` is the comparison weight, normally the scheduler's current
-    value tau_s.
+    Continuous action spaces: (C/tau_s)((1+tau_s)/I1 + (I2/I1 - tau_s));
+    finite action spaces drop the 1/tau_s prefactor and the (1+tau_s)
+    factor.
     """
-    if tau_ref <= 0.0:
-        raise ValueError("tau_ref must be positive")
+    tau = float(sched.value(s))
     gi = growth_integrals(sched, s)
     inv_I1 = math.exp(-gi.log_I1)
-    ratio = math.exp(gi.log_I2 - gi.log_I1) - tau_ref
+    ratio = math.exp(gi.log_I2 - gi.log_I1) - tau
     if discrete:
         return C * (inv_I1 + ratio)
-    return (C / tau_ref) * ((1.0 + tau_ref) * inv_I1 + ratio)
+    return (C / tau) * ((1.0 + tau) * inv_I1 + ratio)
 
 
 def total_bound(sched: Scheduler, S, C=1.0, alpha=1.0):
@@ -156,9 +144,8 @@ def total_bound(sched: Scheduler, S, C=1.0, alpha=1.0):
     if S <= 1.0:
         raise ValueError("S must exceed 1")
     tau_S = float(sched.value(S))
-    opt = optimization_bound(sched, S, tau_S, C=C, discrete=False)
     bias = C * tau_S * math.log(1.0 / tau_S) ** alpha
-    return opt + bias
+    return optimization_bound(sched, S, C=C) + bias
 
 
 def reproduce_figure(beta_grid=BETA_GRID, s_grid=S_GRID, C=1.0, alpha=1.0):

@@ -98,8 +98,9 @@ def lq_coefficients(t, a):
 class ControlProblem:
     """Coefficients of an exit-time control problem on a 1D grid.
 
-    The callables are kept for off-grid evaluation (Hamiltonian probes,
-    Monte Carlo boundary data); ``coef_tab`` stacks b, c and f on interior
+    The callables b, c and f are kept for off-grid evaluation (Hamiltonian
+    probes); sigma is kept as its nodal values and the exit cost g as its
+    values at the two ends.  ``coef_tab`` stacks b, c and f on interior
     nodes x action nodes, shape (3, n_interior, n_actions), and is what the
     PDE solvers consume; ``b_tab``, ``c_tab`` and ``f_tab`` are views of it.
     On LQ problems ``lq_tab`` holds the seven LQ maps on interior nodes,
@@ -110,8 +111,6 @@ class ControlProblem:
     b: Callable[[float, float], float]
     c: Callable[[float, float], float]
     f: Callable[[float, float], float]
-    sigma: Callable[[float], float]
-    g: Callable[[float], float]
     coef_tab: np.ndarray = field(repr=False)
     sigma_interior: np.ndarray = field(repr=False)
     sigma_nodes: np.ndarray = field(repr=False)
@@ -257,8 +256,7 @@ def make_problem(grid, actions, b, c, f, sigma, g, lq=None):
     if not (math.isfinite(g_left) and math.isfinite(g_right)):
         raise ValueError("exit cost g non-finite at the boundary")
     return ControlProblem(grid=grid, actions=actions, b=b, c=c, f=f,
-                          sigma=sigma, g=g, coef_tab=coef_tab,
-                          sigma_interior=sig_all[1:-1],
+                          coef_tab=coef_tab, sigma_interior=sig_all[1:-1],
                           sigma_nodes=sig_all, g_left=g_left,
                           g_right=g_right, lq=lq, lq_tab=lq_tab)
 

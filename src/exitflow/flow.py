@@ -26,6 +26,7 @@ POWER_LAW = "power_law"
 
 SCHEDULER_KINDS = (CONSTANT, HORIZON_CONSTANT, INVERSE_LINEAR, INVERSE_SQRT,
                    POWER_LAW)
+_CONSTANT_KINDS = (CONSTANT, HORIZON_CONSTANT)
 
 
 class UnstableFlowError(RuntimeError):
@@ -38,7 +39,9 @@ class Scheduler:
 
     constant: tau; horizon_constant: ln(S+1)/S for a fixed horizon S;
     inverse_linear: 1/(1+s); inverse_sqrt: 1/sqrt(1+s);
-    power_law: 1/(1+s)^beta.
+    power_law: 1/(1+s)^beta.  Construction stores horizon_constant's tau
+    and inverse_linear's beta = 1, so tau_s follows one of three laws:
+    a constant tau, 1/sqrt(1+s) or a power law.
     """
     kind: str
     tau: float = math.nan
@@ -48,24 +51,24 @@ class Scheduler:
     def __post_init__(self):
         if self.kind not in SCHEDULER_KINDS:
             raise ValueError(f"unknown scheduler kind {self.kind!r}")
-        if self.kind == CONSTANT and not self.tau > 0.0:
-            raise ValueError("constant scheduler needs tau > 0")
-        if self.kind == HORIZON_CONSTANT and not self.horizon > 0.0:
-            raise ValueError("horizon_constant scheduler needs S > 0")
-        if self.kind == POWER_LAW and not 0.0 < self.beta:
-            raise ValueError("power_law scheduler needs beta > 0")
+        if self.kind == HORIZON_CONSTANT:
+            if not 0.0 < self.horizon < math.inf:
+                raise ValueError("horizon_constant scheduler needs "
+                                 "finite S > 0")
+            object.__setattr__(self, "tau", math.log(self.horizon + 1.0)
+                               / self.horizon)
+        elif self.kind == INVERSE_LINEAR:
+            object.__setattr__(self, "beta", 1.0)
+        if self.kind in _CONSTANT_KINDS and not 0.0 < self.tau < math.inf:
+            raise ValueError(f"{self.kind} scheduler needs finite tau > 0")
+        if self.kind == POWER_LAW and not 0.0 < self.beta < math.inf:
+            raise ValueError("power_law scheduler needs finite beta > 0")
 
     def value(self, s):
         """tau_s; accepts scalars or arrays."""
-        s = np.asarray(s, dtype=np.float64)
-        if np.any(s < 0.0):
-            raise ValueError("s must be nonnegative")
-        if self.kind == CONSTANT:
+        s = _times(s)
+        if self.kind in _CONSTANT_KINDS:
             out = np.full_like(s, self.tau)
-        elif self.kind == HORIZON_CONSTANT:
-            out = np.full_like(s, math.log(self.horizon + 1.0) / self.horizon)
-        elif self.kind == INVERSE_LINEAR:
-            out = 1.0 / (1.0 + s)
         elif self.kind == INVERSE_SQRT:
             out = 1.0 / np.sqrt(1.0 + s)
         else:
@@ -73,16 +76,13 @@ class Scheduler:
         return out if out.ndim else float(out)
 
     def integral(self, s):
-        """int_0^s tau_r dr in closed form."""
-        s = np.asarray(s, dtype=np.float64)
-        if self.kind == CONSTANT:
+        """T(s) = int_0^s tau_r dr in closed form."""
+        s = _times(s)
+        if self.kind in _CONSTANT_KINDS:
             out = self.tau * s
-        elif self.kind == HORIZON_CONSTANT:
-            out = (math.log(self.horizon + 1.0) / self.horizon) * s
-        elif self.kind == INVERSE_LINEAR:
-            out = np.log1p(s)
         elif self.kind == INVERSE_SQRT:
-            out = 2.0 * (np.sqrt(1.0 + s) - 1.0)
+            # 2 (sqrt(1+s) - 1), without its cancellation at small s
+            out = 2.0 * s / (1.0 + np.sqrt(1.0 + s))
         elif self.beta == 1.0:
             out = np.log1p(s)
         else:
@@ -90,6 +90,13 @@ class Scheduler:
             # ((1+s)^(1-beta) - 1)/(1-beta) cancels
             out = np.expm1((1.0 - self.beta) * np.log1p(s)) / (1.0 - self.beta)
         return out if out.ndim else float(out)
+
+
+def _times(s):
+    s = np.asarray(s, dtype=np.float64)
+    if np.any(s < 0.0):
+        raise ValueError("s must be nonnegative")
+    return s
 
 
 @dataclass

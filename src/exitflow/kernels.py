@@ -57,19 +57,21 @@ def tridiag_apply(lower, diag, upper, x):
 # ---------------------------------------------------------------------------
 # Euler-Maruyama exit-time simulation.
 #
-# The chunk kernel advances the live paths of a batch (`done` false) through
-# `n_steps` increments drawn outside the kernel, one row per live path in
-# ascending path order.  Per path and step:
+# The chunk kernel advances the live paths of a batch, those strictly
+# inside (left, right), through `n_steps` increments drawn outside the
+# kernel, one row per live path in ascending path order.  Per path and
+# step:
 #   cost  += gamma * fkl(x) * dt
 #   gamma *= exp(-c(x) * dt)
 #   x     += b(x) * dt + sigma(x) * sqrt(dt) * xi
 # and on leaving (left, right) the discounted exit payoff is added and the
-# path retires: its state is written back and it leaves the live set, so no
-# later step pays for it.  Coefficients come from nodal tables via linear
-# interpolation (clamped at the right end; a live path has x > left).
-# `done` and `exit_steps` (equal to `steps` once a path exits) stay in the
-# signature because perfbench's tracer reads `steps` and `normals` at
-# positions 3 and 6.
+# path retires: its state is written back, so its position stays outside
+# the interval and its `steps` is its exit step, and no later step or
+# chunk pays for it.  The kernel returns the number of paths still live,
+# which sizes the next chunk's normals.  Coefficients come from nodal
+# tables via linear interpolation (clamped at the right end; a live path
+# has x > left).  Everything after `cost` is keyword-only, so a wrapper
+# such as perfbench's tracer finds `steps` and `normals` by name.
 #
 # Two walks give the same bits.  A chunk that starts with more than
 # SCALAR_PATHS live paths runs one numpy step for all of them at a time.
@@ -104,20 +106,19 @@ def _nodes(xa, left, spacing, top):
     return idx, pos - idx
 
 
-def simulate_chunk(x, gamma, cost, steps, done, exit_steps, normals,
-                   left, right, spacing, b_tab, c_tab, fkl_tab, s_tab,
-                   dt, g_left, g_right):
-    """Advance the batch's live paths, in place, through one chunk."""
+def simulate_chunk(x, gamma, cost, *, steps, normals, left, right, spacing,
+                   b_tab, c_tab, fkl_tab, s_tab, dt, g_left, g_right):
+    """Advance the batch's live paths, in place, through one chunk; return
+    how many are still live."""
     sqrt_dt = np.sqrt(dt)
     top = b_tab.size - 2
     tabs = [(t, np.diff(t)) for t in (b_tab, c_tab, fkl_tab, s_tab)]
     n_steps = normals.shape[1]
-    live = np.flatnonzero(~done)
+    live = np.flatnonzero((x > left) & (x < right))
     if live.size <= SCALAR_PATHS:
-        _walk_paths(x, gamma, cost, steps, done, exit_steps, normals, live,
-                    float(left), float(right), float(spacing), tabs,
-                    float(dt), float(sqrt_dt), top, g_left, g_right)
-        return
+        return _walk_paths(x, gamma, cost, steps, normals, live, float(left),
+                           float(right), float(spacing), tabs, float(dt),
+                           float(sqrt_dt), top, g_left, g_right)
     rows = np.arange(live.size)
     xa, ga, ca = x[live], gamma[live], cost[live]
     for j in range(n_steps):
@@ -137,8 +138,6 @@ def simulate_chunk(x, gamma, cost, steps, done, exit_steps, normals,
             gamma[gone] = g_out
             cost[gone] = ca[out] + g_out * payoff
             steps[gone] += j + 1
-            exit_steps[gone] = steps[gone]
-            done[gone] = True
             keep = ~out
             live, rows = live[keep], rows[keep]
             xa, ga, ca = xa[keep], ga[keep], ca[keep]
@@ -146,14 +145,15 @@ def simulate_chunk(x, gamma, cost, steps, done, exit_steps, normals,
     gamma[live] = ga
     cost[live] = ca
     steps[live] += n_steps
+    return live.size
 
 
-def _walk_paths(x, gamma, cost, steps, done, exit_steps, normals, live,
-                left, right, spacing, tabs, dt, sqrt_dt, top, g_left,
-                g_right):
+def _walk_paths(x, gamma, cost, steps, normals, live, left, right, spacing,
+                tabs, dt, sqrt_dt, top, g_left, g_right):
     """simulate_chunk's scalar walk, one live path after another."""
     (b_tab, b_diff), (c_tab, c_diff), (f_tab, f_diff), (s_tab, s_diff) = tabs
     bt, bd, st, sd = (a.tolist() for a in (b_tab, b_diff, s_tab, s_diff))
+    n_live = 0
     for row, p in enumerate(live.tolist()):
         xj = float(x[p])
         starts = []
@@ -183,7 +183,7 @@ def _walk_paths(x, gamma, cost, steps, done, exit_steps, normals, live,
         steps[p] += k
         if xj <= left or xj >= right:
             cost[p] = total + ga[-1] * (g_left if xj <= left else g_right)
-            exit_steps[p] = steps[p]
-            done[p] = True
         else:
             cost[p] = total
+            n_live += 1
+    return n_live

@@ -9,8 +9,11 @@ Paths are simulated in batches with independently spawned substreams, and
 batch results are reduced in a fixed order, so a seed pins the estimate
 bit for bit.  Each chunk draws one row of normals per live path, in
 ascending path order, and `kernels.simulate_chunk` advances, retires and
-writes back the paths itself; this module only loops until a batch is
-done and checks the step cap.
+writes back the paths itself: a path is live while it lies inside the
+interval, an exited path keeps its exit position, and its step count is
+its exit step.  This module only draws normals for the live count that
+the kernel returns, until none is left, checks the step cap and reads
+the exit times from the step counts.
 """
 
 from dataclasses import dataclass
@@ -75,22 +78,21 @@ def simulate_exit_value(problem, p: Policy, x0, tau, n_paths, dt_sim,
         gamma = np.ones(m)
         cost = np.zeros(m)
         steps = np.zeros(m, dtype=np.int64)
-        done = np.zeros(m, dtype=bool)
-        exit_steps = np.zeros(m, dtype=np.int64)
-        while not done.all():
+        live = m
+        while live:
             # one row per live path, in ascending path order
-            normals = rng.standard_normal(
-                (m - np.count_nonzero(done), CHUNK_STEPS))
-            simulate_chunk(x, gamma, cost, steps, done, exit_steps, normals,
-                           grid.left, grid.right, grid.spacing,
-                           b_tab, c_tab, fkl_tab, s_tab, dt_sim,
-                           problem.g_left, problem.g_right)
+            normals = rng.standard_normal((live, CHUNK_STEPS))
+            live = simulate_chunk(
+                x, gamma, cost, steps=steps, normals=normals,
+                left=grid.left, right=grid.right, spacing=grid.spacing,
+                b_tab=b_tab, c_tab=c_tab, fkl_tab=fkl_tab, s_tab=s_tab,
+                dt=dt_sim, g_left=problem.g_left, g_right=problem.g_right)
             if steps.max() > STEP_CAP:
                 raise PathCapError(
                     f"path exceeded {STEP_CAP} steps without exiting "
                     f"(batch {batch}); check the diffusion coefficient")
         totals[start:start + m] = cost
-        exit_times[start:start + m] = exit_steps * dt_sim
+        exit_times[start:start + m] = steps * dt_sim
         start += m
     mean = float(np.mean(totals))
     if n_paths > 1:

@@ -191,8 +191,7 @@ def test_c07_growth_integral_closed_forms():
             ok = False
             details.append(f"inverse_sqrt quadrature s={s}")
     for s in (2.0, 7.0):
-        tau_s = 1.0 / (1.0 + s)
-        got = xf.optimization_bound(inv_lin, s, tau_s, C=1.0, discrete=True)
+        got = xf.optimization_bound(inv_lin, s, C=1.0, discrete=True)
         expect = 1.0 / (0.5 * s * s + s) + s / ((s + 1.0) * (s + 2.0))
         if abs(got - expect) > 1e-12:
             ok = False

@@ -148,10 +148,10 @@ def test_log_domain_no_overflow():
 
 
 def test_optimization_bound_constant_scheduler():
-    # with tau_ref equal to the constant value the mismatch term vanishes
-    # and the leading term is tau/(e^{tau s} - 1)
+    # at a constant tau the mismatch term vanishes and the leading term
+    # is tau/(e^{tau s} - 1)
     sched = Scheduler(kind="constant", tau=1.0)
-    val = optimization_bound(sched, math.log(2.0), 1.0, C=1.0, discrete=True)
+    val = optimization_bound(sched, math.log(2.0), C=1.0, discrete=True)
     assert abs(val - 1.0) <= 1e-12
 
 
@@ -159,11 +159,10 @@ def test_optimization_bound_inverse_linear_ratio():
     # ratio term equals s/((s+1)(s+2)) exactly
     sched = Scheduler(kind="inverse_linear")
     for s in (2.0, 7.0, 40.0):
-        tau_s = 1.0 / (1.0 + s)
-        got = optimization_bound(sched, s, tau_s, C=1.0, discrete=True)
+        got = optimization_bound(sched, s, C=1.0, discrete=True)
         expect = 1.0 / (0.5 * s * s + s) + s / ((s + 1.0) * (s + 2.0))
         assert abs(got - expect) <= 1e-12
-    got = optimization_bound(sched, 2.0, 1.0 / 3.0, C=1.0, discrete=True)
+    got = optimization_bound(sched, 2.0, C=1.0, discrete=True)
     assert abs((got - 0.25) - 1.0 / 6.0) <= 1e-12
 
 
@@ -241,7 +240,7 @@ def test_flow_error_below_fitted_bound():
     sol = solve_regularized_hjb(lq, tau)
     err = traj.values_at_probe[:, 0] - sol.v_star.v[15]
     fit_idx = int(np.argmin(np.abs(traj.times - 2.0)))
-    bound_unit = np.array([optimization_bound(sched, s, tau)
+    bound_unit = np.array([optimization_bound(sched, s)
                            for s in traj.times[1:]])
     C = err[fit_idx] / bound_unit[fit_idx - 1]
     assert np.all(err[fit_idx:] <= C * bound_unit[fit_idx - 1:] + 1e-12)

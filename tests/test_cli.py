@@ -58,7 +58,8 @@ def test_polynomial_coefficients():
     cfg = _base_config()
     cfg["sigma"] = [1.0, 0.5]  # 1 + x/2
     prob = build_problem(resolve_config(cfg))
-    assert abs(prob.sigma(0.4) - 1.2) <= 1e-15
+    np.testing.assert_allclose(prob.sigma_nodes, 1.0 + 0.5 * prob.grid.nodes,
+                               rtol=0.0, atol=1e-15)
 
 
 def test_probe_snapping():

@@ -70,6 +70,51 @@ def test_scheduler_validation():
         Scheduler(kind="power_law", beta=0.0)
 
 
+def test_scheduler_integral_rejects_negative_time():
+    sched = Scheduler(kind="constant", tau=0.5)
+    for s in (-0.5, np.array([0.0, 1.0, -1e-300])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sched.integral(s)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("constant", {"tau": math.inf}), ("constant", {"tau": math.nan}),
+    ("horizon_constant", {"horizon": math.inf}),
+    ("horizon_constant", {"horizon": math.nan}),
+    ("power_law", {"beta": math.inf}), ("power_law", {"beta": math.nan})])
+def test_scheduler_rejects_non_finite_parameters(kind, params):
+    with pytest.raises(ValueError, match="finite"):
+        Scheduler(kind=kind, **params)
+
+
+# scalars, a 0-d array, and arrays spanning tiny to huge times
+_TIMES = [0.0, 1e-300, 0.37, 5.0, 1e6, np.array(2.5),
+          np.logspace(-12, 12, 97), np.linspace(0.0, 50.0, 101)]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("S", [0.5, math.e - 1.0, 50.0, 1e4])
+def test_horizon_constant_is_constant_law(S):
+    hc = Scheduler(kind="horizon_constant", horizon=S)
+    const = Scheduler(kind="constant", tau=math.log(S + 1.0) / S)
+    for s in _TIMES:
+        assert _same_bits(hc.value(s), const.value(s))
+        assert _same_bits(hc.integral(s), const.integral(s))
+
+
+def test_inverse_linear_is_power_law_one():
+    il = Scheduler(kind="inverse_linear")
+    pl = Scheduler(kind="power_law", beta=1.0)
+    for s in _TIMES:
+        assert _same_bits(il.value(s), pl.value(s))
+        assert _same_bits(il.value(s), 1.0 / (1.0 + np.asarray(s)))
+        assert _same_bits(il.integral(s), pl.integral(s))
+
+
 def test_mirror_rhs_zero_data_is_linear_decay():
     prob = _zero_data_problem()
     z = np.ones((7, 2))

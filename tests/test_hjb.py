@@ -284,7 +284,8 @@ def test_regularization_bias_discrete_bound(lq):
     grid = lq.grid
     acts = lq.actions
     ones = make_problem(grid, acts, b=lq.b, c=lq.c,
-                        f=lambda x, a: 1.0, sigma=lq.sigma, g=lambda x: 0.0)
+                        f=lambda x, a: 1.0, sigma=lambda x: math.sqrt(2.0),
+                        g=lambda x: 0.0)
     occ = solve_on_policy_bellman(ones, uniform_policy(29, acts), 0.0)
     k_occ = float(np.max(occ.v))
     for tau, bias in regularization_bias(lq, [0.5, 0.1]):

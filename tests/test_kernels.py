@@ -71,8 +71,18 @@ def test_tridiag_apply_roundtrip():
 
 def _chunk_state(n):
     return (np.full(n, 0.5), np.ones(n), np.zeros(n),
-            np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool),
             np.zeros(n, dtype=np.int64))
+
+
+CHUNK_KEYS = ("left", "right", "spacing", "b_tab", "c_tab", "fkl_tab",
+              "s_tab", "dt", "g_left", "g_right")
+
+
+def _chunk(x, gamma, cost, steps, normals, *args):
+    """simulate_chunk with its keyword-only arguments in signature order."""
+    return kernels.simulate_chunk(x, gamma, cost, steps=steps,
+                                  normals=normals,
+                                  **dict(zip(CHUNK_KEYS, args, strict=True)))
 
 
 def test_simulation_chunk_golden_values(chunk_walk):
@@ -84,12 +94,12 @@ def test_simulation_chunk_golden_values(chunk_walk):
     nodes = 7
     state = _chunk_state(n)
     state[0][:] = np.linspace(0.1, 0.9, n)
-    kernels.simulate_chunk(*state, normals, 0.0, 1.0, 1.0 / (nodes - 1),
-                           np.linspace(-0.5, 0.5, nodes),
-                           np.linspace(0.0, 0.3, nodes),
-                           np.linspace(1.0, 2.0, nodes),
-                           np.full(nodes, 1.2), 1e-3, 0.25, 0.75)
-    x, gamma, cost, steps_taken, done, exit_steps = state
+    n_live = _chunk(*state, normals, 0.0, 1.0, 1.0 / (nodes - 1),
+                    np.linspace(-0.5, 0.5, nodes),
+                    np.linspace(0.0, 0.3, nodes),
+                    np.linspace(1.0, 2.0, nodes),
+                    np.full(nodes, 1.2), 1e-3, 0.25, 0.75)
+    x, gamma, cost, steps_taken = state
     np.testing.assert_allclose(
         x, [-0.006129938124812939, 0.15110085633489231, 0.36851865238320036,
             0.6083101212495263, 0.8312495350192869, 1.005393781439769],
@@ -103,50 +113,48 @@ def test_simulation_chunk_golden_values(chunk_walk):
                0.46584291848649817, 0.5153749553070237, 1.1551593809604999],
         rtol=1e-12)
     assert steps_taken.tolist() == [14, 300, 300, 300, 300, 245]
-    assert done.tolist() == [True, False, False, False, False, True]
-    assert exit_steps.tolist() == [14, 0, 0, 0, 0, 245]
+    assert n_live == 4
 
 
 def test_simulation_chunk_exits_and_pays():
     # strong positive drift, tiny noise: every path exits right quickly
     n = 8
     state = _chunk_state(n)
-    x, gamma, cost, steps, done, exit_steps = state
+    x, gamma, cost, steps = state
     normals = np.zeros((n, 400))
     nodes = 5
-    kernels.simulate_chunk(x, gamma, cost, steps, done, exit_steps, normals,
-                           0.0, 1.0, 0.25, np.full(nodes, 5.0),
-                           np.zeros(nodes), np.zeros(nodes),
-                           np.full(nodes, 1e-8), 0.01, 3.0, 7.0)
-    assert done.all()
+    n_live = _chunk(x, gamma, cost, steps, normals, 0.0, 1.0, 0.25,
+                    np.full(nodes, 5.0), np.zeros(nodes), np.zeros(nodes),
+                    np.full(nodes, 1e-8), 0.01, 3.0, 7.0)
+    assert n_live == 0
     assert np.all(x >= 1.0)
     assert np.allclose(cost, 7.0)  # g_right, undiscounted
-    assert np.all(exit_steps == exit_steps[0])
+    assert np.all(steps == steps[0])
 
 
 def test_simulation_chunk_skips_retired_paths(chunk_walk):
-    # paths 1, 4 and 6 are already done; normals hold one row per live path
-    # in ascending order.  Live paths must end bit for bit where compacting
-    # them, calling the kernel on the compact batch and scattering back put
-    # them; two of them exit (after 3 and 48 steps)
+    # paths 1, 4 and 6 have already exited and sit where they left (0, 1);
+    # normals hold one row per live path in ascending order.  Live paths
+    # must end bit for bit where compacting them, calling the kernel on
+    # the compact batch and scattering back put them; two of them exit
+    # (after 3 and 48 steps)
     n, n_steps, nodes = 8, 300, 7
     retired = [1, 4, 6]
     live = [0, 2, 3, 5, 7]
     x = np.linspace(0.05, 0.95, n)
+    x[retired] = [-0.003, 1.0, 1.02]
     gamma = np.linspace(1.0, 0.65, n)
     cost = np.linspace(0.0, 0.7, n)
     steps = np.arange(n, dtype=np.int64) * 10 + 40
-    done = np.isin(np.arange(n), retired)
-    exit_steps = np.where(done, steps, 0)
-    state = [x, gamma, cost, steps, done, exit_steps]
+    state = [x, gamma, cost, steps]
     before = [a[retired].copy() for a in state]
     u = (np.arange(len(live) * n_steps) * 0.6180339887498949) % 1.0
     normals = ((u - 0.5) * np.sqrt(12.0)).reshape(len(live), n_steps)
-    kernels.simulate_chunk(*state, normals, 0.0, 1.0, 1.0 / (nodes - 1),
-                           np.linspace(-0.5, 0.5, nodes),
-                           np.linspace(0.0, 0.3, nodes),
-                           np.linspace(1.0, 2.0, nodes),
-                           np.linspace(0.8, 1.4, nodes), 1e-3, 0.25, 0.75)
+    n_live = _chunk(*state, normals, 0.0, 1.0, 1.0 / (nodes - 1),
+                    np.linspace(-0.5, 0.5, nodes),
+                    np.linspace(0.0, 0.3, nodes),
+                    np.linspace(1.0, 2.0, nodes),
+                    np.linspace(0.8, 1.4, nodes), 1e-3, 0.25, 0.75)
     for a, b in zip(state, before):
         assert np.array_equal(a[retired], b)
     assert x[live].tolist() == [
@@ -159,5 +167,4 @@ def test_simulation_chunk_skips_retired_paths(chunk_walk):
         0.2530629220466819, 0.5213953118966009, 0.633595857033966,
         0.863893792803303, 1.1965638281074926]
     assert steps[live].tolist() == [43, 360, 370, 390, 118]
-    assert done[live].tolist() == [True, False, False, False, True]
-    assert exit_steps[live].tolist() == [43, 0, 0, 0, 118]
+    assert n_live == 3

@@ -108,6 +108,42 @@ def test_estimate_golden_values(monkeypatch, chunk_walk):
     assert est.mean_exit_time == 0.09875
 
 
+def test_chunk_calls_expose_steps_and_normals(monkeypatch):
+    # a wrapper of the chunk kernel finds `steps` at argument 3 or by name
+    # and `normals` at argument 6 or by name; the step counts it sees
+    # advance by the estimate's path-steps in total, and each chunk draws
+    # one row of normals per path still inside the interval
+    import exitflow.montecarlo as mc
+    monkeypatch.setattr(mc, "BATCH_PATHS", 16)
+    kernel = mc.simulate_chunk
+    calls = []
+
+    def arg(args, kwargs, pos, name):
+        return args[pos] if len(args) > pos else kwargs[name]
+
+    def wrapped(*args, **kwargs):
+        steps = arg(args, kwargs, 3, "steps")
+        normals = arg(args, kwargs, 6, "normals")
+        x = args[0]
+        inside = np.count_nonzero((x > 0.0) & (x < 1.0))
+        before = int(np.sum(steps))
+        out = kernel(*args, **kwargs)
+        calls.append((inside, normals.shape, int(np.sum(steps)) - before))
+        return out
+
+    monkeypatch.setattr(mc, "simulate_chunk", wrapped)
+    lq = lq_benchmark("discrete", n_interior=9)
+    z = np.outer(np.sin(np.pi * lq.grid.interior), lq.actions.actions)
+    pol = gibbs_policy(z, lq.actions)
+    est = simulate_exit_value(lq, pol, 0.5, 0.3, 40, 1e-3, seed=7)
+    assert est.mean == 0.15643664245100597
+    assert len(calls) >= 3
+    for inside, shape, _ in calls:
+        assert shape == (inside, mc.CHUNK_STEPS)
+    path_steps = sum(delta for _, _, delta in calls)
+    assert path_steps == round(est.mean_exit_time * est.n_paths / est.dt_sim)
+
+
 def test_path_cap_near_zero_noise(monkeypatch):
     import exitflow.montecarlo as mc
     monkeypatch.setattr(mc, "STEP_CAP", 10_000)

@@ -385,38 +385,47 @@ def chunk_cases(draw):
     n_retired = draw(st.integers(0, 4))
     n = len(starts) + n_retired
     order = draw(st.permutations(range(n)))
-    done = np.array([order[k] >= len(starts) for k in range(n)])
+    retired = np.array([order[k] >= len(starts) for k in range(n)])
     x = np.array([starts[i] if i < len(starts) else right for i in order])
     gamma = draw(hnp.arrays(np.float64, n, elements=st.floats(0.1, 1.0)))
     cost = draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
     steps = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1000)))
-    exit_steps = np.where(done, steps, 0)
     normals = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))) \
         .standard_normal((len(starts), n_steps))
     late = order.index(3)  # batch index of the middle start
-    row = int(np.count_nonzero(~done[:late]))
+    row = int(np.count_nonzero(~retired[:late]))
     normals[row] = 0.0
     normals[row, -1] = draw(st.sampled_from([-1e6, 1e6]))
-    state = [x, gamma, cost, steps, done, exit_steps]
-    args = (left, right, width / (nodes - 1), *tables, dt,
-            draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
-    return state, normals, args, late
+    state = [x, gamma, cost, steps]
+    kwargs = dict(left=left, right=right, spacing=width / (nodes - 1),
+                  b_tab=tables[0], c_tab=tables[1], fkl_tab=tables[2],
+                  s_tab=tables[3], dt=dt, g_left=draw(st.floats(-1.0, 1.0)),
+                  g_right=draw(st.floats(-1.0, 1.0)))
+    return state, normals, kwargs, retired, late
 
 
 @settings(deadline=None)
 @given(chunk_cases())
 def test_chunk_walks_agree_bitwise(case):
     # the per-path walk on Python floats and the numpy step over all live
-    # paths leave every output array with the same bits
-    state, normals, args, late = case
+    # paths leave every output array with the same bits, return the number
+    # of paths left inside (left, right) and leave retired paths untouched
+    state, normals, kwargs, retired, late = case
+    left, right = kwargs["left"], kwargs["right"]
     n_steps = normals.shape[1]
     steps_before = state[3][late]
     outs = []
     for limit in (0, 1_000_000):
         out = [a.copy() for a in state]
         with mock.patch.object(kernels, "SCALAR_PATHS", limit):
-            kernels.simulate_chunk(*out, normals, *args)
+            n_live = kernels.simulate_chunk(*out[:3], steps=out[3],
+                                            normals=normals, **kwargs)
         outs.append(out)
-        assert out[4][late] and out[5][late] == steps_before + n_steps
+        x, steps = out[0], out[3]
+        assert n_live == np.count_nonzero((x > left) & (x < right))
+        assert not left < x[late] < right
+        assert steps[late] == steps_before + n_steps
+        for a, b in zip(out, state):
+            assert a[retired].tobytes() == b[retired].tobytes()
     for a, b in zip(*outs):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
