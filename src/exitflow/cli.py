@@ -197,6 +197,13 @@ def cmd_sweep_bounds(resolved, out_dir):
     return outputs, 0
 
 
+def _z_score(diff, stderr):
+    """diff/stderr; with no spread, 0 or an infinity of the sign of diff."""
+    if stderr > 0:
+        return diff / stderr
+    return math.copysign(math.inf, diff) if diff else 0.0
+
+
 def cmd_mc_check(resolved, out_dir, seed):
     if "mc" not in resolved:
         raise ConfigError("config key 'mc' is required for mc-check")
@@ -218,8 +225,8 @@ def cmd_mc_check(resolved, out_dir, seed):
         est = simulate_exit_value(problem, pol, x0, mc["tau"], mc["n_paths"],
                                   mc["dt_sim"], seed + k)
         pde = float(np.interp(x0, problem.grid.nodes, vf.v))
-        z = (est.mean - pde) / est.stderr if est.stderr > 0 else math.inf
-        rows.append((x0, pde, est.mean, est.stderr, z))
+        rows.append((x0, pde, est.mean, est.stderr,
+                     _z_score(est.mean - pde, est.stderr)))
         est_rows.append((x0, mc["tau"], est.mean, est.stderr, est.n_paths,
                          est.mean_exit_time, est.seed))
         if abs(est.mean - pde) > 3.0 * est.stderr + mc["bias_allowance"]:

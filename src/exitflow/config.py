@@ -17,8 +17,8 @@ import math
 import numpy as np
 
 from .bounds import BETA_GRID, S_GRID
-from .domain import (DISCRETE, INTERVAL, LQCoefficients, build_grid,
-                     make_action_space, make_lq_problem)
+from .domain import (DISCRETE, INTERVAL, LQ_FIELDS, LQCoefficients,
+                     build_grid, make_action_space, make_lq_problem)
 from .flow import (CONSTANT, HORIZON_CONSTANT, POWER_LAW, SCHEDULER_KINDS,
                    Scheduler)
 from .hjb import MAX_ITER
@@ -61,8 +61,6 @@ _NONEMPTY = (lambda v: len(v) > 0, "nonempty")
 _REQUIRED = object()   # the key must be given
 _ABSENT = object()     # optional, and left out of the resolved config
 
-_LQ_KEYS = ("b_bar", "b_hat", "c_bar", "c_hat", "f_bar", "f_tilde", "f_hat")
-
 # One row per key: (kind, default[, range check]).  The kind of a section
 # is its own spec; a section whose default is {} is always resolved.
 _SPEC = {
@@ -79,7 +77,7 @@ _SPEC = {
         "beta": (_NUMBER, _ABSENT),
         "n_quad": (_INTEGER, _ABSENT, lambda n: n >= 2, ">= 2"),
     }, _ABSENT),
-    "lq": ({k: (_POLY, _REQUIRED) for k in _LQ_KEYS}, _ABSENT),
+    "lq": ({k: (_POLY, _REQUIRED) for k in LQ_FIELDS}, _ABSENT),
     "sigma": (_POLY, _ABSENT),
     "g": (_POLY, _ABSENT),
     "seed": (_INTEGER, 1234, *_NONNEGATIVE),
@@ -258,7 +256,7 @@ def build_problem(resolved):
     else:
         actions = make_action_space(alpha=a["alpha"], beta=a["beta"],
                                     n_quad=a["n_quad"])
-    lq = LQCoefficients(**{k: _poly(resolved["lq"][k]) for k in _LQ_KEYS})
+    lq = LQCoefficients(**{k: _poly(resolved["lq"][k]) for k in LQ_FIELDS})
     sigma = _poly(resolved["sigma"])
     g_fn = _poly(resolved["g"])
     try:

@@ -8,8 +8,10 @@ f quadratic) is first-class because it admits closed-form action minima.
 Its seven maps of x are evaluated once per interior node, and the b, c, f
 table is formed from those values by broadcasting over the action nodes,
 so building an LQ problem calls each map O(n) times whatever the number
-of actions.  ``coefficients_at`` builds the same tables at one point, on
-or off the grid, for the pointwise Hamiltonians.
+of actions.  Rows of the seven map values are read only here, by
+``lq_coefficients`` and ``lq_feature``.  ``coefficients_at`` builds the
+same tables at one point, on or off the grid, for the pointwise
+Hamiltonians.
 """
 
 import functools
@@ -70,28 +72,24 @@ class LQCoefficients:
 
     def at(self, x):
         """The seven map values at x, in field order."""
-        return [getattr(self, name)(x) for name in _LQ_FIELDS]
+        return [getattr(self, name)(x) for name in LQ_FIELDS]
 
 
-_LQ_FIELDS = tuple(k.name for k in fields(LQCoefficients))
-
-
-def _lq_affine(bar, hat, a):
-    """b = b_bar + b_hat*a or c = c_bar + c_hat*a; broadcasts."""
-    return bar + hat * a
-
-
-def _lq_quadratic(f_bar, f_tilde, f_hat, a):
-    """f = f_bar + f_tilde*a + f_hat*a*a; broadcasts."""
-    return f_bar + f_tilde * a + f_hat * a * a
+LQ_FIELDS = tuple(k.name for k in fields(LQCoefficients))
 
 
 def lq_coefficients(t, a):
     """(b, c, f) at actions ``a`` from the seven LQ map values ``t`` in
     field order: scalars at one x, or per-node rows that broadcast
     against ``a``."""
-    return (_lq_affine(t[0], t[1], a), _lq_affine(t[2], t[3], a),
-            _lq_quadratic(t[4], t[5], t[6], a))
+    return t[0] + t[1] * a, t[2] + t[3] * a, t[4] + t[5] * a + t[6] * a * a
+
+
+def lq_feature(t, p, u):
+    """(z0, z1, z2) with b*p - c*u + f = z0 + z1*a + z2*a**2, from the
+    seven LQ map values ``t`` and the value u and slope p at the same x:
+    scalars, or per-node rows."""
+    return t[0] * p - t[2] * u + t[4], t[1] * p - t[3] * u + t[5], t[6]
 
 
 @dataclass(frozen=True)
@@ -274,22 +272,18 @@ def _check_lq(tab, xs, actions):
     else:
         ends = (float(np.min(actions.actions)), float(np.max(actions.actions)))
     for a in ends:
-        bad = np.flatnonzero(_lq_affine(tab[2], tab[3], a) < 0.0)
+        bad = np.flatnonzero(lq_coefficients(tab, a)[1] < 0.0)
         if bad.size:
             raise ValueError(f"discount c negative at x={xs[bad[0]]}, a={a}")
 
 
 def make_lq_problem(lq: LQCoefficients, grid, actions, sigma, g):
-    """Assemble a problem with b, c affine and f quadratic in the action."""
-    def b(x, a):
-        return _lq_affine(lq.b_bar(x), lq.b_hat(x), a)
+    """Assemble a problem with b, c affine and f quadratic in the action;
+    its b, c and f closures take ``lq_coefficients`` of the maps at x."""
+    def closure(k):
+        return lambda x, a: lq_coefficients(lq.at(x), a)[k]
 
-    def c(x, a):
-        return _lq_affine(lq.c_bar(x), lq.c_hat(x), a)
-
-    def f(x, a):
-        return _lq_quadratic(lq.f_bar(x), lq.f_tilde(x), lq.f_hat(x), a)
-
+    b, c, f = (closure(k) for k in range(3))
     return make_problem(grid, actions, b, c, f, sigma, g, lq=lq)
 
 

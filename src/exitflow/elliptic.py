@@ -95,8 +95,8 @@ def solve_linear(problem, b_bar, c_bar, forcing) -> ValueField:
 
 def solve_on_policy_bellman(problem, p: Policy, tau) -> ValueField:
     """Value field of policy p with entropy weight tau >= 0."""
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
+    if not 0.0 <= tau < np.inf:
+        raise ValueError(f"tau must be nonnegative and finite, got {tau!r}")
     return solve_linear(problem, *average_coefficients(problem, p, tau))
 
 
@@ -131,8 +131,8 @@ def performance_difference_check(problem, p: Policy, q: Policy, tau) -> float:
     the generator table share one central-difference operator, so this is
     a linear-algebra identity and the result is solver roundoff.
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
     b_p, c_p, forcing_p = average_coefficients(problem, p, tau)
     vp = solve_linear(problem, b_p, c_p, forcing_p)
     vq = solve_on_policy_bellman(problem, q, tau)

@@ -10,6 +10,7 @@ optimum once and the softmin optimum once per distinct recorded tau.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +149,9 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
         raise ValueError("initial feature matrix has non-finite entries")
     if dt <= 0.0 or S < dt:
         raise ValueError("need 0 < dt <= S")
+    if not isinstance(record_every, numbers.Integral) or record_every < 1:
+        raise ValueError(f"record_every must be an integer >= 1, "
+                         f"got {record_every!r}")
     probes = np.asarray(probes, dtype=np.int64)
     if probes.size == 0 or probes.min() < 0 or probes.max() >= problem.n_interior:
         raise ValueError("probes must be interior node indices")

@@ -3,7 +3,8 @@
 The softmin at weight tau is -tau*log of the mu-average of exp(-z/tau)
 with z(a) = b(x,a)*p - c(x,a)*u + f(x,a); it sandwiches the hard minimum
 from above by tau*ln(N) on N-point uniform action sets.  On discrete
-action sets it is the weighted log-sum-exp of the tabulated z.  For
+action sets it is -tau times the log-partition of the Gibbs policy of
+-z/tau, the one log-sum-exp that policy iteration also takes.  For
 quadratic-in-action problems on an interval the softmin reduces, after
 dividing out the curvature, to a scalar profile evaluated in closed form
 via (scaled) error functions at every tau.
@@ -11,7 +12,8 @@ via (scaled) error functions at every tau.
 The hard minimum has one implementation, ``hard_minimum``, which takes
 per-node rows of the coefficient tables: Howard iteration calls it on
 the whole grid and ``hard_hamiltonian`` on the one-point tables of
-``domain.coefficients_at``.
+``domain.coefficients_at``.  LQ rows are read only through
+``domain.lq_feature`` and ``domain.lq_coefficients``.
 """
 
 import math
@@ -19,20 +21,8 @@ import math
 import numpy as np
 
 from .domain import (DISCRETE, _gauss_legendre, coefficients_at,
-                     lq_coefficients)
-
-
-def softmin_table(z, weights, tau):
-    """Row-wise -tau*ln(sum_k w_k exp(-z_k/tau)), stabilized at the row min."""
-    z = np.atleast_2d(z)
-    m = z.min(axis=1)
-    acc = np.exp(-(z - m[:, None]) / tau) @ weights
-    return m - tau * np.log(acc)
-
-
-def _z_at(problem, x, u, p, a):
-    """b(x, a)*p - c(x, a)*u + f(x, a) at one action."""
-    return problem.b(x, a) * p - problem.c(x, a) * u + problem.f(x, a)
+                     lq_coefficients, lq_feature)
+from .policy import gibbs_policy
 
 
 def _feature(coef, u, p):
@@ -48,13 +38,13 @@ def soft_hamiltonian(problem, x, u, p, tau):
     problems need LQ structure (ValueError otherwise) and take the exact
     error-function profile.
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
     actions = problem.actions
     if actions.kind == DISCRETE:
         coef, _ = coefficients_at(problem, x)
         z = _feature(coef, np.array([u]), np.array([p]))
-        return float(softmin_table(z, actions.mu_weights, tau)[0])
+        return float(-tau * gibbs_policy(-z / tau, actions).log_partition[0])
     const, two_fhat, p_t, tau_t = lq_reduction(problem, x, u, p, tau)
     return float(const + two_fhat * interval_quadratic_softmin(
         p_t, tau_t, actions.alpha, actions.beta))
@@ -102,14 +92,10 @@ def interval_argmin(problem, x, u, p, z):
     k = int(np.argmin(z))
     lo = actions.alpha if k == 0 else actions.actions[k - 1]
     hi = actions.beta if k == actions.n_actions - 1 else actions.actions[k + 1]
-    return _golden_section(lambda a: _z_at(problem, x, u, p, a), lo, hi,
-                           tol=1e-10)
 
-
-def _lq_slope(t, p, u):
-    """Linear coefficient b_hat*p - c_hat*u + f_tilde of b*p - c*u + f in
-    the action, from the seven LQ map values ``t``."""
-    return t[1] * p - t[3] * u + t[5]
+    def z_at(a):
+        return problem.b(x, a) * p - problem.c(x, a) * u + problem.f(x, a)
+    return _golden_section(z_at, lo, hi, tol=1e-10)
 
 
 def lq_hard_minimum(t, p, u, alpha, beta):
@@ -121,7 +107,8 @@ def lq_hard_minimum(t, p, u, alpha, beta):
     The clamp orders ties and signed zeros as Python's max(a, alpha) and
     min(a, beta) do, so scalar and per-node calls agree bit for bit.
     """
-    a = -_lq_slope(t, p, u) / (2.0 * t[6])
+    _, slope, f_hat = lq_feature(t, p, u)
+    a = -slope / (2.0 * f_hat)
     a = np.where(alpha > a, alpha, a)
     a = np.where(beta < a, beta, a)
     b, c, f = lq_coefficients(t, a)
@@ -156,10 +143,9 @@ def lq_reduction(problem, x, u, p, tau):
     lq = problem.lq
     if lq is None:
         raise ValueError("problem has no LQ structure")
-    t = lq.at(x)
-    const = t[0] * p - t[2] * u + t[4]
-    two_fhat = 2.0 * t[6]
-    return const, two_fhat, _lq_slope(t, p, u) / two_fhat, tau / two_fhat
+    const, slope, f_hat = lq_feature(lq.at(x), p, u)
+    two_fhat = 2.0 * f_hat
+    return const, two_fhat, slope / two_fhat, tau / two_fhat
 
 
 def interval_quadratic_min(p, alpha, beta):
@@ -182,8 +168,8 @@ def interval_quadratic_softmin(p, tau, alpha, beta):
     # imported here, so that importing the package leaves scipy unloaded
     from scipy.special import erf, erfcx
 
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
     if alpha >= beta:
         raise ValueError("need alpha < beta")
     s = math.sqrt(2.0 * tau)

@@ -3,14 +3,16 @@
 For tau > 0 the fixed point alternates a linear on-policy solve with the
 exact improvement map Z <- -(b*Dv - c*v + f)/tau, whose Gibbs image is
 the softmin-optimal policy; convergence is measured by the semilinear
-residual (sigma^2/2) v'' + H_tau(x, v, Dv).  The tau = 0 solve is Howard
-iteration with hard per-node argmins from ``hamiltonian.hard_minimum``,
-the same node-wise minimum that ``hard_hamiltonian`` evaluates at one
-point: the node argmin of the coefficient table on discrete action sets,
-the clamped vertex from the per-node LQ values on interval LQ problems,
-and a golden-section refinement of each node's minimum elsewhere.  Each
-argmin step also returns b, c and f at the selected actions, which the
-next linear solve takes.
+residual (sigma^2/2) v'' + H_tau(x, v, Dv), with H_tau = -tau times the
+log-partition of that Gibbs image, so each iteration exponentiates its
+feature table once.  The tau = 0 solve is Howard iteration with hard
+per-node argmins from ``hamiltonian.hard_minimum``, the same node-wise
+minimum that ``hard_hamiltonian`` evaluates at one point: the node
+argmin of the coefficient table on discrete action sets, the clamped
+vertex from the per-node LQ values on interval LQ problems, and a
+golden-section refinement of each node's minimum elsewhere.  Each argmin
+step also returns b, c and f at the selected actions, which the next
+linear solve takes.
 """
 
 import math
@@ -22,7 +24,7 @@ import numpy as np
 from .domain import DISCRETE
 from .elliptic import (ValueField, average_coefficients, diffusion,
                        optimal_feature, solve_linear, solve_on_policy_bellman)
-from .hamiltonian import hard_minimum, softmin_table
+from .hamiltonian import hard_minimum
 from .policy import Policy, gibbs_policy, uniform_policy
 
 
@@ -63,8 +65,8 @@ def solve_regularized_hjb(problem, tau, tol=None, max_iter=MAX_ITER,
     iterates linear solve / feature improvement until the semilinear
     residual drops below tol.
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
     if tol is None:
         tol = default_tolerance(problem)
     n = problem.n_interior
@@ -73,18 +75,17 @@ def solve_regularized_hjb(problem, tau, tol=None, max_iter=MAX_ITER,
     else:
         pol = gibbs_policy(z0, problem.actions)
     history = []
-    vf = None
     for it in range(1, max_iter + 1):
         vf = solve_on_policy_bellman(problem, pol, tau)
-        z = optimal_feature(problem, vf)
-        res = _residual(problem, vf,
-                        softmin_table(z, problem.actions.mu_weights, tau))
+        improved = gibbs_policy(-optimal_feature(problem, vf) / tau,
+                                problem.actions)
+        res = _residual(problem, vf, -tau * improved.log_partition)
         history.append(res)
         if res <= tol:
             return HjbSolution(v_star=vf, iterations=it,
                                final_residual=res, optimal_policy=pol,
                                residual_history=history)
-        pol = gibbs_policy(-z / tau, problem.actions)
+        pol = improved
     raise ConvergenceError(
         f"policy iteration did not reach tol={tol:.3g} in {max_iter} "
         f"iterations (last residual {history[-1]:.3g})", history)

@@ -4,10 +4,13 @@ A feature field is a plain float64 matrix with one row per interior grid
 node and one column per action node.  Policies store both probability
 weights (mu quadrature weights folded in, rows sum to 1) and log-densities
 relative to the reference measure; KL values are always formed from the
-log-densities to avoid cancellation at small weights.
+log-densities to avoid cancellation at small weights.  A Gibbs policy
+also keeps each row's log-partition ln(mu-average of e^z), so the Gibbs
+image of -z/tau carries the softmin H_tau = -tau*log_partition of z.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -16,10 +19,13 @@ import numpy as np
 class Policy:
     weights: np.ndarray      # (n_interior, n_actions), rows sum to 1
     log_density: np.ndarray  # ln d(pi)/d(mu); finite, also where weight is 0
+    # ln of the mu-average of e^z per row; None on deterministic selections
+    log_partition: Optional[np.ndarray] = None
 
 
 def gibbs_policy(z, actions):
-    """Map a feature matrix to the Gibbs policy with density e^z / norm.
+    """Map a feature matrix to the Gibbs policy with density e^z / norm,
+    norm being the mu-average of e^z, and keep ln(norm) per row.
 
     Stabilized with a per-row max shift, so feature scales of order
     1/tau for small tau stay finite.
@@ -34,8 +40,10 @@ def gibbs_policy(z, actions):
     expz = np.exp(z - m)
     norm = expz @ actions.mu_weights
     weights = actions.mu_weights[None, :] * expz / norm[:, None]
-    log_density = (z - m) - np.log(norm)[:, None]
-    return Policy(weights=weights, log_density=log_density)
+    log_norm = np.log(norm)
+    log_density = (z - m) - log_norm[:, None]
+    return Policy(weights=weights, log_density=log_density,
+                  log_partition=m[:, 0] + log_norm)
 
 
 def uniform_policy(n_interior, actions):

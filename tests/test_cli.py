@@ -1,10 +1,11 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from exitflow.cli import main
+from exitflow.cli import _z_score, main
 from exitflow.config import (ConfigError, build_problem, config_digest,
                              load_config, probe_indices, resolve_config)
 
@@ -324,6 +325,29 @@ def test_mc_check_negative_control(tmp_path):
     rows = (tmp_path / "mcneg" / "mc_check.csv").read_text().splitlines()
     z = abs(float(rows[1].split(",")[4]))
     assert z > 3.0
+
+
+def test_mc_check_one_path_signs_z_score(tmp_path):
+    # one path has zero stderr: the z-score is an infinity with the sign of
+    # mc_mean - pde_value, and the check fails as before
+    lq = {**_base_config()["lq"], "b_hat": 0.0}
+    cfg = _write(tmp_path, _base_config(
+        lq=lq, mc={"x0": [0.1, 0.3, 0.5, 0.9], "n_paths": 1,
+                   "dt_sim": 1e-3}))
+    out = tmp_path / "one"
+    assert main(["mc-check", "--config", cfg, "--out", str(out)]) == 3
+    rows = [[float(v) for v in r.split(",")]
+            for r in (out / "mc_check.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 4
+    for x, pde, mean, stderr, z in rows:
+        assert stderr == 0.0 and mean != pde
+        assert z == math.copysign(math.inf, mean - pde)
+    assert {z for *_, z in rows} == {-math.inf, math.inf}
+
+
+def test_z_score_of_equal_values_is_zero():
+    assert _z_score(0.0, 0.0) == 0.0
+    assert _z_score(-0.5, 0.25) == -2.0
 
 
 def test_seed_flag_overrides(tmp_path):

@@ -177,3 +177,12 @@ def test_dirichlet_data_respected():
                         g=lambda x: 3.0 - x)
     vf = solve_on_policy_bellman(prob, uniform_policy(15, acts), 0.0)
     assert vf.v[0] == 4.0 and vf.v[-1] == 1.0
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_non_finite_tau_rejected(lq, tau):
+    pol = uniform_policy(29, lq.actions)
+    with pytest.raises(ValueError, match="tau must be nonnegative and finite"):
+        solve_on_policy_bellman(lq, pol, tau)
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        performance_difference_check(lq, pol, pol, tau)

@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from exitflow import flow
 from exitflow import (Scheduler, error_decomposition, integrate_flow,
                       lq_benchmark, make_action_space, make_problem,
                       mirror_rhs, optimal_feature,
@@ -196,6 +198,17 @@ def test_times_and_finiteness(lq):
     assert np.all(np.isfinite(traj.values_at_probe))
     assert np.all(np.isfinite(traj.unregularized_values))
     assert np.all(traj.kl_mass >= -1e-12)
+
+
+@pytest.mark.parametrize("record_every", [0, -1, 2.5])
+def test_integrate_flow_rejects_bad_record_every(lq, record_every):
+    # rejected before the Lipschitz estimate runs any value solve
+    sched = Scheduler(kind="constant", tau=0.5)
+    with mock.patch.object(flow, "solve_on_policy_bellman",
+                           side_effect=AssertionError("value solve ran")), \
+            pytest.raises(ValueError, match="record_every"):
+        integrate_flow(lq, np.zeros((29, 5)), sched, S=1.0, dt=0.1,
+                       probes=[14], record_every=record_every)
 
 
 def test_stability_check_rejects_huge_dt(lq):

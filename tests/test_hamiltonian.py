@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from exitflow import (discrete_bias_gap, hard_hamiltonian,
+from exitflow import (discrete_bias_gap, gibbs_policy, hard_hamiltonian,
                       interval_quadratic_softmin, lq_benchmark, lq_reduction,
                       make_action_space, make_problem, soft_hamiltonian)
-from exitflow.domain import build_grid
-from exitflow.hamiltonian import interval_quadratic_min, softmin_table
+from exitflow.domain import DISCRETE, ActionSpace, build_grid
+from exitflow.hamiltonian import interval_quadratic_min
 
 
 def _two_action_problem(z0, z1):
@@ -48,6 +48,14 @@ def test_softmin_rejects_nonpositive_tau():
     prob = _two_action_problem(0.0, 1.0)
     with pytest.raises(ValueError):
         soft_hamiltonian(prob, 0.5, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("kind", ["discrete", "interval"])
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_soft_hamiltonian_rejects_non_finite_tau(kind, tau):
+    lq = lq_benchmark(kind, n_interior=5, n_quad=8)
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        soft_hamiltonian(lq, 0.5, 0.0, 0.3, tau)
 
 
 def test_hard_min_discrete_tie_breaks_small():
@@ -191,7 +199,8 @@ def _softmin_512(problem, x, u, p, tau):
     acts = make_action_space(alpha=-1.0, beta=1.0, n_quad=512)
     z = [problem.b(x, a) * p - problem.c(x, a) * u + problem.f(x, a)
          for a in acts.actions]
-    return float(softmin_table(np.array(z), acts.mu_weights, tau)[0])
+    return float(-tau * gibbs_policy(-np.array([z]) / tau,
+                                     acts).log_partition[0])
 
 
 def test_lq_reduction_consistency():
@@ -259,10 +268,11 @@ def test_discrete_bias_gap_rejects_interval():
         discrete_bias_gap(lq, [(0.5, 0.0, 0.0)], 0.1)
 
 
-def test_softmin_table_matches_scalar():
+def test_log_partition_softmin_matches_scalar():
     w = np.array([0.25, 0.25, 0.5])
     z = np.array([[0.3, -0.2, 1.0], [5.0, 5.0, 5.0]])
-    out = softmin_table(z, w, 0.7)
+    acts = ActionSpace(kind=DISCRETE, actions=np.arange(3.0), mu_weights=w)
+    out = -0.7 * gibbs_policy(-z / 0.7, acts).log_partition
     for i in range(2):
         direct = -0.7 * math.log(sum(wk * math.exp(-zk / 0.7)
                                      for wk, zk in zip(w, z[i])))

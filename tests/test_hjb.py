@@ -292,6 +292,12 @@ def test_regularization_bias_discrete_bound(lq):
         assert bias <= 1.05 * k_occ * tau * math.log(5.0) + 1e-8
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_regularized_hjb_rejects_non_finite_tau(lq, tau):
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        solve_regularized_hjb(lq, tau)
+
+
 def test_regularization_bias_validates_order(lq):
     with pytest.raises(ValueError):
         regularization_bias(lq, [0.1, 0.5])

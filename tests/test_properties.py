@@ -19,10 +19,11 @@ from exitflow import (Scheduler, SolverError, average_coefficients,
                       solve_unregularized_hjb)
 from exitflow import kernels
 from exitflow.config import _poly
-from exitflow.domain import LQCoefficients, _tabulate, build_grid
-from exitflow.elliptic import ValueField
+from exitflow.domain import (LQCoefficients, _tabulate, build_grid,
+                             lq_feature)
+from exitflow.elliptic import ValueField, diffusion
 from exitflow.hamiltonian import (hard_hamiltonian, hard_minimum,
-                                  soft_hamiltonian, softmin_table)
+                                  soft_hamiltonian)
 from exitflow.kernels import thomas_solve, tridiag_apply
 
 PROBLEMS = {"discrete": lq_benchmark("discrete", n_interior=9, n_actions=5),
@@ -153,11 +154,24 @@ def test_peclet_gate(case, tau, target, sign):
 def test_softmin_sandwich(n_actions, tau, z):
     """min <= softmin <= min + tau*ln(N) under uniform weights."""
     z = z[:, :n_actions]
-    soft = softmin_table(z, np.full(n_actions, 1.0 / n_actions), tau)
+    actions = make_action_space(values=np.arange(n_actions))
+    soft = -tau * gibbs_policy(-z / tau, actions).log_partition
     low = z.min(axis=1)
     slack = 1e-12 * (1.0 + np.abs(low))
     assert np.all(soft >= low - slack)
     assert np.all(soft <= low + tau * np.log(n_actions) + slack)
+
+
+@settings(deadline=None)
+@given(features(), st.floats(1e-3, 10.0))
+def test_gibbs_variational_identity(case, tau):
+    """H_tau = -tau*log_partition of the Gibbs image of -z/tau equals
+    <pi, z> + tau*KL(pi|mu) at that image."""
+    problem, z = case
+    pol = gibbs_policy(-z / tau, problem.actions)
+    ham = -tau * pol.log_partition
+    rhs = np.einsum("ik,ik->i", pol.weights, z) + tau * kl_to_reference(pol)
+    assert np.all(np.abs(ham - rhs) <= 1e-12 * (1.0 + np.abs(ham)))
 
 
 @st.composite
@@ -341,6 +355,35 @@ def test_interval_lq_soft_hamiltonian_sandwich(data):
     assert hard <= soft_lo + tol
     assert soft_lo <= soft_hi + tol
     assert soft_hi <= mean + tol
+
+
+@settings(deadline=None, max_examples=25)
+@given(lq_maps_problems("discrete"), st.floats(0.01, 2.0))
+def test_policy_iteration_residual_is_pointwise_softmin(case, tau):
+    # the final residual, formed from the log-partition of the improved
+    # policy, matches the one rebuilt from soft_hamiltonian node by node
+    _, problem = case
+    sol = solve_regularized_hjb(problem, tau)
+    vf = sol.v_star
+    ham = np.array([soft_hamiltonian(problem, x, u, p, tau) for x, u, p
+                    in zip(problem.grid.interior, vf.interior, vf.dv)])
+    res = float(np.max(np.abs(diffusion(problem, vf) + ham)))
+    assert abs(res - sol.final_residual) \
+        <= 1e-12 * (1.0 + float(np.max(np.abs(ham))))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_lq_feature_matches_closures(data):
+    # z0 + z1*a + z2*a^2 is b*p - c*u + f evaluated through the closures
+    lq, problem = data.draw(lq_maps_problems())
+    x, a = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(-1.2, 1.2))
+    u, p = (data.draw(st.floats(-3.0, 3.0)) for _ in range(2))
+    z0, z1, z2 = lq_feature(lq.at(x), p, u)
+    terms = (problem.b(x, a) * p, problem.c(x, a) * u, problem.f(x, a))
+    ref = terms[0] - terms[1] + terms[2]
+    scale = sum(abs(t) for t in terms) + abs(z1 * a) + abs(z2 * a * a)
+    assert abs(z0 + z1 * a + z2 * a * a - ref) <= 1e-14 * (1.0 + scale)
 
 
 @settings(deadline=None)
