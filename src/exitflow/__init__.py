@@ -13,10 +13,9 @@ from .elliptic import (SolverError, ValueField, average_coefficients,
                        performance_difference_check, solve_on_policy_bellman)
 from .flow import (FlowTrajectory, Scheduler, UnstableFlowError,
                    error_decomposition, integrate_flow, mirror_rhs)
-from .hamiltonian import (discrete_bias_gap, hard_hamiltonian,
-                          interval_quadratic_softmin, lq_reduction,
+from .hamiltonian import (hard_hamiltonian, interval_quadratic_softmin,
                           soft_hamiltonian)
-from .hjb import (ConvergenceError, HjbSolution, regularization_bias,
-                  solve_regularized_hjb, solve_unregularized_hjb)
+from .hjb import (ConvergenceError, HjbSolution, solve_regularized_hjb,
+                  solve_unregularized_hjb)
 from .montecarlo import McEstimate, PathCapError, simulate_exit_value
 from .policy import Policy, gibbs_policy, kl_between, kl_to_reference, uniform_policy

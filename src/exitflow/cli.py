@@ -16,12 +16,11 @@ import time
 import numpy as np
 
 from . import __version__
-from .bounds import (QuadratureError, growth_integrals_quadrature,
-                     reproduce_figure)
+from .bounds import QuadratureError, growth_integrals, reproduce_figure
 from .config import (ConfigError, build_problem, build_scheduler,
                      config_digest, load_config, probe_indices,
                      resolve_config)
-from .csvio import read_matrix_csv, write_csv, write_matrix_csv
+from .csvio import _write_atomic, read_matrix_csv, write_csv, write_matrix_csv
 from .elliptic import SolverError, optimal_feature, solve_on_policy_bellman
 from .flow import (POWER_LAW, Scheduler, UnstableFlowError,
                    error_decomposition, integrate_flow)
@@ -60,14 +59,11 @@ def _write_manifest(out_dir, command, resolved, seed, outputs, wall_time):
         "wall_time_s": wall_time,
         "resolved_config": resolved,
     }
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{command}-manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    def write(fh):
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
-    return path
+    return _write_atomic(os.path.join(out_dir, f"{command}-manifest.json"),
+                         write)
 
 
 def _tau_tag(tau):
@@ -178,8 +174,7 @@ def cmd_sweep_bounds(resolved, out_dir):
     growth_rows = []
     for S in cfg["s_grid"]:
         for beta in cfg["beta_grid"]:
-            gi = growth_integrals_quadrature(
-                Scheduler(kind=POWER_LAW, beta=beta), S)
+            gi = growth_integrals(Scheduler(kind=POWER_LAW, beta=beta), S)
             growth_rows.append((beta, S, gi.log_I1, gi.log_I2))
     outputs = []
     path = os.path.join(out_dir, "figure_bounds.csv")

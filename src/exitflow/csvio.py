@@ -20,23 +20,30 @@ def format_value(v):
     return str(v)
 
 
-def write_csv(path, header, rows):
-    """Write rows atomically; every cell goes through format_value."""
+def _write_atomic(path, write):
+    """Call ``write`` on a fresh temporary file beside ``path``, then rename
+    it to ``path``; on any failure remove it and leave ``path`` as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([format_value(v) for v in row])
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
     return path
+
+
+def write_csv(path, header, rows):
+    """Write rows atomically; every cell goes through format_value."""
+    def write(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format_value(v) for v in row] for row in rows)
+    return _write_atomic(path, write)
 
 
 def write_matrix_csv(path, matrix, row_labels=None, col_labels=None):

@@ -9,9 +9,9 @@ Its seven maps of x are evaluated once per interior node, and the b, c, f
 table is formed from those values by broadcasting over the action nodes,
 so building an LQ problem calls each map O(n) times whatever the number
 of actions.  Rows of the seven map values are read only here, by
-``lq_coefficients`` and ``lq_feature``.  ``coefficients_at`` builds the
-same tables at one point, on or off the grid, for the pointwise
-Hamiltonians.
+``lq_coefficients`` and ``lq_feature``, and rows of the b, c, f table
+by ``_feature_table``.  ``coefficients_at`` builds the same tables at
+one point, on or off the grid, for the pointwise Hamiltonians.
 """
 
 import functools
@@ -76,6 +76,12 @@ class LQCoefficients:
 
 
 LQ_FIELDS = tuple(k.name for k in fields(LQCoefficients))
+
+
+def _feature_table(coef, u, p):
+    """b*p - c*u + f per node and action, from a (3, n, N) coefficient
+    table in ``coef_tab`` row order and per-node u, p."""
+    return coef[0] * p[:, None] - coef[1] * u[:, None] + coef[2]
 
 
 def lq_coefficients(t, a):

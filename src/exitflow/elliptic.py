@@ -22,8 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .domain import _feature_table
 from .kernels import thomas_solve, tridiag_apply
-from .policy import Policy, kl_between, kl_to_reference
+from .policy import Policy, _check_tau, kl_between, kl_to_reference
 
 class SolverError(RuntimeError):
     """Raised when a linear solve cannot be performed as requested."""
@@ -95,8 +96,7 @@ def solve_linear(problem, b_bar, c_bar, forcing) -> ValueField:
 
 def solve_on_policy_bellman(problem, p: Policy, tau) -> ValueField:
     """Value field of policy p with entropy weight tau >= 0."""
-    if not 0.0 <= tau < np.inf:
-        raise ValueError(f"tau must be nonnegative and finite, got {tau!r}")
+    _check_tau(tau, positive=False)
     return solve_linear(problem, *average_coefficients(problem, p, tau))
 
 
@@ -110,8 +110,7 @@ def diffusion(problem, vf: ValueField) -> np.ndarray:
 
 def optimal_feature(problem, vf: ValueField) -> np.ndarray:
     """Feature table b*Dv - c*v + f on interior nodes x action nodes."""
-    return problem.b_tab * vf.dv[:, None] \
-        - problem.c_tab * vf.interior[:, None] + problem.f_tab
+    return _feature_table(problem.coef_tab, vf.interior, vf.dv)
 
 
 def pde_residual(problem, p: Policy, tau, vf: ValueField) -> float:
@@ -131,8 +130,7 @@ def performance_difference_check(problem, p: Policy, q: Policy, tau) -> float:
     the generator table share one central-difference operator, so this is
     a linear-algebra identity and the result is solver roundoff.
     """
-    if not 0.0 < tau < np.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau!r}")
+    _check_tau(tau, positive=True)
     b_p, c_p, forcing_p = average_coefficients(problem, p, tau)
     vp = solve_linear(problem, b_p, c_p, forcing_p)
     vq = solve_on_policy_bellman(problem, q, tau)

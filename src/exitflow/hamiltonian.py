@@ -12,42 +12,39 @@ via (scaled) error functions at every tau.
 The hard minimum has one implementation, ``hard_minimum``, which takes
 per-node rows of the coefficient tables: Howard iteration calls it on
 the whole grid and ``hard_hamiltonian`` on the one-point tables of
-``domain.coefficients_at``.  LQ rows are read only through
-``domain.lq_feature`` and ``domain.lq_coefficients``.
+``domain.coefficients_at``.  The feature table b*p - c*u + f and the LQ
+rows are read only through ``domain``.
 """
 
 import math
 
 import numpy as np
 
-from .domain import (DISCRETE, _gauss_legendre, coefficients_at,
-                     lq_coefficients, lq_feature)
-from .policy import gibbs_policy
-
-
-def _feature(coef, u, p):
-    """b*p - c*u + f per node and action, from a (3, n, N) coefficient
-    table and per-node u, p."""
-    return coef[0] * p[:, None] - coef[1] * u[:, None] + coef[2]
+from .domain import (DISCRETE, _feature_table, _gauss_legendre,
+                     coefficients_at, lq_coefficients, lq_feature)
+from .policy import _check_tau, gibbs_policy
 
 
 def soft_hamiltonian(problem, x, u, p, tau):
     """Regularized Hamiltonian at a single (x, u, p).
 
-    Discrete action sets take the softmin of the tabulated z at x; interval
-    problems need LQ structure (ValueError otherwise) and take the exact
-    error-function profile.
+    Discrete action sets take the softmin of the tabulated z at x.  Interval
+    problems need LQ structure (ValueError otherwise), where z(a) = const +
+    2*f_hat*(p~*a + a^2/2): H_tau is const + 2*f_hat times the exact
+    error-function profile at p~ = slope/(2*f_hat), weight tau/(2*f_hat).
     """
-    if not 0.0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau!r}")
+    _check_tau(tau, positive=True)
     actions = problem.actions
     if actions.kind == DISCRETE:
         coef, _ = coefficients_at(problem, x)
-        z = _feature(coef, np.array([u]), np.array([p]))
+        z = _feature_table(coef, np.array([u]), np.array([p]))
         return float(-tau * gibbs_policy(-z / tau, actions).log_partition[0])
-    const, two_fhat, p_t, tau_t = lq_reduction(problem, x, u, p, tau)
+    if problem.lq is None:
+        raise ValueError("problem has no LQ structure")
+    const, slope, f_hat = lq_feature(problem.lq.at(x), p, u)
+    two_fhat = 2.0 * f_hat
     return float(const + two_fhat * interval_quadratic_softmin(
-        p_t, tau_t, actions.alpha, actions.beta))
+        slope / two_fhat, tau / two_fhat, actions.alpha, actions.beta))
 
 
 def hard_hamiltonian(problem, x, u, p):
@@ -72,7 +69,7 @@ def hard_minimum(problem, xs, u, p, coef, lq_rows):
     actions = problem.actions
     if actions.kind != DISCRETE and lq_rows is not None:
         return lq_hard_minimum(lq_rows, p, u, actions.alpha, actions.beta)
-    z = _feature(coef, u, p)
+    z = _feature_table(coef, u, p)
     if actions.kind == DISCRETE:
         rows = np.arange(xs.size)
         cols = np.argmin(z, axis=1)
@@ -133,21 +130,6 @@ def _golden_section(fn, lo, hi, tol):
     return 0.5 * (a + b)
 
 
-def lq_reduction(problem, x, u, p, tau):
-    """Rewrite the LQ integrand so the softmin matches the interval profile.
-
-    z(a) = const + 2*f_hat*(p_tilde*a + a^2/2), hence
-    H_tau = const + 2*f_hat * profile(p_tilde) at weight tau/(2*f_hat).
-    Returns (const, 2*f_hat, p_tilde, tau_scaled).
-    """
-    lq = problem.lq
-    if lq is None:
-        raise ValueError("problem has no LQ structure")
-    const, slope, f_hat = lq_feature(lq.at(x), p, u)
-    two_fhat = 2.0 * f_hat
-    return const, two_fhat, slope / two_fhat, tau / two_fhat
-
-
 def interval_quadratic_min(p, alpha, beta):
     """min over [alpha, beta] of p*a + a^2/2 (vertex clamped)."""
     a = min(max(-p, alpha), beta)
@@ -168,8 +150,7 @@ def interval_quadratic_softmin(p, tau, alpha, beta):
     # imported here, so that importing the package leaves scipy unloaded
     from scipy.special import erf, erfcx
 
-    if not 0.0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau!r}")
+    _check_tau(tau, positive=True)
     if alpha >= beta:
         raise ValueError("need alpha < beta")
     s = math.sqrt(2.0 * tau)
@@ -201,22 +182,6 @@ def _log_flat_mean(lo, hi):
     x, w = _gauss_legendre(16)
     d = 0.5 * (hi - lo) * (x + 1.0)
     return math.log(0.5 * float(w @ np.exp(-d * (2.0 * lo + d))))
-
-
-def discrete_bias_gap(problem, samples, tau):
-    """Max over (x, u, p) samples of softmin minus hard minimum.
-
-    Only defined for discrete action spaces, where the gap is bounded by
-    tau*ln(N) under uniform reference weights.
-    """
-    if problem.actions.kind != DISCRETE:
-        raise ValueError("discrete_bias_gap needs a discrete action space")
-    gap = -math.inf
-    for (x, u, p) in samples:
-        soft = soft_hamiltonian(problem, x, u, p, tau)
-        hard, _ = hard_hamiltonian(problem, x, u, p)
-        gap = max(gap, soft - hard)
-    return gap
 
 
 def bias_sweep_rows(tau_list, p_list, alpha, beta):

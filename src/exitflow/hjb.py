@@ -1,4 +1,4 @@
-"""Semilinear HJB solves by policy iteration, and the regularization bias.
+"""Semilinear HJB solves: policy iteration for tau > 0, Howard for tau = 0.
 
 For tau > 0 the fixed point alternates a linear on-policy solve with the
 exact improvement map Z <- -(b*Dv - c*v + f)/tau, whose Gibbs image is
@@ -15,17 +15,15 @@ step also returns b, c and f at the selected actions, which the next
 linear solve takes.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .domain import DISCRETE
 from .elliptic import (ValueField, average_coefficients, diffusion,
                        optimal_feature, solve_linear, solve_on_policy_bellman)
 from .hamiltonian import hard_minimum
-from .policy import Policy, gibbs_policy, uniform_policy
+from .policy import Policy, _check_tau, gibbs_policy, uniform_policy
 
 
 # iteration cap of both solvers; also the default of solver.max_iter
@@ -65,8 +63,7 @@ def solve_regularized_hjb(problem, tau, tol=None, max_iter=MAX_ITER,
     iterates linear solve / feature improvement until the semilinear
     residual drops below tol.
     """
-    if not 0.0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau!r}")
+    _check_tau(tau, positive=True)
     if tol is None:
         tol = default_tolerance(problem)
     n = problem.n_interior
@@ -114,8 +111,9 @@ def solve_unregularized_hjb(problem, tol=None,
     Bootstraps from the uniform-policy averages, then alternates linear
     solves under the current per-node action selection with hard argmin
     reselection.  Stops on the semilinear residual or a stationary
-    selection; a repeated non-adjacent selection without residual
-    progress is reported as cycling.
+    selection.  Each iteration after the first takes the coefficients of
+    the previous selection, so a selection seen before (other than the
+    previous one) repeats the iterations since: it is reported as cycling.
     """
     if tol is None:
         tol = default_tolerance(problem)
@@ -123,7 +121,6 @@ def solve_unregularized_hjb(problem, tol=None,
         problem, uniform_policy(problem.n_interior, problem.actions), 0.0)
     history = []
     seen = {}
-    best = math.inf
     acts = None
     for it in range(1, max_iter + 1):
         vf = solve_linear(problem, *coefficients)
@@ -139,33 +136,15 @@ def solve_unregularized_hjb(problem, tol=None,
                                optimal_policy=_one_hot_policy(problem, new_acts),
                                residual_history=history,
                                argmin_actions=new_acts)
-        if problem.actions.kind == DISCRETE:
-            # argmin takes the first of equal entries, so the selected
-            # actions determine the selected columns
-            key = new_acts.tobytes()
-            if key in seen and res >= best - 1e-15:
-                raise ConvergenceError(
-                    f"Howard iteration is cycling: selection repeated at "
-                    f"iteration {it} (first seen {seen[key]}) without "
-                    f"residual decrease (residual {res:.3g})", history)
-            seen[key] = it
-        best = min(best, res)
+        key = new_acts.tobytes()
+        if key in seen:
+            raise ConvergenceError(
+                f"Howard iteration is cycling: selection repeated at "
+                f"iteration {it} (first seen {seen[key]}), residual "
+                f"{res:.3g}", history)
+        seen[key] = it
         acts, coefficients = new_acts, selected
     raise ConvergenceError(
         f"Howard iteration did not reach tol={tol:.3g} in {max_iter} "
         f"iterations (last residual {history[-1]:.3g})", history)
 
-
-def regularization_bias(problem, tau_list, tol=None):
-    """(tau, sup|v*_tau - v*_0|) for a descending list of taus."""
-    taus = [float(t) for t in tau_list]
-    if any(t <= 0.0 for t in taus):
-        raise ValueError("taus must be positive")
-    if any(t1 <= t2 for t1, t2 in zip(taus, taus[1:])):
-        raise ValueError("taus must be sorted in descending order")
-    base = solve_unregularized_hjb(problem, tol=tol)
-    out = []
-    for tau in taus:
-        sol = solve_regularized_hjb(problem, tau, tol=tol)
-        out.append((tau, float(np.max(np.abs(sol.v_star.v - base.v_star.v)))))
-    return out

@@ -22,7 +22,7 @@ import numpy as np
 
 from .elliptic import average_coefficients
 from .kernels import simulate_chunk
-from .policy import Policy
+from .policy import Policy, _check_tau
 
 STEP_CAP = 10_000_000
 BATCH_PATHS = 20_000
@@ -60,8 +60,7 @@ def simulate_exit_value(problem, p: Policy, x0, tau, n_paths, dt_sim,
                          f"({grid.left}, {grid.right})")
     if not 0.0 < dt_sim < np.inf:
         raise ValueError("dt_sim must be positive and finite")
-    if not 0.0 <= tau < np.inf:
-        raise ValueError("tau must be nonnegative and finite")
+    _check_tau(tau, positive=False)
     n_paths = int(n_paths)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")

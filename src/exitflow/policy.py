@@ -23,6 +23,17 @@ class Policy:
     log_partition: Optional[np.ndarray] = None
 
 
+def _check_tau(tau, positive):
+    """Reject a tau that is not finite, or is below the smallest normal
+    float where tau must be positive (-z/tau overflows there), else below
+    0; the message names the tau the caller passed."""
+    low, sign = (np.finfo(float).tiny, "positive") if positive \
+        else (0.0, "nonnegative")
+    if not low <= tau < np.inf:
+        raise ValueError(f"tau must be {sign} and finite, at least "
+                         f"{float(low)!r}, got {tau!r}")
+
+
 def gibbs_policy(z, actions):
     """Map a feature matrix to the Gibbs policy with density e^z / norm,
     norm being the mu-average of e^z, and keep ln(norm) per row.

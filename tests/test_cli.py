@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from exitflow.cli import _z_score, main
+from exitflow import Scheduler, growth_integrals
+from exitflow.cli import _write_manifest, _z_score, main
 from exitflow.config import (ConfigError, build_problem, config_digest,
                              load_config, probe_indices, resolve_config)
 
@@ -252,6 +253,30 @@ def test_sweep_bounds_small_grid(tmp_path):
     assert main(["sweep-bounds", "--config", cfg, "--out", out]) == 0
     rows = (tmp_path / "sw" / "figure_bounds.csv").read_text().splitlines()
     assert len(rows) == 2  # header + single point
+
+
+def test_sweep_bounds_growth_csv_is_growth_integrals(tmp_path):
+    # the CSV holds the integrals the bound beside it used, to the bit
+    cfg = _write(tmp_path, {"bounds": {"beta_grid": [0.05, 0.5, 1.0],
+                                       "s_grid": [10.0, 1e4]}})
+    out = str(tmp_path / "gi")
+    assert main(["sweep-bounds", "--config", cfg, "--out", out]) == 0
+    rows = (tmp_path / "gi" / "growth_integrals.csv").read_text().splitlines()
+    assert rows[0] == "beta,s,log_I1,log_I2" and len(rows) == 1 + 3 * 2
+    for r in rows[1:]:
+        beta, s, log_i1, log_i2 = map(float, r.split(","))
+        gi = growth_integrals(Scheduler(kind="power_law", beta=beta), s)
+        assert (log_i1, log_i2) == (gi.log_I1, gi.log_I2)
+
+
+def test_failed_manifest_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def failing_dump(*args, **kwargs):
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(RuntimeError, match="disk full"):
+        _write_manifest(str(tmp_path), "solve-hjb", {"seed": 1}, 1, [], 0.0)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_bounds_bias_sweep_csv(tmp_path):

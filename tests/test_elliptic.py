@@ -186,3 +186,14 @@ def test_non_finite_tau_rejected(lq, tau):
         solve_on_policy_bellman(lq, pol, tau)
     with pytest.raises(ValueError, match="tau must be positive and finite"):
         performance_difference_check(lq, pol, pol, tau)
+
+
+def test_performance_difference_subnormal_tau(lq):
+    # a subnormal tau is refused by name; 1e-300 still gives the identity
+    pol = uniform_policy(29, lq.actions)
+    with pytest.raises(ValueError,
+                       match="tau must be positive and finite.*got 1e-310"):
+        performance_difference_check(lq, pol, pol, 1e-310)
+    q = gibbs_policy(np.random.default_rng(1).standard_normal((29, 5)),
+                     lq.actions)
+    assert performance_difference_check(lq, pol, q, 1e-300) <= 1e-12

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from exitflow import (discrete_bias_gap, gibbs_policy, hard_hamiltonian,
-                      interval_quadratic_softmin, lq_benchmark, lq_reduction,
+from exitflow import (gibbs_policy, hard_hamiltonian,
+                      interval_quadratic_softmin, lq_benchmark,
                       make_action_space, make_problem, soft_hamiltonian)
-from exitflow.domain import DISCRETE, ActionSpace, build_grid
+from exitflow.domain import DISCRETE, ActionSpace, build_grid, lq_feature
 from exitflow.hamiltonian import interval_quadratic_min
 
 
@@ -51,11 +51,31 @@ def test_softmin_rejects_nonpositive_tau():
 
 
 @pytest.mark.parametrize("kind", ["discrete", "interval"])
-@pytest.mark.parametrize("tau", [math.nan, math.inf])
+@pytest.mark.parametrize("tau", [math.nan, math.inf, 1e-310, 5e-324])
 def test_soft_hamiltonian_rejects_non_finite_tau(kind, tau):
+    # a subnormal tau would overflow -z/tau; the interval branch divides
+    # tau by 2*f_hat, and the message still names the tau passed in
     lq = lq_benchmark(kind, n_interior=5, n_quad=8)
-    with pytest.raises(ValueError, match="tau must be positive and finite"):
+    with pytest.raises(ValueError,
+                       match=f"tau must be positive and finite.*got {tau!r}"):
         soft_hamiltonian(lq, 0.5, 0.0, 0.3, tau)
+
+
+def test_interval_softmin_rejects_subnormal_tau():
+    # lo^2 - hi^2 would be inf - inf, a silent nan
+    with pytest.raises(ValueError, match="got 1e-310"):
+        interval_quadratic_softmin(-2.0, 1e-310, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["discrete", "interval"])
+def test_soft_hamiltonian_at_tiny_normal_tau_is_hard(kind):
+    # tau = 1e-300 still divides safely and leaves the hard minimum exactly
+    lq = lq_benchmark(kind, n_interior=9, n_quad=8)
+    assert soft_hamiltonian(lq, 0.5, 0.2, 0.3, 1e-300) \
+        == hard_hamiltonian(lq, 0.5, 0.2, 0.3)[0]
+    for p in (-2.0, 0.3):
+        assert interval_quadratic_softmin(p, 1e-300, -1.0, 1.0) \
+            == interval_quadratic_min(p, -1.0, 1.0)
 
 
 def test_hard_min_discrete_tie_breaks_small():
@@ -203,15 +223,23 @@ def _softmin_512(problem, x, u, p, tau):
                                      acts).log_partition[0])
 
 
+def _closed_form(problem, x, u, p, tau):
+    """The LQ softmin on [-1, 1] from ``lq_feature``: z(a) = const +
+    2*f_hat*(p_t*a + a^2/2), so H_tau = const + 2*f_hat times the
+    interval profile at p_t = slope/(2*f_hat), weight tau/(2*f_hat)."""
+    const, slope, f_hat = lq_feature(problem.lq.at(x), p, u)
+    two_fhat = 2.0 * f_hat
+    return const + two_fhat * interval_quadratic_softmin(
+        slope / two_fhat, tau / two_fhat, -1.0, 1.0)
+
+
 def test_lq_reduction_consistency():
     # closed form through the reduction == direct softmin quadrature
     lq = lq_benchmark("interval", alpha=-1.0, beta=1.0, n_quad=64)
     for tau in (1.0, 0.1, 1e-2, 1e-3):
         for p in (-2.0, 0.0, 1.5):
             direct = _softmin_512(lq, 0.5, 0.2, p, tau)
-            const, two_fhat, p_t, tau_t = lq_reduction(lq, 0.5, 0.2, p, tau)
-            closed = const + two_fhat * interval_quadratic_softmin(
-                p_t, tau_t, -1.0, 1.0)
+            closed = _closed_form(lq, 0.5, 0.2, p, tau)
             assert abs(direct - closed) <= 1e-8 * (1.0 + abs(closed))
 
 
@@ -228,8 +256,7 @@ def test_quadrature_matches_closed_form_across_tau():
     for tau in (1e-3, 1e-4):
         for p in (-2.0, 0.0, 2.5):
             direct = _softmin_512(lq, 0.5, 0.2, p, tau)
-            const, tf, pt, tt = lq_reduction(lq, 0.5, 0.2, p, tau)
-            closed = const + tf * interval_quadratic_softmin(pt, tt, -1.0, 1.0)
+            closed = _closed_form(lq, 0.5, 0.2, p, tau)
             assert abs(direct - closed) <= 1e-8
 
 
@@ -249,7 +276,8 @@ def test_discrete_bias_gap_bound():
     samples = [(rng.uniform(0.1, 0.9), rng.uniform(-1, 1), rng.uniform(-3, 3))
                for _ in range(100)]
     tau = 0.1
-    gap = discrete_bias_gap(lq, samples, tau)
+    gap = max(soft_hamiltonian(lq, x, u, p, tau)
+              - hard_hamiltonian(lq, x, u, p)[0] for x, u, p in samples)
     assert -1e-10 <= gap <= tau * math.log(5.0) + 1e-10
 
 
@@ -258,14 +286,9 @@ def test_discrete_bias_gap_saturates():
     # gap approaches tau*ln 2
     tau = 0.05
     prob = _two_action_problem(0.0, 100.0 * tau)
-    gap = discrete_bias_gap(prob, [(0.5, 0.0, 0.0)], tau)
+    gap = soft_hamiltonian(prob, 0.5, 0.0, 0.0, tau) \
+        - hard_hamiltonian(prob, 0.5, 0.0, 0.0)[0]
     assert abs(gap - tau * math.log(2.0)) <= 1e-6 * tau * math.log(2.0)
-
-
-def test_discrete_bias_gap_rejects_interval():
-    lq = lq_benchmark("interval", n_quad=8)
-    with pytest.raises(ValueError):
-        discrete_bias_gap(lq, [(0.5, 0.0, 0.0)], 0.1)
 
 
 def test_log_partition_softmin_matches_scalar():
@@ -288,8 +311,7 @@ def test_interval_lq_soft_hamiltonian_is_the_closed_form(tau):
     lq = lq_benchmark("interval", alpha=-1.0, beta=1.0, n_quad=8)
     misses = domain._gauss_legendre.cache_info().misses
     for p in (-2.0, 0.0, 0.7, 2.5):
-        const, tf, pt, tt = lq_reduction(lq, 0.5, 0.2, p, tau)
-        closed = const + tf * interval_quadratic_softmin(pt, tt, -1.0, 1.0)
+        closed = _closed_form(lq, 0.5, 0.2, p, tau)
         assert soft_hamiltonian(lq, 0.5, 0.2, p, tau) == closed
     assert domain._gauss_legendre.cache_info().misses == misses
 

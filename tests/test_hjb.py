@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from exitflow import (gibbs_policy, lq_benchmark, make_action_space,
-                      make_problem, optimal_feature, regularization_bias,
-                      simulate_exit_value, solve_on_policy_bellman,
-                      solve_regularized_hjb, solve_unregularized_hjb,
-                      uniform_policy)
+                      make_problem, optimal_feature, simulate_exit_value,
+                      solve_on_policy_bellman, solve_regularized_hjb,
+                      solve_unregularized_hjb, uniform_policy)
 from exitflow.domain import LQCoefficients, build_grid, make_lq_problem
 from exitflow.hjb import ConvergenceError, default_tolerance
 
@@ -264,15 +263,20 @@ def test_howard_lq_calls_no_closures(monkeypatch, lq, lq_interval, kind):
     assert sol.iterations > 1 and calls == []
 
 
+def _biases(problem, taus):
+    """sup|v*_tau - v*_0| per tau, from the two solvers as c12 forms it."""
+    base = solve_unregularized_hjb(problem).v_star.v
+    return [float(np.max(np.abs(solve_regularized_hjb(problem, tau).v_star.v
+                                - base))) for tau in taus]
+
+
 def test_regularization_bias_zero_data():
     prob = _zero_data_problem()
-    out = regularization_bias(prob, [1.0, 0.1])
-    assert all(abs(bias) <= 1e-10 for _, bias in out)
+    assert all(abs(bias) <= 1e-10 for bias in _biases(prob, [1.0, 0.1]))
 
 
 def test_regularization_bias_monotone(lq):
-    out = regularization_bias(lq, [1.0, 0.3, 0.1, 0.03, 0.01])
-    biases = [b for _, b in out]
+    biases = _biases(lq, [1.0, 0.3, 0.1, 0.03, 0.01])
     assert all(b >= -1e-8 for b in biases)
     for hi, lo in zip(biases, biases[1:]):
         assert lo <= hi + 1e-8
@@ -288,21 +292,50 @@ def test_regularization_bias_discrete_bound(lq):
                         g=lambda x: 0.0)
     occ = solve_on_policy_bellman(ones, uniform_policy(29, acts), 0.0)
     k_occ = float(np.max(occ.v))
-    for tau, bias in regularization_bias(lq, [0.5, 0.1]):
+    taus = [0.5, 0.1]
+    for tau, bias in zip(taus, _biases(lq, taus)):
         assert bias <= 1.05 * k_occ * tau * math.log(5.0) + 1e-8
 
 
-@pytest.mark.parametrize("tau", [math.nan, math.inf])
+@pytest.mark.parametrize("tau", [math.nan, math.inf, 1e-310])
 def test_regularized_hjb_rejects_non_finite_tau(lq, tau):
-    with pytest.raises(ValueError, match="tau must be positive and finite"):
+    # a subnormal tau would overflow -z/tau in the Gibbs map
+    with pytest.raises(ValueError,
+                       match=f"tau must be positive and finite.*got {tau!r}"):
         solve_regularized_hjb(lq, tau)
 
 
-def test_regularization_bias_validates_order(lq):
-    with pytest.raises(ValueError):
-        regularization_bias(lq, [0.1, 0.5])
-    with pytest.raises(ValueError):
-        regularization_bias(lq, [0.5, -0.1])
+def test_regularized_hjb_at_tiny_normal_tau_is_howard():
+    # tau = 1e-300 still divides safely, and the Gibbs policy it gives is
+    # one-hot, so the fixed point is Howard's bit for bit
+    problem = lq_benchmark("discrete", n_interior=9)
+    sol = solve_regularized_hjb(problem, 1e-300)
+    assert np.array_equal(sol.v_star.v,
+                          solve_unregularized_hjb(problem).v_star.v)
+
+
+@pytest.mark.parametrize("kind", ["discrete", "interval"])
+def test_howard_cycle_caught_at_first_repeat(monkeypatch, lq, lq_interval,
+                                             kind):
+    # a hard minimum that alternates the two end selections, each with
+    # its true coefficients: iterations 2 and 4 are then the same solve,
+    # so the repeat of iteration 1's selection at iteration 3 is a cycle
+    import exitflow.hjb
+    problem = lq if kind == "discrete" else lq_interval
+    ends = problem.actions.actions[[0, -1]]
+    calls = []
+
+    def alternating(problem, xs, u, p, coef, lq_rows):
+        a = np.full(xs.size, ends[len(calls) % 2])
+        calls.append(a)
+        b, c, f = (np.array([fn(x, ai) for x, ai in zip(xs, a)])
+                   for fn in (problem.b, problem.c, problem.f))
+        return b * p - c * u + f, a, (b, c, f)
+
+    monkeypatch.setattr(exitflow.hjb, "hard_minimum", alternating)
+    with pytest.raises(ConvergenceError, match="cycling") as err:
+        solve_unregularized_hjb(problem)
+    assert len(err.value.residual_history) <= 4
 
 
 def test_nonconvergence_reports_history(lq):
