@@ -11,13 +11,15 @@ so building an LQ problem calls each map O(n) times whatever the number
 of actions.  Rows of the seven map values are read only here, by
 ``lq_coefficients`` and ``lq_feature``, and rows of the b, c, f table
 by ``_feature_table``.  ``coefficients_at`` builds the same tables at
-one point, on or off the grid, for the pointwise Hamiltonians.
+one point, on or off the grid, for the pointwise Hamiltonians.  A
+problem also forms, on first use, the constants of the central-difference
+stencil that ``elliptic`` assembles and differentiates with.
 """
 
 import functools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -76,6 +78,14 @@ class LQCoefficients:
 
 
 LQ_FIELDS = tuple(k.name for k in fields(LQCoefficients))
+
+
+class _Stencil(NamedTuple):
+    """Constants of the central-difference stencil on interior nodes."""
+    sig2: np.ndarray       # sigma^2
+    diff: np.ndarray       # diffusion band 0.5*sigma^2/h^2
+    diag_diff: np.ndarray  # its share of the diagonal, -2*diff
+    two_h: float           # central-difference width 2h
 
 
 def _feature_table(coef, u, p):
@@ -142,6 +152,15 @@ class ControlProblem:
     @property
     def f_sup(self):
         return float(np.max(np.abs(self.f_tab)))
+
+    @functools.cached_property
+    def _stencil(self):
+        """The stencil constants ``elliptic`` reads, formed once per
+        problem."""
+        h = self.grid.spacing
+        sig2 = self.sigma_interior ** 2
+        diff = 0.5 * sig2 / h ** 2
+        return _Stencil(sig2, diff, -2.0 * diff, 2.0 * h)
 
 
 def build_grid(left, right, n_interior):

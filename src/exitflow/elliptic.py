@@ -50,7 +50,7 @@ def average_coefficients(problem, p: Policy, tau):
 
 def _max_cell_peclet(problem, b_bar):
     """Largest cell Peclet number |b_bar| h / sigma^2 over interior nodes."""
-    peclet = np.abs(b_bar) * problem.grid.spacing / problem.sigma_interior ** 2
+    peclet = np.abs(b_bar) * problem.grid.spacing / problem._stencil.sig2
     return float(peclet.max()) if peclet.size else 0.0
 
 
@@ -66,12 +66,11 @@ def assemble_system(problem, b_bar, c_bar, forcing):
             f"cell Peclet number {pmax:.3g} > 2 breaks diagonal dominance "
             f"of the central advection stencil; raise grid.n_interior so "
             f"that |b| h / sigma^2 <= 2")
-    h = problem.grid.spacing
-    diff = 0.5 * problem.sigma_interior ** 2 / h ** 2
-    adv = b_bar / (2.0 * h)
+    _, diff, diag_diff, two_h = problem._stencil
+    adv = b_bar / two_h
     lower = diff - adv
     upper = diff + adv
-    diag = -2.0 * diff - c_bar
+    diag = diag_diff - c_bar
     rhs = -np.asarray(forcing, dtype=np.float64).copy()
     rhs[0] -= lower[0] * problem.g_left
     rhs[-1] -= upper[-1] * problem.g_right
@@ -91,7 +90,7 @@ def solve_linear(problem, b_bar, c_bar, forcing) -> ValueField:
     v[0] = problem.g_left
     v[-1] = problem.g_right
     v[1:-1] = v_int
-    return ValueField(v=v, dv=(v[2:] - v[:-2]) / (2.0 * problem.grid.spacing))
+    return ValueField(v=v, dv=(v[2:] - v[:-2]) / problem._stencil.two_h)
 
 
 def solve_on_policy_bellman(problem, p: Policy, tau) -> ValueField:
@@ -105,7 +104,7 @@ def diffusion(problem, vf: ValueField) -> np.ndarray:
     second difference of the full nodal vector."""
     v = vf.v
     d2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / problem.grid.spacing ** 2
-    return 0.5 * problem.sigma_interior ** 2 * d2
+    return 0.5 * problem._stencil.sig2 * d2
 
 
 def optimal_feature(problem, vf: ValueField) -> np.ndarray:

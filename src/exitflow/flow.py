@@ -2,13 +2,27 @@
 
 The feature matrix evolves by dZ/ds = -(b*Dv - c*v + f + tau_s * Z) where
 v is the entropy-weighted value of the current Gibbs policy, re-solved at
-every Runge-Kutta stage.  Trajectories record both the regularized value
-and the plain value of the running policy at probe nodes; the plain value
-costs one extra linear solve with the KL forcing dropped.  The error
-decomposition of a trajectory solves its own reference HJBs: the hard-min
-optimum once and the softmin optimum once per distinct recorded tau.
-"""
+every Runge-Kutta stage.  The driving term is linear in the fixed tables
+b, c and f, with per-node weights (Dv, -v, 1), so every feature matrix on
+the path lies in their span plus a multiple of the start:
 
+    Z_s = w0(s)*b + w1(s)*c + w2(s)*f + a(s)*Z_0,
+
+each weight a vector over the interior nodes, and the four vectors theta
+obey dtheta/ds = (-Dv, v, -1, 0) - tau_s*theta from theta_0 = (0, 0, 0, 1).
+An RK4 step forms only linear combinations of the state and of stage
+slopes, so it maps a state of this form to one of this form, and running
+RK4 on theta is running it on Z.  The flow therefore steps theta, O(n)
+numbers, and contracts it with the four tables into Z only where a stage,
+a record or the final state needs the feature matrix.  ``mirror_rhs``
+stays the flow's definition in Z; the stability estimate reads it.
+
+Trajectories record both the regularized value and the plain value of
+the running policy at probe nodes; the plain value costs one extra linear
+solve with the KL forcing dropped.  The error decomposition of a
+trajectory solves its own reference HJBs: the hard-min optimum once and
+the softmin optimum once per distinct recorded tau.
+"""
 import math
 import numbers
 from dataclasses import dataclass
@@ -164,10 +178,24 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
             f"{1.0 / (tau0 + lip):.3g}")
     n_steps = int(round(S / dt))
     times, taus, vals, unregs, kls = [], [], [], [], []
+    # Z = theta . tables, with the start as the fourth table (module doc)
+    tables = np.concatenate([problem.coef_tab, z[None]])
+    drive = np.zeros((4, problem.n_interior))
+    drive[2] = -1.0
 
-    def record(s, z_now):
+    def features(theta):
+        return np.einsum("ji,jik->ik", theta, tables)
+
+    def rhs(theta, tau):
+        vf = solve_on_policy_bellman(
+            problem, gibbs_policy(features(theta), problem.actions), tau)
+        drive[0] = -vf.dv
+        drive[1] = vf.interior
+        return drive - tau * theta
+
+    def record(s, theta):
         tau_s = float(sched.value(s))
-        pol = gibbs_policy(z_now, problem.actions)
+        pol = gibbs_policy(features(theta), problem.actions)
         vf = solve_on_policy_bellman(problem, pol, tau_s)
         vf0 = solve_on_policy_bellman(problem, pol, 0.0)
         vr = vf.v[1:-1][probes]
@@ -184,24 +212,26 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
                      sched.value(starts + 0.5 * dt).tolist(),
                      sched.value(starts + dt).tolist())
 
-    record(0.0, z)
+    theta = np.zeros((4, problem.n_interior))
+    theta[3] = 1.0
+    record(0.0, theta)
     for step, (tau_0, tau_h, tau_1) in enumerate(stage_taus, start=1):
-        k1 = _rhs(problem, z, tau_0)
-        k2 = _rhs(problem, z + 0.5 * dt * k1, tau_h)
-        k3 = _rhs(problem, z + 0.5 * dt * k2, tau_h)
-        k4 = _rhs(problem, z + dt * k3, tau_1)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = rhs(theta, tau_0)
+        k2 = rhs(theta + 0.5 * dt * k1, tau_h)
+        k3 = rhs(theta + 0.5 * dt * k2, tau_h)
+        k4 = rhs(theta + dt * k3, tau_1)
+        theta = theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s = step * dt
-        if not np.all(np.isfinite(z)):
+        if not np.all(np.isfinite(theta)):
             raise UnstableFlowError(
                 f"non-finite feature state at step {step} (s={s:g}, "
                 f"max|Z| before failure unavailable)")
         if step % record_every == 0 or step == n_steps:
-            record(s, z)
+            record(s, theta)
     return FlowTrajectory(times=np.array(times), tau_values=np.array(taus),
                           values_at_probe=np.array(vals),
                           unregularized_values=np.array(unregs),
-                          kl_mass=np.array(kls), z_final=z,
+                          kl_mass=np.array(kls), z_final=features(theta),
                           step_count=n_steps, probe_indices=probes,
                           probe_x=problem.grid.interior[probes])
 

@@ -163,7 +163,9 @@ def interval_quadratic_softmin(p, tau, alpha, beta):
         hard = p * alpha + 0.5 * alpha * alpha
         if (hi - lo) * (hi + lo) <= 1.0:
             return hard - tau * _log_flat_mean(lo, hi)
-        rest = erfcx(lo) - math.exp(lo * lo - hi * hi) * erfcx(hi)
+        # e^{lo^2 - hi^2} as a product: lo*lo - hi*hi is inf - inf once
+        # hi^2 overflows
+        rest = erfcx(lo) - math.exp(-(hi - lo) * (hi + lo)) * erfcx(hi)
         return hard - tau * (log_pref + math.log(rest))
     if hi <= 0.0:
         # hard minimum at a = beta: the mirror image a -> -a of the first branch

@@ -33,16 +33,22 @@ def thomas_solve(lower, diag, upper, rhs):
     if beta == 0.0:
         raise ZeroDivisionError("singular tridiagonal system at row 0")
     cp = [0.0] * n
-    cp[0] = up[0] / beta
-    x[0] = x[0] / beta
+    # the previous row's pivot ratio and value ride in locals, which
+    # Python reads faster than list entries
+    c_prev = cp[0] = up[0] / beta
+    x_prev = x[0] = x[0] / beta
     for i in range(1, n):
-        beta = dg[i] - lo[i] * cp[i - 1]
+        low = lo[i]
+        beta = dg[i] - low * c_prev
         if beta == 0.0:
             raise ZeroDivisionError(f"singular tridiagonal system at row {i}")
-        cp[i] = up[i] / beta
-        x[i] = (x[i] - lo[i] * x[i - 1]) / beta
+        c_prev = up[i] / beta
+        cp[i] = c_prev
+        x_prev = (x[i] - low * x_prev) / beta
+        x[i] = x_prev
     for i in range(n - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
+        x_prev = x[i] - cp[i] * x_prev
+        x[i] = x_prev
     return np.array(x)
 
 

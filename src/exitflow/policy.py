@@ -48,11 +48,12 @@ def gibbs_policy(z, actions):
     if not np.all(np.isfinite(z)):
         raise ValueError("feature matrix has non-finite entries")
     m = z.max(axis=1, keepdims=True)
-    expz = np.exp(z - m)
+    shifted = z - m
+    expz = np.exp(shifted)
     norm = expz @ actions.mu_weights
     weights = actions.mu_weights[None, :] * expz / norm[:, None]
     log_norm = np.log(norm)
-    log_density = (z - m) - log_norm[:, None]
+    log_density = shifted - log_norm[:, None]
     return Policy(weights=weights, log_density=log_density,
                   log_partition=m[:, 0] + log_norm)
 

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from exitflow import flow
-from exitflow import (Scheduler, error_decomposition, integrate_flow,
-                      lq_benchmark, make_action_space, make_problem,
-                      mirror_rhs, optimal_feature,
-                      solve_on_policy_bellman, solve_regularized_hjb,
-                      solve_unregularized_hjb, uniform_policy)
+from exitflow import (Scheduler, error_decomposition, gibbs_policy,
+                      growth_integrals, integrate_flow, lq_benchmark,
+                      make_action_space, make_problem, mirror_rhs,
+                      optimal_feature, solve_on_policy_bellman,
+                      solve_regularized_hjb, solve_unregularized_hjb,
+                      uniform_policy)
 from exitflow.domain import build_grid
 from exitflow.flow import UnstableFlowError
 
@@ -378,3 +379,137 @@ def test_flow_golden_values(kind, scheduler, golden):
     for name, expected in golden.items():
         np.testing.assert_allclose(getattr(traj, name), expected,
                                    rtol=1e-12, atol=1e-15)
+
+
+# one scheduler of each kind
+_SCHEDULERS = [Scheduler(kind="constant", tau=0.5),
+               Scheduler(kind="horizon_constant", horizon=5.0),
+               Scheduler(kind="inverse_linear"),
+               Scheduler(kind="inverse_sqrt"),
+               Scheduler(kind="power_law", beta=0.5)]
+
+
+def _stage_taus(sched, n_steps, dt):
+    """tau at s, s + dt/2 and s + dt of every step, as integrate_flow
+    takes them."""
+    starts = np.arange(n_steps) * dt
+    return zip(sched.value(starts).tolist(),
+               sched.value(starts + 0.5 * dt).tolist(),
+               sched.value(starts + dt).tolist())
+
+
+def _matrix_flow(problem, z0, sched, S, dt, probes):
+    """RK4 on the full feature matrix with ``mirror_rhs`` as the slope:
+    the final features and, after every step, the regularized and plain
+    values at the probes."""
+    def rhs(z, tau):
+        vf = solve_on_policy_bellman(problem,
+                                     gibbs_policy(z, problem.actions), tau)
+        return mirror_rhs(problem, z, vf, tau)
+
+    def values(s, z):
+        pol = gibbs_policy(z, problem.actions)
+        return [solve_on_policy_bellman(problem, pol, tau).interior[probes]
+                for tau in (float(sched.value(s)), 0.0)]
+
+    n_steps = int(round(S / dt))
+    z = np.array(z0, dtype=np.float64)
+    recs = [values(0.0, z)]
+    for step, (tau_0, tau_h, tau_1) in enumerate(
+            _stage_taus(sched, n_steps, dt), start=1):
+        k1 = rhs(z, tau_0)
+        k2 = rhs(z + 0.5 * dt * k1, tau_h)
+        k3 = rhs(z + 0.5 * dt * k2, tau_h)
+        k4 = rhs(z + dt * k3, tau_1)
+        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        recs.append(values(step * dt, z))
+    return z, np.array(recs)
+
+
+def _deviation(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1.0)))
+
+
+@pytest.mark.parametrize("start", ["zero", "restart"])
+@pytest.mark.parametrize("kind", ["discrete", "interval"])
+def test_node_weight_flow_is_the_matrix_flow(kind, start):
+    # integrate_flow steps the four node vectors of the span identity
+    # Z = w0*b + w1*c + w2*f + a*Z_0; in exact arithmetic that is RK4 on Z
+    # itself, so the two loops differ only in the order of roundings.
+    # Measured worst deviation over all cases: 1.25e-15 relative to
+    # max(|x|, 1).  The bound 1e-13 leaves room for other summation
+    # orders (SIMD widths, BLAS), while a change to the scheme moves these
+    # values far more: the midpoint tau on the third stage replaced by
+    # the start's tau, under a decaying schedule, by 7e-4 or more; a
+    # dropped -tau*Z term by 0.7.
+    problem = lq_benchmark(kind, n_quad=32)
+    shape = (problem.n_interior, problem.actions.n_actions)
+    z0 = np.zeros(shape) if start == "zero" \
+        else np.random.default_rng(5).standard_normal(shape)
+    probes = [3, 14, 25]
+    for sched in _SCHEDULERS:
+        traj = integrate_flow(problem, z0, sched, S=5.0, dt=0.05,
+                              probes=probes)
+        z, recs = _matrix_flow(problem, z0, sched, 5.0, 0.05, probes)
+        assert _deviation(z, traj.z_final) <= 1e-13
+        assert _deviation(recs[:, 0], traj.values_at_probe) <= 1e-13
+        assert _deviation(recs[:, 1], traj.unregularized_values) <= 1e-13
+
+
+def _control_in_cost(kind):
+    """b and c free of the action: discrete {0, 1}, or the interval
+    [-1, 1] with 32 nodes and a quadratic cost whose vertex moves with x."""
+    grid = build_grid(0.0, 1.0, 29)
+    if kind == "discrete":
+        acts = make_action_space(values=[0.0, 1.0])
+
+        def f(x, a):
+            return 1.0 + 0.2 * x + 0.5 * a
+    else:
+        acts = make_action_space(alpha=-1.0, beta=1.0, n_quad=32)
+
+        def f(x, a):
+            vertex = 0.5 * math.sin(2.0 * x)
+            return 1.0 + (a - vertex) ** 2 - vertex ** 2
+    return make_problem(grid, acts, b=lambda x, a: 0.3 * math.sin(3.0 * x),
+                        c=lambda x, a: 0.1, f=f,
+                        sigma=lambda x: math.sqrt(2.0), g=lambda x: 0.0)
+
+
+def _rk4_weight(sched, S, dt):
+    """RK4 on B' = -1 - tau_s*B from B(0) = 0, the flow's w2 row."""
+    B = 0.0
+    for tau_0, tau_h, tau_1 in _stage_taus(sched, int(round(S / dt)), dt):
+        k1 = -1.0 - tau_0 * B
+        k2 = -1.0 - tau_h * (B + 0.5 * dt * k1)
+        k3 = -1.0 - tau_h * (B + 0.5 * dt * k2)
+        k4 = -1.0 - tau_1 * (B + dt * k3)
+        B = B + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return B
+
+
+@pytest.mark.parametrize("kind", ["discrete", "interval"])
+def test_control_in_cost_flow_is_gibbs_of_growth_weight(kind):
+    # With b and c free of the action, Z_S = A + B(S)*f where A is
+    # constant along each row, so the Gibbs map drops A and the policy is
+    # Gibbs(B*f) with B = -e^{-T}*I1, the growth integral of bounds.
+    # The flow's B is RK4 on the scalar ODE B' = -1 - tau*B, whose error
+    # e_B scales as dt^4 (16 times smaller per halving of dt; at most
+    # 5.6e-10 at dt = 0.1 here).  A weight moves by w*(f - f_bar) per
+    # unit of B, at most the row's spread of f, so the weights may differ
+    # by spread*e_B plus rounding.  Measured: at most 2.8e-11 at
+    # dt = 0.1 and 1.8e-12 at dt = 0.05.
+    problem = _control_in_cost(kind)
+    spread = float(np.max(np.ptp(problem.f_tab, axis=1)))
+    S, dt = 20.0, 0.1
+    z0 = np.zeros((problem.n_interior, problem.actions.n_actions))
+    for sched in _SCHEDULERS:
+        traj = integrate_flow(problem, z0, sched, S, dt, probes=[14],
+                              record_every=1000)
+        B = -math.exp(growth_integrals(sched, S).log_I1 - sched.integral(S))
+        e_B = abs(_rk4_weight(sched, S, dt) - B)
+        assert e_B <= 1e-5 * dt ** 4
+        weights = gibbs_policy(traj.z_final, problem.actions).weights
+        expected = gibbs_policy(B * problem.f_tab, problem.actions).weights
+        assert np.max(np.abs(weights - expected)) <= spread * e_B + 1e-13

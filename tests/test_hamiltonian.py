@@ -194,6 +194,18 @@ def test_interval_softmin_no_cancellation_far_out():
             assert math.isfinite(soft)
 
 
+@pytest.mark.parametrize("p, tau", [(10.0, 3e-308), (1e10, 1e-300)])
+def test_interval_softmin_where_the_squared_limits_overflow(p, tau):
+    # ((beta + p)/sqrt(2 tau))^2 overflows, so lo^2 - hi^2 would be
+    # inf - inf; the softmin is then the hard minimum to rounding, since
+    # tau*ln(1/tau) is below 1e-290, and the mirror image a -> -a agrees
+    for q in (p, -p):
+        soft = interval_quadratic_softmin(q, tau, -1.0, 1.0)
+        hard = interval_quadratic_min(q, -1.0, 1.0)
+        assert math.isfinite(soft)
+        assert abs(soft - hard) <= 1e-12 * abs(hard)
+
+
 @pytest.mark.parametrize("width", [5e-324, 1e-16, 1e-9, 1e-3])
 def test_interval_softmin_narrow_interval(width):
     # minimum at an end of an interval so narrow that the erfcx difference
