@@ -12,7 +12,7 @@ from .elliptic import (SolverError, ValueField, average_coefficients,
                        optimal_feature, pde_residual,
                        performance_difference_check, solve_on_policy_bellman)
 from .flow import (FlowTrajectory, Scheduler, UnstableFlowError,
-                   error_decomposition, integrate_flow, mirror_rhs)
+                   error_decomposition, integrate_flow)
 from .hamiltonian import (hard_hamiltonian, interval_quadratic_softmin,
                           soft_hamiltonian)
 from .hjb import (ConvergenceError, HjbSolution, solve_regularized_hjb,

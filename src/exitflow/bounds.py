@@ -14,7 +14,9 @@ directly, so horizons of 1e4 and beyond stay finite.
 With T(s) = int_0^s tau_r dr, the integrand of I2 is the derivative of
 exp(T), so I2(s) = exp(T(s)) - 1 exactly for every scheduler.  The
 integrand of I1 carries its mass within O(1/tau_s) of s, so power-law
-schedules integrate it only over that window (see ``growth_integrals``);
+schedules integrate it only over that window, and the bound forms
+I2/I1 - tau_s from J = ln(I1) - T(s), not from ln(I1) - ln(I2), whose
+size T(s) would cost it digits (see ``_growth_exponents``);
 ``growth_integrals_quadrature`` keeps the full [0, s] domain for both
 integrals as the independent cross-check.
 """
@@ -80,35 +82,41 @@ def _log_integral(log_f, s, start=0.0):
         f"on [{start}, {s}]")
 
 
-def growth_integrals(sched: Scheduler, s) -> GrowthIntegrals:
-    """ln(I1), ln(I2) for the scheduler at time s.
+def _growth_exponents(sched: Scheduler, s):
+    """T(s) and J = ln(I1) - T(s), apart, so that J keeps its digits.
 
-    Every schedule takes I2 = e^{T(s)} - 1.  I1 is I2/tau on constant
-    schedules and a closed form on inverse_sqrt and on power laws with
-    beta = 1; other power laws integrate it by log-domain quadrature over
-    the window [max(0, s - L/tau_s), s] with L = 40 + ln(1 + s).  As tau
-    is nonincreasing, T(s) - T(x) >= tau_s (s - x), so the mass left of
-    the window is at most s e^{T(s) - L} < e^{T(s) - 40}; as tau <= tau_0
-    = 1, I1 >= (1 - 1/e) e^{T(s)} once the window starts after 0 (then
-    s > 40).  The share of I1 dropped is therefore below
-    e^{-40}/(1 - 1/e) < 7e-18.
+    I1 is I2/tau on constant schedules and a closed form on inverse_sqrt
+    and at beta = 1.  Other power laws integrate e^{T(s-u) - T(s)}, with
+    T(s) - T(s-u) written without cancellation, over u <= w = min(s,
+    L/tau_s), L = 40 + ln(1+s).  As tau is nonincreasing, T(s) - T(s-u)
+    >= tau_s u, so the mass beyond w is at most s e^{T(s) - L}, below
+    e^{T(s) - 40}; as tau <= tau_0 = 1, I1 >= (1 - 1/e) e^{T(s)} once
+    w < s (then s > 40), so the share dropped is < e^{-40}/(1-1/e) < 7e-18.
     """
     s = float(s)
     if s <= 0.0:
         raise ValueError("s must be positive")
     t = sched.integral(s)
-    log_I2 = t + math.log(-math.expm1(-t))
     if sched.kind in _CONSTANT_KINDS:
-        log_I1 = log_I2 - math.log(sched.tau)
+        j = math.log(-math.expm1(-t)) - math.log(sched.tau)
     elif sched.kind == INVERSE_SQRT:
         # I1 = (e^t (1 + t) - 1)/2 = e^t (t - expm1(-t))/2
-        log_I1 = -math.log(2.0) + t + math.log(t - math.expm1(-t))
+        j = math.log(t - math.expm1(-t)) - math.log(2.0)
     elif sched.beta == 1.0:
-        log_I1 = math.log(0.5 * s * s + s)
+        j = math.log(0.5 * s * (s + 2.0) / (1.0 + s))  # I1 = s^2/2 + s
     else:
-        start = max(0.0, s - (40.0 + math.log1p(s)) / sched.value(s))
-        log_I1 = _log_integral(sched.integral, s, start)
-    return GrowthIntegrals(s=s, log_I1=log_I1, log_I2=log_I2)
+        p = 1.0 - sched.beta
+        scale = (1.0 + s) ** p / p
+        width = min(s, (40.0 + math.log1p(s)) / sched.value(s))
+        j = _log_integral(
+            lambda u: scale * np.expm1(p * np.log1p(-u / (1.0 + s))), width)
+    return t, j
+
+
+def growth_integrals(sched: Scheduler, s) -> GrowthIntegrals:
+    """ln(I1) = T(s) + J and ln(I2) = ln(e^{T(s)} - 1) at time s."""
+    t, j = _growth_exponents(sched, s)
+    return GrowthIntegrals(float(s), t + j, t + math.log(-math.expm1(-t)))
 
 
 def growth_integrals_quadrature(sched: Scheduler, s) -> GrowthIntegrals:
@@ -131,9 +139,9 @@ def optimization_bound(sched: Scheduler, s, C=1.0, discrete=False):
     factor.
     """
     tau = float(sched.value(s))
-    gi = growth_integrals(sched, s)
-    inv_I1 = math.exp(-gi.log_I1)
-    ratio = math.exp(gi.log_I2 - gi.log_I1) - tau
+    t, j = _growth_exponents(sched, s)
+    inv_I1 = math.exp(-t - j)
+    ratio = -math.expm1(-t) * math.exp(-j) - tau
     if discrete:
         return C * (inv_I1 + ratio)
     return (C / tau) * ((1.0 + tau) * inv_I1 + ratio)

@@ -14,14 +14,16 @@ An RK4 step forms only linear combinations of the state and of stage
 slopes, so it maps a state of this form to one of this form, and running
 RK4 on theta is running it on Z.  The flow therefore steps theta, O(n)
 numbers, and contracts it with the four tables into Z only where a stage,
-a record or the final state needs the feature matrix.  ``mirror_rhs``
-stays the flow's definition in Z; the stability estimate reads it.
+a record or the final state needs the feature matrix.
 
-Trajectories record both the regularized value and the plain value of
-the running policy at probe nodes; the plain value costs one extra linear
-solve with the KL forcing dropped.  The error decomposition of a
-trajectory solves its own reference HJBs: the hard-min optimum once and
-the softmin optimum once per distinct recorded tau.
+Each point s = k*dt of the flow is evaluated once (features, Gibbs
+policy, value at tau_s) for the first RK4 stage from s, the record at s
+and, at s = 0, the stability estimate.  Trajectories record both the
+regularized and the plain value of the running policy at probe nodes;
+the plain value costs one extra linear solve with the KL forcing
+dropped.  The error decomposition of a trajectory solves its own
+reference HJBs: the hard-min optimum once and the softmin optimum once
+per distinct recorded tau.
 """
 import math
 import numbers
@@ -127,24 +129,16 @@ class FlowTrajectory:
     probe_x: np.ndarray
 
 
-def mirror_rhs(problem, z, vf, tau):
-    """Descent direction -(b*Dv - c*v + f + tau*Z)."""
-    return -(optimal_feature(problem, vf) + tau * z)
-
-
-def _rhs(problem, z, tau):
-    vf = solve_on_policy_bellman(problem, gibbs_policy(z, problem.actions),
-                                 tau)
-    return mirror_rhs(problem, z, vf, tau)
-
-
-def estimate_rhs_lipschitz(problem, z0, tau):
-    """Crude local Lipschitz bound of the rhs from one random perturbation."""
+def estimate_rhs_lipschitz(problem, z0, tau, vf0):
+    """max|F(z0 + delta) - F(z0)|/max|delta| for one random delta: a crude
+    local Lipschitz bound of F = ``optimal_feature``, the slope without
+    -tau*Z.  ``vf0`` is the value of z0's Gibbs policy at tau."""
     rng = np.random.default_rng(181181)
     delta = 1e-3 * (1.0 + np.max(np.abs(z0))) * rng.standard_normal(z0.shape)
-    f0 = _rhs(problem, z0, tau)
-    f1 = _rhs(problem, z0 + delta, tau)
-    num = float(np.max(np.abs(f1 - f0 + tau * delta)))  # strip the -tau*Z part
+    vf1 = solve_on_policy_bellman(
+        problem, gibbs_policy(z0 + delta, problem.actions), tau)
+    num = float(np.max(np.abs(optimal_feature(problem, vf1)
+                              - optimal_feature(problem, vf0))))
     return num / float(np.max(np.abs(delta)))
 
 
@@ -161,23 +155,21 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
     z = np.array(z0, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("initial feature matrix has non-finite entries")
-    if dt <= 0.0 or S < dt:
-        raise ValueError("need 0 < dt <= S")
+    if not 0.0 < dt <= S < math.inf:
+        raise ValueError(f"need finite 0 < dt <= S, got S={S!r}, dt={dt!r}")
     if not isinstance(record_every, numbers.Integral) or record_every < 1:
         raise ValueError(f"record_every must be an integer >= 1, "
                          f"got {record_every!r}")
     probes = np.asarray(probes, dtype=np.int64)
     if probes.size == 0 or probes.min() < 0 or probes.max() >= problem.n_interior:
         raise ValueError("probes must be interior node indices")
-    tau0 = float(sched.value(0.0))
-    lip = estimate_rhs_lipschitz(problem, z, tau0)
-    if dt * (tau0 + lip) > 1.0:
-        raise UnstableFlowError(
-            f"dt={dt:g} fails the stability check dt*(tau0 + L) <= 1 "
-            f"with tau0={tau0:g}, L~{lip:.3g}; use dt <= "
-            f"{1.0 / (tau0 + lip):.3g}")
     n_steps = int(round(S / dt))
-    times, taus, vals, unregs, kls = [], [], [], [], []
+    # tau at each flow point k*dt; a step's end i*dt + dt is not (i+1)*dt
+    points = np.arange(n_steps + 1) * dt
+    tau_at = sched.value(points).tolist()
+    tau_mid = sched.value(points[:-1] + 0.5 * dt).tolist()
+    tau_end = sched.value(points[:-1] + dt).tolist()
+    records = []
     # Z = theta . tables, with the start as the fourth table (module doc)
     tables = np.concatenate([problem.coef_tab, z[None]])
     drive = np.zeros((4, problem.n_interior))
@@ -186,37 +178,36 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
     def features(theta):
         return np.einsum("ji,jik->ik", theta, tables)
 
-    def rhs(theta, tau):
-        vf = solve_on_policy_bellman(
-            problem, gibbs_policy(features(theta), problem.actions), tau)
+    def evaluate(theta, tau):
+        pol = gibbs_policy(features(theta), problem.actions)
+        return pol, solve_on_policy_bellman(problem, pol, tau)
+
+    def rhs(theta, tau, vf=None):
+        if vf is None:
+            vf = evaluate(theta, tau)[1]
         drive[0] = -vf.dv
         drive[1] = vf.interior
         return drive - tau * theta
 
-    def record(s, theta):
-        tau_s = float(sched.value(s))
-        pol = gibbs_policy(features(theta), problem.actions)
-        vf = solve_on_policy_bellman(problem, pol, tau_s)
-        vf0 = solve_on_policy_bellman(problem, pol, 0.0)
-        vr = vf.v[1:-1][probes]
-        vu = vf0.v[1:-1][probes]
-        times.append(s)
-        taus.append(tau_s)
-        vals.append(vr)
-        unregs.append(vu)
-        kls.append(float(np.mean((vr - vu) / tau_s)))
-
-    # tau at the stage times s, s + dt/2 and s + dt of every step
-    starts = np.arange(n_steps) * dt
-    stage_taus = zip(sched.value(starts).tolist(),
-                     sched.value(starts + 0.5 * dt).tolist(),
-                     sched.value(starts + dt).tolist())
+    def record(s, tau_s, pol, vf):
+        vr = vf.interior[probes]
+        vu = solve_on_policy_bellman(problem, pol, 0.0).interior[probes]
+        records.append((s, tau_s, vr, vu, np.mean((vr - vu) / tau_s)))
 
     theta = np.zeros((4, problem.n_interior))
     theta[3] = 1.0
-    record(0.0, theta)
-    for step, (tau_0, tau_h, tau_1) in enumerate(stage_taus, start=1):
-        k1 = rhs(theta, tau_0)
+    tau0 = tau_at[0]
+    pol, vf = evaluate(theta, tau0)
+    lip = estimate_rhs_lipschitz(problem, z, tau0, vf)
+    if dt * (tau0 + lip) > 1.0:
+        raise UnstableFlowError(
+            f"dt={dt:g} fails the stability check dt*(tau0 + L) <= 1 "
+            f"with tau0={tau0:g}, L~{lip:.3g}; use dt <= "
+            f"{1.0 / (tau0 + lip):.3g}")
+    record(0.0, tau0, pol, vf)
+    for step, (tau_0, tau_h, tau_1) in enumerate(
+            zip(tau_at, tau_mid, tau_end), start=1):
+        k1 = rhs(theta, tau_0, vf)
         k2 = rhs(theta + 0.5 * dt * k1, tau_h)
         k3 = rhs(theta + 0.5 * dt * k2, tau_h)
         k4 = rhs(theta + dt * k3, tau_1)
@@ -224,14 +215,14 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
         s = step * dt
         if not np.all(np.isfinite(theta)):
             raise UnstableFlowError(
-                f"non-finite feature state at step {step} (s={s:g}, "
-                f"max|Z| before failure unavailable)")
+                f"non-finite feature state at step {step} (s={s:g})")
+        pol, vf = evaluate(theta, tau_at[step])
         if step % record_every == 0 or step == n_steps:
-            record(s, theta)
-    return FlowTrajectory(times=np.array(times), tau_values=np.array(taus),
-                          values_at_probe=np.array(vals),
-                          unregularized_values=np.array(unregs),
-                          kl_mass=np.array(kls), z_final=features(theta),
+            record(s, tau_at[step], pol, vf)
+    times, taus, vals, unregs, kls = map(np.array, zip(*records))
+    return FlowTrajectory(times=times, tau_values=taus, values_at_probe=vals,
+                          unregularized_values=unregs, kl_mass=kls,
+                          z_final=features(theta),
                           step_count=n_steps, probe_indices=probes,
                           probe_x=problem.grid.interior[probes])
 

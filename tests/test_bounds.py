@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from exitflow import bounds
 from exitflow import (Scheduler, growth_integrals,
                       growth_integrals_quadrature, integrate_flow,
                       lq_benchmark, optimization_bound, reproduce_figure,
@@ -97,16 +98,16 @@ def test_power_law_window_matches_named_closed_forms(beta, kind):
 
 
 def test_power_law_growth_work_stays_in_window(monkeypatch):
-    # both integrands are functions of T, so counting the points T is
-    # taken at counts the integrand points
     points = []
-    integral = Scheduler.integral
+    log_integral = bounds._log_integral
 
-    def counted(self, s):
-        points.append(np.size(s))
-        return integral(self, s)
+    def counted(log_f, s, start=0.0):
+        def f(x):
+            points.append(np.size(x))
+            return log_f(x)
+        return log_integral(f, s, start)
 
-    monkeypatch.setattr(Scheduler, "integral", counted)
+    monkeypatch.setattr(bounds, "_log_integral", counted)
     gi = growth_integrals(Scheduler(kind="power_law", beta=0.02), 1e5)
     assert math.isfinite(gi.log_I1)
     assert sum(points) <= 1024
@@ -194,6 +195,16 @@ def test_total_bound_power_law_equals_inverse_sqrt():
     a = total_bound(Scheduler(kind="power_law", beta=0.5), 100.0)
     b = total_bound(Scheduler(kind="inverse_sqrt"), 100.0)
     assert abs(a - b) <= 1e-9 * b
+
+
+@pytest.mark.parametrize("beta, expect", [(0.02, 0.18290120929260226),
+                                          (0.1, 0.36407378450699423)])
+def test_total_bound_at_long_horizon_matches_mpmath(beta, expect):
+    # 40-digit mpmath values.  I2/I1 - tau_S cancels here: taking I2/I1
+    # from ln(I1) - ln(I2), each of size T(S) ~ 1e5, puts the bound off
+    # by 5.8e-10 (beta = 0.02) and 6.1e-11 (beta = 0.1) relative
+    got = total_bound(Scheduler(kind="power_law", beta=beta), 1e5)
+    assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 def test_total_bound_linear_in_C():

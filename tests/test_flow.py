@@ -7,7 +7,7 @@ import pytest
 from exitflow import flow
 from exitflow import (Scheduler, error_decomposition, gibbs_policy,
                       growth_integrals, integrate_flow, lq_benchmark,
-                      make_action_space, make_problem, mirror_rhs,
+                      make_action_space, make_problem,
                       optimal_feature, solve_on_policy_bellman,
                       solve_regularized_hjb, solve_unregularized_hjb,
                       uniform_policy)
@@ -118,24 +118,6 @@ def test_inverse_linear_is_power_law_one():
         assert _same_bits(il.integral(s), pl.integral(s))
 
 
-def test_mirror_rhs_zero_data_is_linear_decay():
-    prob = _zero_data_problem()
-    z = np.ones((7, 2))
-    from exitflow import gibbs_policy
-    vf = solve_on_policy_bellman(prob, gibbs_policy(z, prob.actions), 0.5)
-    rhs = mirror_rhs(prob, z, vf, 0.5)
-    assert np.max(np.abs(rhs + 0.5 * z)) <= 1e-12
-
-
-def test_mirror_rhs_vanishes_at_fixed_point(lq):
-    tau = 0.5
-    sol = solve_regularized_hjb(lq, tau, tol=1e-12 * (1.0 + lq.f_sup))
-    z_star = -optimal_feature(lq, sol.v_star) / tau
-    vf = solve_on_policy_bellman(lq, sol.optimal_policy, tau)
-    rhs = mirror_rhs(lq, z_star, vf, tau)
-    assert np.max(np.abs(rhs)) <= 1e-8
-
-
 def test_mirror_rhs_constant_in_action_freezes_policy():
     grid = build_grid(0.0, 1.0, 5)
     acts = make_action_space(values=[-1.0, 0.0, 1.0])
@@ -203,13 +185,42 @@ def test_times_and_finiteness(lq):
 
 @pytest.mark.parametrize("record_every", [0, -1, 2.5])
 def test_integrate_flow_rejects_bad_record_every(lq, record_every):
-    # rejected before the Lipschitz estimate runs any value solve
+    # rejected before any value solve
     sched = Scheduler(kind="constant", tau=0.5)
     with mock.patch.object(flow, "solve_on_policy_bellman",
                            side_effect=AssertionError("value solve ran")), \
             pytest.raises(ValueError, match="record_every"):
         integrate_flow(lq, np.zeros((29, 5)), sched, S=1.0, dt=0.1,
                        probes=[14], record_every=record_every)
+
+
+@pytest.mark.parametrize("S, dt", [(math.inf, 0.1), (math.nan, 0.1),
+                                   (1.0, math.nan), (1.0, math.inf),
+                                   (1.0, -math.inf)])
+def test_integrate_flow_rejects_non_finite_horizon_or_step(lq, S, dt):
+    sched = Scheduler(kind="constant", tau=0.5)
+    with mock.patch.object(flow, "solve_on_policy_bellman",
+                           side_effect=AssertionError("value solve ran")), \
+            pytest.raises(ValueError, match="need finite 0 < dt <= S"):
+        integrate_flow(lq, np.zeros((29, 5)), sched, S=S, dt=dt, probes=[14])
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_integrate_flow_evaluates_each_point_once(lq, record_every):
+    # one Gibbs map and one value solve at each of the n + 1 flow points,
+    # three more per step for the later RK4 stages, one more of each for
+    # the perturbed stability point, and one plain solve per record
+    sched = Scheduler(kind="inverse_linear")
+    with mock.patch.object(flow, "gibbs_policy",
+                           wraps=gibbs_policy) as gibbs, \
+            mock.patch.object(flow, "solve_on_policy_bellman",
+                              wraps=solve_on_policy_bellman) as solve:
+        traj = integrate_flow(lq, np.zeros((29, 5)), sched, S=1.0, dt=0.1,
+                              probes=[14], record_every=record_every)
+    n, r = traj.step_count, len(traj.times)
+    assert (n, r) == (10, 11 if record_every == 1 else 5)
+    assert gibbs.call_count == 4 * n + 2
+    assert solve.call_count == 4 * n + 2 + r
 
 
 def test_stability_check_rejects_huge_dt(lq):
@@ -399,13 +410,13 @@ def _stage_taus(sched, n_steps, dt):
 
 
 def _matrix_flow(problem, z0, sched, S, dt, probes):
-    """RK4 on the full feature matrix with ``mirror_rhs`` as the slope:
-    the final features and, after every step, the regularized and plain
-    values at the probes."""
+    """RK4 on the full feature matrix with the slope
+    -(b*Dv - c*v + f + tau*Z): the final features and, after every step,
+    the regularized and plain values at the probes."""
     def rhs(z, tau):
         vf = solve_on_policy_bellman(problem,
                                      gibbs_policy(z, problem.actions), tau)
-        return mirror_rhs(problem, z, vf, tau)
+        return -(optimal_feature(problem, vf) + tau * z)
 
     def values(s, z):
         pol = gibbs_policy(z, problem.actions)
