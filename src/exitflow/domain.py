@@ -2,18 +2,21 @@
 
 A control problem bundles the coefficient maps (drift b, discount c,
 running cost f, diffusion sigma, exit cost g) together with their values
-tabulated once on the grid x action nodes; all downstream solvers read
-the tables.  The linear-quadratic family (b and c affine in the action,
-f quadratic) is first-class because it admits closed-form action minima.
-Its seven maps of x are evaluated once per interior node, and the b, c, f
-table is formed from those values by broadcasting over the action nodes,
-so building an LQ problem calls each map O(n) times whatever the number
-of actions.  Rows of the seven map values are read only here, by
+tabulated once on the grid x action nodes, in a read-only table that
+all downstream solvers read.  Without LQ structure (below) the table
+calls the b, c and f closures on Python floats.  The linear-quadratic
+family (b and c affine in the action, f quadratic) is first-class
+because it admits closed-form action minima.  Its seven maps of x are
+evaluated once per interior node, and the b, c, f table is formed from
+those values by broadcasting over the action nodes, so building an LQ
+problem calls each map O(n) times whatever the number of actions.
+Rows of the seven map values are read only here, by
 ``lq_coefficients`` and ``lq_feature``, and rows of the b, c, f table
 by ``_feature_table``.  ``coefficients_at`` builds the same tables at
 one point, on or off the grid, for the pointwise Hamiltonians.  A
 problem also forms, on first use, the constants of the central-difference
-stencil that ``elliptic`` assembles and differentiates with.
+stencil that ``elliptic`` assembles and differentiates with, and the
+sup-norm of f from which the solvers take their default tolerance.
 """
 
 import functools
@@ -90,8 +93,12 @@ class _Stencil(NamedTuple):
 
 def _feature_table(coef, u, p):
     """b*p - c*u + f per node and action, from a (3, n, N) coefficient
-    table in ``coef_tab`` row order and per-node u, p."""
-    return coef[0] * p[:, None] - coef[1] * u[:, None] + coef[2]
+    table in ``coef_tab`` row order and per-node u, p, formed in one
+    output array."""
+    out = coef[0] * p[:, None]
+    out -= coef[1] * u[:, None]
+    out += coef[2]
+    return out
 
 
 def lq_coefficients(t, a):
@@ -115,10 +122,11 @@ class ControlProblem:
     The callables b, c and f are kept for off-grid evaluation (Hamiltonian
     probes); sigma is kept as its nodal values and the exit cost g as its
     values at the two ends.  ``coef_tab`` stacks b, c and f on interior
-    nodes x action nodes, shape (3, n_interior, n_actions), and is what the
-    PDE solvers consume; ``b_tab``, ``c_tab`` and ``f_tab`` are views of it.
-    On LQ problems ``lq_tab`` holds the seven LQ maps on interior nodes,
-    shape (7, n_interior) in field order, read-only; it is None otherwise.
+    nodes x action nodes, shape (3, n_interior, n_actions), read-only, and
+    is what the PDE solvers consume; ``b_tab``, ``c_tab`` and ``f_tab`` are
+    views of it.  On LQ problems ``lq_tab`` holds the seven LQ maps on
+    interior nodes, shape (7, n_interior) in field order, read-only; it is
+    None otherwise.
     """
     grid: Grid
     actions: ActionSpace
@@ -149,8 +157,9 @@ class ControlProblem:
     def f_tab(self):
         return self.coef_tab[2]
 
-    @property
+    @functools.cached_property
     def f_sup(self):
+        """max|f| over the table, formed once per problem."""
         return float(np.max(np.abs(self.f_tab)))
 
     @functools.cached_property
@@ -225,8 +234,11 @@ def make_action_space(values=None, alpha=None, beta=None, n_quad=None):
 
 
 def _tabulate(fn, xs, acts):
+    """fn(x, a) on nodes ``xs`` x actions ``acts``, called on Python
+    floats."""
     out = np.empty((xs.size, acts.size))
-    for i, x in enumerate(xs):
+    acts = acts.tolist()
+    for i, x in enumerate(xs.tolist()):
         for k, a in enumerate(acts):
             out[i, k] = fn(x, a)
     return out
@@ -262,6 +274,7 @@ def make_problem(grid, actions, b, c, f, sigma, g, lq=None):
     """
     xs = grid.interior
     coef_tab, lq_tab = _tables(b, c, f, lq, xs, actions.actions)
+    coef_tab.flags.writeable = False
     if lq_tab is not None:
         _check_lq(lq_tab, xs, actions)
     sig_all = np.array([sigma(x) for x in grid.nodes], dtype=np.float64)

@@ -12,8 +12,11 @@ via (scaled) error functions at every tau.
 The hard minimum has one implementation, ``hard_minimum``, which takes
 per-node rows of the coefficient tables: Howard iteration calls it on
 the whole grid and ``hard_hamiltonian`` on the one-point tables of
-``domain.coefficients_at``.  The feature table b*p - c*u + f and the LQ
-rows are read only through ``domain``.
+``domain.coefficients_at``.  On intervals without LQ structure its
+golden-section search runs on Python floats, so the b, c and f closures
+receive Python floats here as in ``domain``'s tabulation: arithmetic on
+numpy scalars costs several times as much.  The feature table
+b*p - c*u + f and the LQ rows are read only through ``domain``.
 """
 
 import math
@@ -64,7 +67,8 @@ def hard_minimum(problem, xs, u, p, coef, lq_rows):
 
     Discrete: node argmin of the table, ties to the first node.  Interval
     with LQ structure: quadratic vertex clamped to [alpha, beta].  Other
-    intervals: golden-section search around each row's node minimum.
+    intervals: golden-section search around each row's node minimum, on
+    Python floats.
     """
     actions = problem.actions
     if actions.kind != DISCRETE and lq_rows is not None:
@@ -74,9 +78,11 @@ def hard_minimum(problem, xs, u, p, coef, lq_rows):
         rows = np.arange(xs.size)
         cols = np.argmin(z, axis=1)
         return z[rows, cols], actions.actions[cols], coef[:, rows, cols]
+    x_list = xs.tolist()
     acts = np.array([interval_argmin(problem, x, ui, pi, row)
-                     for x, ui, pi, row in zip(xs, u, p, z)])
-    b, c, f = (np.array([fn(x, a) for x, a in zip(xs, acts)])
+                     for x, ui, pi, row in zip(x_list, u.tolist(),
+                                               p.tolist(), z)])
+    b, c, f = (np.array([fn(x, a) for x, a in zip(x_list, acts.tolist())])
                for fn in (problem.b, problem.c, problem.f))
     return b * p - c * u + f, acts, (b, c, f)
 
@@ -84,11 +90,14 @@ def hard_minimum(problem, xs, u, p, coef, lq_rows):
 def interval_argmin(problem, x, u, p, z):
     """Minimizer over [alpha, beta] of b*p - c*u + f at x: golden-section
     search between the action nodes either side of the node minimum of
-    ``z``, the values at the action nodes."""
+    ``z``, the values at the action nodes.  x, u and p are Python floats,
+    and so are the bracket ends, so the search and the closures run on
+    them."""
     actions = problem.actions
     k = int(np.argmin(z))
-    lo = actions.alpha if k == 0 else actions.actions[k - 1]
-    hi = actions.beta if k == actions.n_actions - 1 else actions.actions[k + 1]
+    lo = actions.alpha if k == 0 else float(actions.actions[k - 1])
+    hi = actions.beta if k == actions.n_actions - 1 \
+        else float(actions.actions[k + 1])
 
     def z_at(a):
         return problem.b(x, a) * p - problem.c(x, a) * u + problem.f(x, a)

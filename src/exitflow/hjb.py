@@ -10,9 +10,9 @@ per-node argmins from ``hamiltonian.hard_minimum``, the same node-wise
 minimum that ``hard_hamiltonian`` evaluates at one point: the node
 argmin of the coefficient table on discrete action sets, the clamped
 vertex from the per-node LQ values on interval LQ problems, and a
-golden-section refinement of each node's minimum elsewhere.  Each argmin
-step also returns b, c and f at the selected actions, which the next
-linear solve takes.
+golden-section refinement of each node's minimum elsewhere, in which the
+b, c and f closures receive Python floats.  Each argmin step also returns
+b, c and f at the selected actions, which the next linear solve takes.
 """
 
 from dataclasses import dataclass, field
@@ -74,8 +74,11 @@ def solve_regularized_hjb(problem, tau, tol=None, max_iter=MAX_ITER,
     history = []
     for it in range(1, max_iter + 1):
         vf = solve_on_policy_bellman(problem, pol, tau)
-        improved = gibbs_policy(-optimal_feature(problem, vf) / tau,
-                                problem.actions)
+        # -F/tau in F's own array: IEEE division is sign-symmetric, so
+        # F / -tau has the bits of -F / tau
+        feature = optimal_feature(problem, vf)
+        feature /= -tau
+        improved = gibbs_policy(feature, problem.actions)
         res = _residual(problem, vf, -tau * improved.log_partition)
         history.append(res)
         if res <= tol:

@@ -39,7 +39,9 @@ def gibbs_policy(z, actions):
     norm being the mu-average of e^z, and keep ln(norm) per row.
 
     Stabilized with a per-row max shift, so feature scales of order
-    1/tau for small tau stay finite.
+    1/tau for small tau stay finite.  Leaves ``z`` unchanged: the shifted
+    copy becomes the log-density, and the weights are formed in the
+    array the exponential writes.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != actions.n_actions:
@@ -48,12 +50,13 @@ def gibbs_policy(z, actions):
     if not np.all(np.isfinite(z)):
         raise ValueError("feature matrix has non-finite entries")
     m = z.max(axis=1, keepdims=True)
-    shifted = z - m
-    expz = np.exp(shifted)
-    norm = expz @ actions.mu_weights
-    weights = actions.mu_weights[None, :] * expz / norm[:, None]
+    log_density = z - m
+    weights = np.exp(log_density)
+    norm = weights @ actions.mu_weights
+    weights *= actions.mu_weights
+    weights /= norm[:, None]
     log_norm = np.log(norm)
-    log_density = shifted - log_norm[:, None]
+    log_density -= log_norm[:, None]
     return Policy(weights=weights, log_density=log_density,
                   log_partition=m[:, 0] + log_norm)
 

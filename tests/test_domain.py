@@ -170,8 +170,19 @@ def test_lq_build_evaluates_maps_per_node(n, values, n_quad):
     assert calls.pop("sigma") == n + 2
     assert calls == {k: n for k in calls} and len(calls) == 7
     assert prob.lq_tab.shape == (7, n)
-    assert not prob.lq_tab.flags.writeable
+    # both shared tables are read-only, so in-place arithmetic on a
+    # derived array can never write into them
+    for tab in (prob.lq_tab, prob.coef_tab):
+        assert not tab.flags.writeable
     assert np.shares_memory(prob.sigma_interior, prob.sigma_nodes)
+
+
+def test_f_sup_is_formed_once():
+    prob = manufactured_problem(forcing="sine")
+    assert "f_sup" not in vars(prob)
+    assert prob.f_sup == float(np.max(np.abs(prob.f_tab)))
+    # cached on the problem, as the stencil constants are
+    assert vars(prob)["f_sup"] == prob.f_sup
 
 
 def test_make_problem_rejects_degenerate_sigma():

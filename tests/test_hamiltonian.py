@@ -8,7 +8,7 @@ from exitflow import (gibbs_policy, hard_hamiltonian,
                       interval_quadratic_softmin, lq_benchmark,
                       make_action_space, make_problem, soft_hamiltonian)
 from exitflow.domain import DISCRETE, ActionSpace, build_grid, lq_feature
-from exitflow.hamiltonian import interval_quadratic_min
+from exitflow.hamiltonian import hard_minimum, interval_quadratic_min
 
 
 def _two_action_problem(z0, z1):
@@ -146,6 +146,36 @@ def test_hard_min_interval_generic_golden_section():
     # argmin resolution is sqrt(eps)-limited by the flatness of cos at pi
     assert abs(amin - math.pi) <= 5e-8
     assert abs(val + 1.0) <= 1e-12
+
+
+def test_non_lq_closures_receive_python_floats():
+    # tabulation and the golden-section search call b, c and f on Python
+    # floats, not numpy scalars
+    seen = []
+
+    def recording(fn):
+        def wrapped(x, a):
+            seen.append((type(x), type(a)))
+            return fn(x, a)
+        return wrapped
+
+    grid = build_grid(0.0, 1.0, 5)
+    acts = make_action_space(alpha=-1.0, beta=1.0, n_quad=8)
+    prob = make_problem(grid, acts,
+                        b=recording(lambda x, a: 0.5 * a + 0.2 * x),
+                        c=recording(lambda x, a: 0.1),
+                        f=recording(lambda x, a: 1.0 + a * a
+                                    + 0.1 * math.cos(3.0 * a)),
+                        sigma=lambda x: 1.0, g=lambda x: 0.0)
+    assert prob.lq is None
+    assert len(seen) == 3 * 5 * 8
+    assert set(seen) == {(float, float)}
+    seen.clear()
+    xs = prob.grid.interior
+    u, p = np.linspace(0.0, 0.5, 5), np.linspace(-1.0, 1.0, 5)
+    hard_minimum(prob, xs, u, p, prob.coef_tab, prob.lq_tab)
+    assert len(seen) > 3 * 5
+    assert set(seen) == {(float, float)}
 
 
 def test_interval_softmin_frozen_value():

@@ -238,6 +238,39 @@ def test_howard_non_lq_interval(monkeypatch):
         assert z(sol.argmin_actions[i]) <= dense + 1e-12
 
 
+# Bits recorded at commit 1413b2f, written as 17-digit literals: the
+# non-LQ search and the policy-iteration tables may change how they are
+# computed, but not one bit of what they compute.
+NON_LQ_ARGMIN = [
+    -0.26985216164725007, -0.21966002517355759, -0.17307519617257233,
+    -0.13033828579533613, -0.091495689273050143, -0.056437458817924113,
+    -0.024949654451937343, 0.0032369543915993062, 0.028410623749150009,
+    0.050855215182319349, 0.070837340322237152, 0.088600564812237229,
+    0.10436382719695, 0.11832233271940942, 0.13064950406538559]
+NON_LQ_V = [
+    0.0, 0.062089404285160875, 0.1160455862457917, 0.16169086540224031,
+    0.19890091276251859, 0.22760161319585256, 0.24776554165937056,
+    0.25940826818840218, 0.26258464354080102, 0.25738515989667893,
+    0.24393243845342086, 0.2223778685344476, 0.19289840739021097,
+    0.15569354209975267, 0.11098241163581693, 0.059001086089991293, 0.0]
+INTERVAL_TAU_01_V = [
+    0.0, 0.068072869129958066, 0.11752323286149013, 0.14761581862202683,
+    0.1577332103539042, 0.1476158186220268, 0.11752323286149011,
+    0.068072869129958052, 0.0]
+
+
+def test_howard_non_lq_interval_bits():
+    sol = solve_unregularized_hjb(_non_lq_interval_problem())
+    assert sol.argmin_actions.tolist() == NON_LQ_ARGMIN
+    assert sol.v_star.v.tolist() == NON_LQ_V
+
+
+def test_regularized_interval_lq_bits():
+    problem = lq_benchmark("interval", n_interior=7, n_quad=16)
+    sol = solve_regularized_hjb(problem, 0.1)
+    assert sol.v_star.v.tolist() == INTERVAL_TAU_01_V
+
+
 @pytest.mark.parametrize("kind", ["discrete", "interval"])
 def test_howard_lq_calls_no_closures(monkeypatch, lq, lq_interval, kind):
     # on LQ problems Howard reads the tables: no per-node hard_hamiltonian

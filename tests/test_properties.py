@@ -93,6 +93,21 @@ def test_gibbs_rows_sum_to_one_and_kl_nonnegative(case):
 
 @settings(deadline=None)
 @given(features())
+def test_gibbs_policy_leaves_features_alone(case):
+    """The Gibbs map writes only arrays of its own: z keeps its bits, and
+    no two of z and the policy's arrays share memory."""
+    problem, z = case
+    before = z.tobytes()
+    pol = gibbs_policy(z, problem.actions)
+    assert z.tobytes() == before
+    arrays = (z, pol.weights, pol.log_density, pol.log_partition)
+    for i, one in enumerate(arrays):
+        for other in arrays[i + 1:]:
+            assert not np.shares_memory(one, other)
+
+
+@settings(deadline=None)
+@given(features())
 def test_stacked_averages_are_convex_combinations(case):
     problem, z = case
     pol = gibbs_policy(z, problem.actions)
