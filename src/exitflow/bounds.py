@@ -19,6 +19,16 @@ I2/I1 - tau_s from J = ln(I1) - T(s), not from ln(I1) - ln(I2), whose
 size T(s) would cost it digits (see ``_growth_exponents``);
 ``growth_integrals_quadrature`` keeps the full [0, s] domain for both
 integrals as the independent cross-check.
+
+A bound point is a few scalar evaluations of the schedule and one small
+quadrature, so numpy's per-call overhead, not arithmetic, sets its cost.
+``Scheduler.value`` and ``Scheduler.integral`` take a Python float in and
+give one back through the same ufunc expression as an array (the same
+bits), and reject non-finite times with ValueError, which every function
+here inherits.  ``total_bound`` evaluates tau_S and T(S) once.  The
+quadrature forms its panel edges with the arithmetic of ``np.linspace``,
+hands ``log_f`` the (panels, 16) node array and broadcasts the log
+weights over it, and reduces through the ufuncs themselves.
 """
 
 import math
@@ -47,8 +57,10 @@ class GrowthIntegrals:
 
 
 def _logsumexp(values):
-    m = np.max(values)
-    return float(m + np.log(np.sum(np.exp(values - m))))
+    """ln sum exp of a 1-d array, reduced by the ufuncs that np.max and
+    np.sum call, without their wrappers."""
+    m = np.maximum.reduce(values)
+    return float(m + np.log(np.add.reduce(np.exp(values - m))))
 
 
 _GL_NODES, _GL_WEIGHTS = _gauss_legendre(16)
@@ -56,23 +68,40 @@ _REL_TOL = 1e-10
 _MAX_DOUBLINGS = 14
 
 
+def _panel_edges(start, s, n):
+    """``np.linspace(start, s, n + 1)`` bit for bit, by the arithmetic
+    linspace uses, for Python floats start and s."""
+    delta = s - start
+    step = delta / n
+    edges = np.arange(n + 1.0)
+    if step == 0.0:
+        # linspace divides first where the step underflows
+        edges /= n
+        edges *= delta
+    else:
+        edges *= step
+    edges += start
+    edges[-1] = s
+    return edges
+
+
 def _log_integral(log_f, s, start=0.0):
     """ln int_start^s exp(log_f(x)) dx by panel doubling with 16-point panels.
 
-    The log-domain panel sums are combined by streaming log-sum-exp;
+    ``log_f`` receives the nodes as an (n_panels, 16) array.  The
+    log-domain panel sums are combined by streaming log-sum-exp;
     doubling stops when the log value moves by at most
     _REL_TOL * (1 + |value|), or fails after _MAX_DOUBLINGS doublings.
     """
     prev = None
     n_panels = 8
     for _ in range(_MAX_DOUBLINGS):
-        edges = np.linspace(start, s, n_panels + 1)
+        edges = _panel_edges(start, s, n_panels)
         half = 0.5 * (edges[1] - edges[0])
         mids = 0.5 * (edges[:-1] + edges[1:])
-        xs = mids[:, None] + half * _GL_NODES[None, :]
-        logs = log_f(xs.ravel()) + np.log(_GL_WEIGHTS * half)[None, :] \
-            .repeat(n_panels, axis=0).ravel()
-        total = _logsumexp(logs)
+        logs = log_f(mids[:, None] + half * _GL_NODES) \
+            + np.log(_GL_WEIGHTS * half)
+        total = _logsumexp(logs.ravel())
         if prev is not None and abs(total - prev) <= _REL_TOL * (1.0 + abs(total)):
             return total
         prev = total
@@ -83,7 +112,7 @@ def _log_integral(log_f, s, start=0.0):
 
 
 def _growth_exponents(sched: Scheduler, s):
-    """T(s) and J = ln(I1) - T(s), apart, so that J keeps its digits.
+    """tau_s, T(s) and J = ln(I1) - T(s), apart, so that J keeps its digits.
 
     I1 is I2/tau on constant schedules and a closed form on inverse_sqrt
     and at beta = 1.  Other power laws integrate e^{T(s-u) - T(s)}, with
@@ -96,6 +125,7 @@ def _growth_exponents(sched: Scheduler, s):
     s = float(s)
     if s <= 0.0:
         raise ValueError("s must be positive")
+    tau = sched.value(s)
     t = sched.integral(s)
     if sched.kind in _CONSTANT_KINDS:
         j = math.log(-math.expm1(-t)) - math.log(sched.tau)
@@ -107,15 +137,15 @@ def _growth_exponents(sched: Scheduler, s):
     else:
         p = 1.0 - sched.beta
         scale = (1.0 + s) ** p / p
-        width = min(s, (40.0 + math.log1p(s)) / sched.value(s))
+        width = min(s, (40.0 + math.log1p(s)) / tau)
         j = _log_integral(
             lambda u: scale * np.expm1(p * np.log1p(-u / (1.0 + s))), width)
-    return t, j
+    return tau, t, j
 
 
 def growth_integrals(sched: Scheduler, s) -> GrowthIntegrals:
     """ln(I1) = T(s) + J and ln(I2) = ln(e^{T(s)} - 1) at time s."""
-    t, j = _growth_exponents(sched, s)
+    _, t, j = _growth_exponents(sched, s)
     return GrowthIntegrals(float(s), t + j, t + math.log(-math.expm1(-t)))
 
 
@@ -125,6 +155,7 @@ def growth_integrals_quadrature(sched: Scheduler, s) -> GrowthIntegrals:
     s = float(s)
     if s <= 0.0:
         raise ValueError("s must be positive")
+    sched.value(s)  # rejects a non-finite s before any node is formed
     log_I1 = _log_integral(lambda x: sched.integral(x), s)
     log_I2 = _log_integral(
         lambda x: sched.integral(x) + np.log(sched.value(x)), s)
@@ -138,22 +169,25 @@ def optimization_bound(sched: Scheduler, s, C=1.0, discrete=False):
     finite action spaces drop the 1/tau_s prefactor and the (1+tau_s)
     factor.
     """
-    tau = float(sched.value(s))
-    t, j = _growth_exponents(sched, s)
+    return _optimization_bound(sched, s, C, discrete)[0]
+
+
+def _optimization_bound(sched, s, C, discrete):
+    """``optimization_bound`` and the tau_s it used."""
+    tau, t, j = _growth_exponents(sched, s)
     inv_I1 = math.exp(-t - j)
     ratio = -math.expm1(-t) * math.exp(-j) - tau
     if discrete:
-        return C * (inv_I1 + ratio)
-    return (C / tau) * ((1.0 + tau) * inv_I1 + ratio)
+        return C * (inv_I1 + ratio), tau
+    return (C / tau) * ((1.0 + tau) * inv_I1 + ratio), tau
 
 
 def total_bound(sched: Scheduler, S, C=1.0, alpha=1.0):
     """Optimization bound at tau_S plus the bias term C*tau*(ln(1/tau))^alpha."""
     if S <= 1.0:
         raise ValueError("S must exceed 1")
-    tau_S = float(sched.value(S))
-    bias = C * tau_S * math.log(1.0 / tau_S) ** alpha
-    return optimization_bound(sched, S, C=C) + bias
+    opt, tau_S = _optimization_bound(sched, S, C, False)
+    return opt + C * tau_S * math.log(1.0 / tau_S) ** alpha
 
 
 def reproduce_figure(beta_grid=BETA_GRID, s_grid=S_GRID, C=1.0, alpha=1.0):

@@ -12,8 +12,8 @@ those values by broadcasting over the action nodes, so building an LQ
 problem calls each map O(n) times whatever the number of actions.
 Rows of the seven map values are read only here, by
 ``lq_coefficients`` and ``lq_feature``, and rows of the b, c, f table
-by ``_feature_table``.  ``coefficients_at`` builds the same tables at
-one point, on or off the grid, for the pointwise Hamiltonians.  A
+by ``_feature_table``; ``_feature_row`` forms one row of it at a point,
+on or off the grid, for the pointwise Hamiltonians.  A
 problem also forms, on first use, the constants of the central-difference
 stencil that ``elliptic`` assembles and differentiates with, and the
 sup-norm of f from which the solvers take their default tolerance.
@@ -258,10 +258,18 @@ def _tables(b, c, f, lq, xs, acts):
     return np.stack(lq_coefficients(lq_tab[:, :, None], acts)), lq_tab
 
 
-def coefficients_at(problem, x):
-    """The problem's (coef_tab, lq_tab) at one point x, on or off the grid."""
-    return _tables(problem.b, problem.c, problem.f, problem.lq,
-                   np.array([x], dtype=np.float64), problem.actions.actions)
+def _feature_row(problem, x, u, p):
+    """b*p - c*u + f over the action nodes at one point x, on or off the
+    grid, with the values and operation order of a ``_feature_table`` row:
+    from the seven LQ map values at x on LQ problems, else from the
+    closures called on Python floats."""
+    acts = problem.actions.actions
+    if problem.lq is not None:
+        b, c, f = lq_coefficients(problem.lq.at(x), acts)
+    else:
+        b, c, f = (_tabulate(fn, np.array([x]), acts)[0]
+                   for fn in (problem.b, problem.c, problem.f))
+    return b * p - c * u + f
 
 
 def make_problem(grid, actions, b, c, f, sigma, g, lq=None):

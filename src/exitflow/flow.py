@@ -59,6 +59,12 @@ class Scheduler:
     power_law: 1/(1+s)^beta.  Construction stores horizon_constant's tau
     and inverse_linear's beta = 1, so tau_s follows one of three laws:
     a constant tau, 1/sqrt(1+s) or a power law.
+
+    ``value`` and ``integral`` take a time or an array of times.  A scalar
+    time comes back as a Python float, computed by the same numpy ufunc
+    expression as an array of times (so bit for bit the same number) but
+    without the cost of wrapping it in an array.  Negative and non-finite
+    times raise ValueError.
     """
     kind: str
     tau: float = math.nan
@@ -82,18 +88,20 @@ class Scheduler:
             raise ValueError("power_law scheduler needs finite beta > 0")
 
     def value(self, s):
-        """tau_s; accepts scalars or arrays."""
+        """tau_s: a Python float for a scalar s, an array for an array."""
         s = _times(s)
         if self.kind in _CONSTANT_KINDS:
-            out = np.full_like(s, self.tau)
+            out = np.full_like(s, self.tau) if isinstance(s, np.ndarray) \
+                else self.tau
         elif self.kind == INVERSE_SQRT:
             out = 1.0 / np.sqrt(1.0 + s)
         else:
             out = np.power(1.0 + s, -self.beta)
-        return out if out.ndim else float(out)
+        return out if isinstance(s, np.ndarray) else float(out)
 
     def integral(self, s):
-        """T(s) = int_0^s tau_r dr in closed form."""
+        """T(s) = int_0^s tau_r dr in closed form, float or array as
+        ``value``."""
         s = _times(s)
         if self.kind in _CONSTANT_KINDS:
             out = self.tau * s
@@ -106,13 +114,23 @@ class Scheduler:
             # expm1 keeps full precision for beta near 1, where
             # ((1+s)^(1-beta) - 1)/(1-beta) cancels
             out = np.expm1((1.0 - self.beta) * np.log1p(s)) / (1.0 - self.beta)
-        return out if out.ndim else float(out)
+        return out if isinstance(s, np.ndarray) else float(out)
 
 
 def _times(s):
-    s = np.asarray(s, dtype=np.float64)
-    if np.any(s < 0.0):
-        raise ValueError("s must be nonnegative")
+    """Scheduler times as a Python float (scalars and 0-d arrays) or a
+    float64 array, each time checked finite and nonnegative."""
+    if not isinstance(s, (float, int)):
+        s = np.asarray(s, dtype=np.float64)
+        if s.ndim:
+            ok = (s >= 0.0) & (s < math.inf)
+            if not ok.all():
+                raise ValueError(f"s must be finite and nonnegative, got "
+                                 f"{float(s[~ok][0])!r}")
+            return s
+    s = float(s)
+    if not 0.0 <= s < math.inf:
+        raise ValueError(f"s must be finite and nonnegative, got {s!r}")
     return s
 
 

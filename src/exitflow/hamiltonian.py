@@ -9,22 +9,26 @@ quadratic-in-action problems on an interval the softmin reduces, after
 dividing out the curvature, to a scalar profile evaluated in closed form
 via (scaled) error functions at every tau.
 
-The hard minimum has one implementation, ``hard_minimum``, which takes
-per-node rows of the coefficient tables: Howard iteration calls it on
-the whole grid and ``hard_hamiltonian`` on the one-point tables of
-``domain.coefficients_at``.  On intervals without LQ structure its
-golden-section search runs on Python floats, so the b, c and f closures
-receive Python floats here as in ``domain``'s tabulation: arithmetic on
-numpy scalars costs several times as much.  The feature table
-b*p - c*u + f and the LQ rows are read only through ``domain``.
+The hard minimum has one rule per kind of action set: the node minimum
+of the feature row on discrete sets, the clamped quadratic vertex
+(``lq_hard_minimum``) on intervals with LQ structure, and a golden-section
+search around the node minimum (``interval_argmin``) on other intervals.
+``hard_minimum`` applies it to per-node rows of the coefficient tables
+for Howard iteration; ``hard_hamiltonian`` applies it at one point, to
+the seven LQ map values there or to the one feature row its rule reads,
+with no (3, 1, N) table.  The golden-section search runs on Python
+floats, so the b, c and f closures receive Python floats here as in
+``domain``'s tabulation: arithmetic on numpy scalars costs several times
+as much.  The feature table b*p - c*u + f and the LQ rows are read only
+through ``domain``.
 """
 
 import math
 
 import numpy as np
 
-from .domain import (DISCRETE, _feature_table, _gauss_legendre,
-                     coefficients_at, lq_coefficients, lq_feature)
+from .domain import (DISCRETE, _feature_row, _feature_table,
+                     _gauss_legendre, lq_coefficients, lq_feature)
 from .policy import _check_tau, gibbs_policy
 
 
@@ -39,9 +43,9 @@ def soft_hamiltonian(problem, x, u, p, tau):
     _check_tau(tau, positive=True)
     actions = problem.actions
     if actions.kind == DISCRETE:
-        coef, _ = coefficients_at(problem, x)
-        z = _feature_table(coef, np.array([u]), np.array([p]))
-        return float(-tau * gibbs_policy(-z / tau, actions).log_partition[0])
+        z = _feature_row(problem, x, u, p)
+        return float(-tau * gibbs_policy(-z[None] / tau, actions)
+                     .log_partition[0])
     if problem.lq is None:
         raise ValueError("problem has no LQ structure")
     const, slope, f_hat = lq_feature(problem.lq.at(x), p, u)
@@ -51,12 +55,21 @@ def soft_hamiltonian(problem, x, u, p, tau):
 
 
 def hard_hamiltonian(problem, x, u, p):
-    """Unregularized Hamiltonian and a minimizing action at one (x, u, p):
-    ``hard_minimum`` on the one-point tables at x."""
-    xs, us, ps = (np.array([v], dtype=np.float64) for v in (x, u, p))
-    ham, acts, _ = hard_minimum(problem, xs, us, ps,
-                                *coefficients_at(problem, x))
-    return float(ham[0]), float(acts[0])
+    """Unregularized Hamiltonian and a minimizing action at one (x, u, p),
+    by ``hard_minimum``'s rule: bit for bit its value at a grid node."""
+    x, u, p = float(x), float(u), float(p)
+    actions = problem.actions
+    if actions.kind != DISCRETE and problem.lq is not None:
+        ham, a, _ = lq_hard_minimum(problem.lq.at(x), p, u, actions.alpha,
+                                    actions.beta)
+        return float(ham), float(a)
+    z = _feature_row(problem, x, u, p)
+    k = int(np.argmin(z))
+    if actions.kind == DISCRETE:
+        return float(z[k]), float(actions.actions[k])
+    a = interval_argmin(problem, x, u, p, k)
+    return float(problem.b(x, a) * p - problem.c(x, a) * u
+                 + problem.f(x, a)), a
 
 
 def hard_minimum(problem, xs, u, p, coef, lq_rows):
@@ -79,28 +92,27 @@ def hard_minimum(problem, xs, u, p, coef, lq_rows):
         cols = np.argmin(z, axis=1)
         return z[rows, cols], actions.actions[cols], coef[:, rows, cols]
     x_list = xs.tolist()
-    acts = np.array([interval_argmin(problem, x, ui, pi, row)
-                     for x, ui, pi, row in zip(x_list, u.tolist(),
-                                               p.tolist(), z)])
+    acts = np.array([interval_argmin(problem, x, ui, pi, k)
+                     for x, ui, pi, k in zip(x_list, u.tolist(), p.tolist(),
+                                             np.argmin(z, axis=1).tolist())])
     b, c, f = (np.array([fn(x, a) for x, a in zip(x_list, acts.tolist())])
                for fn in (problem.b, problem.c, problem.f))
     return b * p - c * u + f, acts, (b, c, f)
 
 
-def interval_argmin(problem, x, u, p, z):
+def interval_argmin(problem, x, u, p, k):
     """Minimizer over [alpha, beta] of b*p - c*u + f at x: golden-section
-    search between the action nodes either side of the node minimum of
-    ``z``, the values at the action nodes.  x, u and p are Python floats,
-    and so are the bracket ends, so the search and the closures run on
-    them."""
+    search between the action nodes either side of node k, the node
+    minimum of the feature row.  x, u and p are Python floats, and so are
+    the bracket ends, so the search and the closures run on them."""
     actions = problem.actions
-    k = int(np.argmin(z))
     lo = actions.alpha if k == 0 else float(actions.actions[k - 1])
     hi = actions.beta if k == actions.n_actions - 1 \
         else float(actions.actions[k + 1])
+    b, c, f = problem.b, problem.c, problem.f
 
     def z_at(a):
-        return problem.b(x, a) * p - problem.c(x, a) * u + problem.f(x, a)
+        return b(x, a) * p - c(x, a) * u + f(x, a)
     return _golden_section(z_at, lo, hi, tol=1e-10)
 
 

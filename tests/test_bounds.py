@@ -255,3 +255,40 @@ def test_flow_error_below_fitted_bound():
                            for s in traj.times[1:]])
     C = err[fit_idx] / bound_unit[fit_idx - 1]
     assert np.all(err[fit_idx:] <= C * bound_unit[fit_idx - 1:] + 1e-12)
+
+
+# bound points and growth integrals recorded before the per-call overhead
+# came out of the bound layer; every bit must stay
+FIGURE_BITS = [
+    (0.02, 10.0, 0.04796636850060467), (0.02, 1e3, 0.12036603804723982),
+    (0.02, 1e5, 0.1829012092926026), (0.5, 10.0, 0.5445076931209826),
+    (0.5, 1e3, 0.12523967600131902), (0.5, 1e5, 0.019787093153271797),
+    (0.98, 10.0, 1.1992061496858044), (0.98, 1e3, 0.8693988865982524),
+    (0.98, 1e5, 0.7856076170472761)]
+
+
+@pytest.mark.parametrize("beta, S, expect", FIGURE_BITS)
+def test_reproduce_figure_bits(beta, S, expect):
+    assert reproduce_figure([beta], [S]) == [(beta, S, expect)]
+
+
+@pytest.mark.parametrize("sched, s, expect", [
+    (Scheduler(kind="inverse_linear"), 1e4,
+     (17.727733543395086, 9.210340371976184)),
+    (Scheduler(kind="power_law", beta=0.5), 1e5,
+     (636.2135796536594, 630.4586943034303))])
+def test_growth_integrals_quadrature_bits(sched, s, expect):
+    gi = growth_integrals_quadrature(sched, s)
+    assert (gi.log_I1, gi.log_I2) == expect
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf])
+def test_bounds_reject_non_finite_time(s):
+    pl = Scheduler(kind="power_law", beta=0.5)
+    calls = [lambda: total_bound(pl, s), lambda: optimization_bound(pl, s),
+             lambda: growth_integrals(pl, s),
+             lambda: growth_integrals(Scheduler(kind="inverse_linear"), s),
+             lambda: growth_integrals_quadrature(pl, s)]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()

@@ -118,6 +118,34 @@ def test_inverse_linear_is_power_law_one():
         assert _same_bits(il.integral(s), pl.integral(s))
 
 
+_ALL_KINDS = [Scheduler(kind="constant", tau=0.7),
+              Scheduler(kind="horizon_constant", horizon=50.0),
+              Scheduler(kind="inverse_linear"),
+              Scheduler(kind="inverse_sqrt"),
+              Scheduler(kind="power_law", beta=0.37)]
+
+
+@pytest.mark.parametrize("sched", _ALL_KINDS, ids=lambda s: s.kind)
+def test_scheduler_float_matches_one_element_array(sched):
+    # a Python float skips the array but takes the same ufunc expression
+    times = [0.0, 5e-324, 1e-300, 0.37, 5.0, 1e6, 1e300] \
+        + np.logspace(-12, 12, 49).tolist()
+    for s in times:
+        for fn in (sched.value, sched.integral):
+            got = fn(s)
+            assert type(got) is float
+            assert _same_bits(got, fn(np.array([s]))[0])
+
+
+@pytest.mark.parametrize("sched", _ALL_KINDS, ids=lambda s: s.kind)
+def test_scheduler_rejects_non_finite_time(sched):
+    for s in (math.nan, math.inf, np.float64(math.nan), np.array(math.inf),
+              np.array([0.0, 1.0, math.nan]), np.array([[2.0, math.inf]])):
+        for fn in (sched.value, sched.integral):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                fn(s)
+
+
 def test_mirror_rhs_constant_in_action_freezes_policy():
     grid = build_grid(0.0, 1.0, 5)
     acts = make_action_space(values=[-1.0, 0.0, 1.0])

@@ -366,3 +366,54 @@ def test_soft_hamiltonian_rejects_non_lq_interval():
                         g=lambda x: 0.0)
     with pytest.raises(ValueError):
         soft_hamiltonian(prob, 0.5, 0.0, 0.0, 0.1)
+
+
+def _non_lq_problem(kind):
+    actions = make_action_space(alpha=-1.0, beta=1.0, n_quad=64) \
+        if kind == "interval" else make_action_space(
+            values=np.linspace(-1.0, 1.0, 7))
+    return make_problem(build_grid(0.0, 1.0, 15), actions,
+                        b=lambda x, a: 0.5 * a + 0.2 * x,
+                        c=lambda x, a: 0.1,
+                        f=lambda x, a: 1.0 + (1.2 + x) * a * a
+                        + 0.1 * math.cos(3.0 * a),
+                        sigma=lambda x: 1.0, g=lambda x: 0.0)
+
+
+HAM_SAMPLES = [(0.3, 0.2, -1.0, 0.1), (0.71, 1.3, 2.5, 1e-3),
+               (0.5, 0.0, 0.0, 1.0), (0.12, -0.4, 0.7, 0.03)]
+# (hard minimum, its action, softmin) per sample, recorded when the
+# pointwise Hamiltonians still went through the (3, 1, N) tables
+HAM_BITS = {
+    "discrete": [
+        (0.73, 0.5, 0.8757390530977391),
+        (-0.6299999999999999, -1.0, -0.6283905620875657),
+        (1.0, 0.0, 1.4175294560304685),
+        (0.9400000000000001, -0.5, 0.987231517974262)],
+    "interval": [
+        (0.73, 0.5, 0.9958369145252159),
+        (-0.6924999999999999, -1.25, -0.6875390457617537),
+        (1.0, -0.0, 2.507076614172394),
+        (0.9175000000000001, -0.35, 1.0153106664224538)],
+    "non_lq_discrete": [
+        (0.9740302305868138, 0.33333333333333326, 1.112071923446148),
+        (1.0745857861423693, -0.33333333333333337, 1.0765316962914246),
+        (1.1, 0.0, 1.5961974457796053),
+        (1.1408302305868139, -0.33333333333333337, 1.1853302083754558)],
+    "non_lq_interval": [
+        (0.961474401202389, 0.23041676398184704, None),
+        (1.066835403744313, -0.4004612275509998, None),
+        (1.1, 1.3973642287675737e-08, None),
+        (1.1221140129997702, -0.19545491267173237, None)]}
+
+
+@pytest.mark.parametrize("name", list(HAM_BITS))
+def test_pointwise_hamiltonian_bits(name):
+    problem = lq_benchmark(name) if name in ("discrete", "interval") \
+        else _non_lq_problem(name.rsplit("_", 1)[1])
+    for (x, u, p, tau), (ham, act, soft) in zip(HAM_SAMPLES, HAM_BITS[name]):
+        got = hard_hamiltonian(problem, x, u, p)
+        # hex tells -0.0 from 0.0
+        assert [v.hex() for v in got] == [ham.hex(), act.hex()]
+        if soft is not None:
+            assert soft_hamiltonian(problem, x, u, p, tau).hex() == soft.hex()

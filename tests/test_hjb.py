@@ -265,6 +265,27 @@ def test_howard_non_lq_interval_bits():
     assert sol.v_star.v.tolist() == NON_LQ_V
 
 
+def test_howard_non_lq_interval_closure_calls():
+    # the golden-section search and the selected coefficients call each of
+    # b, c and f exactly as often as when the search first ran on Python
+    # floats (4 iterations x 15 nodes)
+    base = _non_lq_interval_problem()
+    calls = {"b": 0, "c": 0, "f": 0}
+
+    def counting(name):
+        fn = getattr(base, name)
+
+        def wrapped(x, a):
+            calls[name] += 1
+            return fn(x, a)
+        return wrapped
+
+    sol = solve_unregularized_hjb(
+        replace(base, **{name: counting(name) for name in calls}))
+    assert sol.iterations == 4
+    assert calls == {"b": 2789, "c": 2789, "f": 2789}
+
+
 def test_regularized_interval_lq_bits():
     problem = lq_benchmark("interval", n_interior=7, n_quad=16)
     sol = solve_regularized_hjb(problem, 0.1)

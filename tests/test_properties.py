@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,7 +17,7 @@ from exitflow import (Scheduler, SolverError, average_coefficients,
                       performance_difference_check, simulate_exit_value,
                       solve_on_policy_bellman, solve_regularized_hjb,
                       solve_unregularized_hjb)
-from exitflow import kernels
+from exitflow import bounds, kernels
 from exitflow.config import _poly
 from exitflow.domain import (LQCoefficients, _tabulate, build_grid,
                              lq_feature)
@@ -399,6 +399,18 @@ def test_lq_feature_matches_closures(data):
     ref = terms[0] - terms[1] + terms[2]
     scale = sum(abs(t) for t in terms) + abs(z1 * a) + abs(z2 * a * a)
     assert abs(z0 + z1 * a + z2 * a * a - ref) <= 1e-14 * (1.0 + scale)
+
+
+finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@given(finite, finite, st.integers(1, 1 << 16))
+@example(0.0, 5e-324, 8)  # the step underflows to zero
+@example(1.0, 1.0, 8)
+@example(0.0, 1e5, 1 << 16)
+def test_panel_edges_are_linspace(start, s, n):
+    edges = bounds._panel_edges(start, s, n)
+    assert edges.tobytes() == np.linspace(start, s, n + 1).tobytes()
 
 
 @settings(deadline=None)
