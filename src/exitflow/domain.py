@@ -219,6 +219,8 @@ def make_action_space(values=None, alpha=None, beta=None, n_quad=None):
         return ActionSpace(kind=DISCRETE, actions=acts, mu_weights=w)
     alpha = float(alpha)
     beta = float(beta)
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError(f"interval ends must be finite, got [{alpha}, {beta}]")
     if alpha >= beta:
         raise ValueError(f"interval needs alpha < beta, got [{alpha}, {beta}]")
     n_quad = int(n_quad)

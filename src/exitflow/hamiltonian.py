@@ -10,17 +10,16 @@ dividing out the curvature, to a scalar profile evaluated in closed form
 via (scaled) error functions at every tau.
 
 The hard minimum has one rule per kind of action set: the node minimum
-of the feature row on discrete sets, the clamped quadratic vertex
-(``lq_hard_minimum``) on intervals with LQ structure, and a golden-section
-search around the node minimum (``interval_argmin``) on other intervals.
-``hard_minimum`` applies it to per-node rows of the coefficient tables
-for Howard iteration; ``hard_hamiltonian`` applies it at one point, to
-the seven LQ map values there or to the one feature row its rule reads,
-with no (3, 1, N) table.  The golden-section search runs on Python
-floats, so the b, c and f closures receive Python floats here as in
-``domain``'s tabulation: arithmetic on numpy scalars costs several times
-as much.  The feature table b*p - c*u + f and the LQ rows are read only
-through ``domain``.
+of the feature row on discrete sets, the clamped quadratic vertex on
+intervals with LQ structure, and a golden-section search around the node
+minimum on other intervals.  Howard iteration applies it at every
+interior node through the private ``_hard_minimum(problem, vf)``;
+``hard_hamiltonian`` applies it at one point, to the seven LQ map values
+there or to the one feature row its rule reads, with no (3, 1, N) table.
+The golden-section search runs on Python floats, so the b, c and f
+closures receive Python floats here as in ``domain``'s tabulation:
+arithmetic on numpy scalars costs several times as much.  The feature
+table b*p - c*u + f and the LQ rows are read only through ``domain``.
 """
 
 import math
@@ -30,6 +29,8 @@ import numpy as np
 from .domain import (DISCRETE, _feature_row, _feature_table,
                      _gauss_legendre, lq_coefficients, lq_feature)
 from .policy import _check_tau, gibbs_policy
+
+_GOLDEN_TOL = 1e-10  # bracket width that ends the golden-section search
 
 
 def soft_hamiltonian(problem, x, u, p, tau):
@@ -56,55 +57,54 @@ def soft_hamiltonian(problem, x, u, p, tau):
 
 def hard_hamiltonian(problem, x, u, p):
     """Unregularized Hamiltonian and a minimizing action at one (x, u, p),
-    by ``hard_minimum``'s rule: bit for bit its value at a grid node."""
+    by Howard's rule: bit for bit its value at a grid node."""
     x, u, p = float(x), float(u), float(p)
     actions = problem.actions
     if actions.kind != DISCRETE and problem.lq is not None:
-        ham, a, _ = lq_hard_minimum(problem.lq.at(x), p, u, actions.alpha,
-                                    actions.beta)
+        ham, a, _ = _lq_hard_minimum(problem.lq.at(x), p, u, actions.alpha,
+                                     actions.beta)
         return float(ham), float(a)
     z = _feature_row(problem, x, u, p)
     k = int(np.argmin(z))
     if actions.kind == DISCRETE:
         return float(z[k]), float(actions.actions[k])
-    a = interval_argmin(problem, x, u, p, k)
-    return float(problem.b(x, a) * p - problem.c(x, a) * u
-                 + problem.f(x, a)), a
+    a, b, c, f = _interval_argmin(problem, x, u, p, k)
+    return float(b * p - c * u + f), a
 
 
-def hard_minimum(problem, xs, u, p, coef, lq_rows):
-    """Per-node minimum over the actions of b*p - c*u + f, a minimizing
-    action, and the coefficients (b, c, f) there, at the nodes ``xs`` with
-    per-node ``u``, ``p``, coefficient table ``coef`` of shape (3, n, N)
-    and LQ map values ``lq_rows`` of shape (7, n), or None.
+def _hard_minimum(problem, vf):
+    """Howard's step: at each interior node, the minimum over the actions
+    of b*p - c*u + f with u = v and p = Dv of the value field ``vf``, a
+    minimizing action, and the coefficients (b, c, f) there.
 
-    Discrete: node argmin of the table, ties to the first node.  Interval
-    with LQ structure: quadratic vertex clamped to [alpha, beta].  Other
-    intervals: golden-section search around each row's node minimum, on
-    Python floats.
+    Discrete: node argmin of the coefficient table, ties to the first
+    node.  Interval with LQ structure: quadratic vertex clamped to
+    [alpha, beta].  Other intervals: golden-section search around each
+    row's node minimum, on Python floats.
     """
     actions = problem.actions
-    if actions.kind != DISCRETE and lq_rows is not None:
-        return lq_hard_minimum(lq_rows, p, u, actions.alpha, actions.beta)
+    u, p = vf.interior, vf.dv
+    if actions.kind != DISCRETE and problem.lq_tab is not None:
+        return _lq_hard_minimum(problem.lq_tab, p, u, actions.alpha,
+                                actions.beta)
+    coef = problem.coef_tab
     z = _feature_table(coef, u, p)
     if actions.kind == DISCRETE:
-        rows = np.arange(xs.size)
+        rows = np.arange(u.size)
         cols = np.argmin(z, axis=1)
         return z[rows, cols], actions.actions[cols], coef[:, rows, cols]
-    x_list = xs.tolist()
-    acts = np.array([interval_argmin(problem, x, ui, pi, k)
-                     for x, ui, pi, k in zip(x_list, u.tolist(), p.tolist(),
-                                             np.argmin(z, axis=1).tolist())])
-    b, c, f = (np.array([fn(x, a) for x, a in zip(x_list, acts.tolist())])
-               for fn in (problem.b, problem.c, problem.f))
+    acts, b, c, f = map(np.array, zip(*(
+        _interval_argmin(problem, x, ui, pi, k)
+        for x, ui, pi, k in zip(problem.grid.interior.tolist(), u.tolist(),
+                                p.tolist(), np.argmin(z, axis=1).tolist()))))
     return b * p - c * u + f, acts, (b, c, f)
 
 
-def interval_argmin(problem, x, u, p, k):
-    """Minimizer over [alpha, beta] of b*p - c*u + f at x: golden-section
-    search between the action nodes either side of node k, the node
-    minimum of the feature row.  x, u and p are Python floats, and so are
-    the bracket ends, so the search and the closures run on them."""
+def _interval_argmin(problem, x, u, p, k):
+    """Minimizer over [alpha, beta] of b*p - c*u + f at x, then b, c, f
+    there: golden-section search between the action nodes either side of
+    node k, the feature row's node minimum.  x, u, p and the bracket ends
+    are Python floats, so the search and the closures run on them."""
     actions = problem.actions
     lo = actions.alpha if k == 0 else float(actions.actions[k - 1])
     hi = actions.beta if k == actions.n_actions - 1 \
@@ -113,10 +113,11 @@ def interval_argmin(problem, x, u, p, k):
 
     def z_at(a):
         return b(x, a) * p - c(x, a) * u + f(x, a)
-    return _golden_section(z_at, lo, hi, tol=1e-10)
+    a = _golden_section(z_at, lo, hi)
+    return a, b(x, a), c(x, a), f(x, a)
 
 
-def lq_hard_minimum(t, p, u, alpha, beta):
+def _lq_hard_minimum(t, p, u, alpha, beta):
     """Minimum over [alpha, beta] of b*p - c*u + f, its minimizer (the
     vertex -slope/(2*f_hat) clamped to the interval) and (b, c, f) there,
     from the seven LQ map values ``t``: scalars at one x, or per-node rows
@@ -133,13 +134,13 @@ def lq_hard_minimum(t, p, u, alpha, beta):
     return b * p - c * u + f, a, (b, c, f)
 
 
-def _golden_section(fn, lo, hi, tol):
+def _golden_section(fn, lo, hi):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    while b - a > _GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

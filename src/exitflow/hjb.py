@@ -5,14 +5,14 @@ exact improvement map Z <- -(b*Dv - c*v + f)/tau, whose Gibbs image is
 the softmin-optimal policy; convergence is measured by the semilinear
 residual (sigma^2/2) v'' + H_tau(x, v, Dv), with H_tau = -tau times the
 log-partition of that Gibbs image, so each iteration exponentiates its
-feature table once.  The tau = 0 solve is Howard iteration with hard
-per-node argmins from ``hamiltonian.hard_minimum``, the same node-wise
-minimum that ``hard_hamiltonian`` evaluates at one point: the node
-argmin of the coefficient table on discrete action sets, the clamped
-vertex from the per-node LQ values on interval LQ problems, and a
-golden-section refinement of each node's minimum elsewhere, in which the
-b, c and f closures receive Python floats.  Each argmin step also returns
-b, c and f at the selected actions, which the next linear solve takes.
+feature table once.  The tau = 0 solve is Howard iteration; its step
+is ``hamiltonian._hard_minimum(problem, vf)``, the node-wise minimum that
+``hard_hamiltonian`` evaluates at one point: the node argmin of the
+coefficient table on discrete action sets, the clamped vertex from the
+per-node LQ values on interval LQ problems, and a golden-section
+refinement of each node's minimum elsewhere, in which the b, c and f
+closures receive Python floats.  Each step also returns b, c and f at
+the selected actions, which the next linear solve takes.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +22,7 @@ import numpy as np
 
 from .elliptic import (ValueField, average_coefficients, diffusion,
                        optimal_feature, solve_linear, solve_on_policy_bellman)
-from .hamiltonian import hard_minimum
+from .hamiltonian import _hard_minimum
 from .policy import Policy, _check_tau, gibbs_policy, uniform_policy
 
 
@@ -50,6 +50,11 @@ def default_tolerance(problem):
     return 1e-9 * (1.0 + problem.f_sup)
 
 
+def _check_max_iter(max_iter):
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+
+
 def _residual(problem, vf, ham):
     """Max-norm of (sigma^2/2) v'' + H with per-node Hamiltonian values."""
     return float(np.max(np.abs(diffusion(problem, vf) + ham)))
@@ -64,6 +69,7 @@ def solve_regularized_hjb(problem, tau, tol=None, max_iter=MAX_ITER,
     residual drops below tol.
     """
     _check_tau(tau, positive=True)
+    _check_max_iter(max_iter)
     if tol is None:
         tol = default_tolerance(problem)
     n = problem.n_interior
@@ -118,6 +124,7 @@ def solve_unregularized_hjb(problem, tol=None,
     the previous selection, so a selection seen before (other than the
     previous one) repeats the iterations since: it is reported as cycling.
     """
+    _check_max_iter(max_iter)
     if tol is None:
         tol = default_tolerance(problem)
     coefficients = average_coefficients(
@@ -127,9 +134,7 @@ def solve_unregularized_hjb(problem, tol=None,
     acts = None
     for it in range(1, max_iter + 1):
         vf = solve_linear(problem, *coefficients)
-        ham, new_acts, selected = hard_minimum(
-            problem, problem.grid.interior, vf.interior, vf.dv,
-            problem.coef_tab, problem.lq_tab)
+        ham, new_acts, selected = _hard_minimum(problem, vf)
         res = _residual(problem, vf, ham)
         history.append(res)
         stationary = acts is not None and np.array_equal(new_acts, acts)

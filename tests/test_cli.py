@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +189,82 @@ def test_missing_section_leaves_no_directory(tmp_path, capsys, command,
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     assert f"'{section}' is required" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _assert_rejected(tmp_path, capsys, command, path, message):
+    # exit 1 with the reason on stderr, and nothing written
+    out = tmp_path / "run"
+    assert main([command, "--config", path, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not any(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"grid": {"left": 0.0,', "is not valid JSON"),
+    (None, "cannot read config file")], ids=["invalid-json", "missing-file"])
+def test_unloadable_config_rejected(tmp_path, capsys, content, message):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(ConfigError, match=message):
+        load_config(str(path))
+    _assert_rejected(tmp_path, capsys, "solve-hjb", str(path), message)
+
+
+_FLOW = {"scheduler": {"kind": "constant", "tau": 0.5}, "horizon": 0.5,
+         "dt": 0.05, "probes": [0.5]}
+_BIAS_SWEEP = {"taus": [0.1], "p_grid": [0.0], "alpha": -1.0, "beta": 1.0}
+
+# (command, section, replacement, message) for each rule that ties keys
+# together in resolve_config
+_CROSS_KEY_RULES = {
+    "grid-left-not-below-right": (
+        "solve-hjb", "grid", {"left": 1.0, "right": 1.0, "n_interior": 9},
+        "'grid.left'/'grid.right': need left < right"),
+    "action-key-of-other-kind": (
+        "solve-hjb", "actions", {"kind": "discrete", "values": [0.0],
+                                 "n_quad": 8},
+        "unknown config key 'actions.n_quad'"),
+    "missing-action-key": (
+        "solve-hjb", "actions", {"kind": "interval", "alpha": -1.0,
+                                 "beta": 1.0},
+        "'actions.n_quad' is required"),
+    "action-alpha-not-below-beta": (
+        "solve-hjb", "actions", {"kind": "interval", "alpha": 1.0,
+                                 "beta": 1.0, "n_quad": 8},
+        "'actions.alpha': need alpha < beta"),
+    "missing-scheduler-parameter": (
+        "run-flow", "flow", {**_FLOW, "scheduler": {"kind": "constant"}},
+        "'flow.scheduler.tau' is required"),
+    "bias-sweep-alpha-not-below-beta": (
+        "sweep-bounds", "bounds", {"bias_sweep": {**_BIAS_SWEEP,
+                                                  "alpha": 1.0}},
+        "'bounds.bias_sweep.alpha': need alpha < beta"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CROSS_KEY_RULES))
+def test_cross_key_rule_rejected(tmp_path, capsys, case):
+    command, section, value, message = _CROSS_KEY_RULES[case]
+    cfg = _base_config(hjb={"taus": [0.5]}, flow=_FLOW,
+                       bounds={"bias_sweep": _BIAS_SWEEP})
+    resolve_config(cfg)
+    cfg[section] = value
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        resolve_config(cfg)
+    _assert_rejected(tmp_path, capsys, command, _write(tmp_path, cfg),
+                     message)
+
+
+@pytest.mark.parametrize("section", ["grid", "actions", "lq", "sigma", "g"])
+def test_problem_section_missing_rejected(tmp_path, capsys, section):
+    cfg = _base_config(hjb={"taus": [0.5]})
+    del cfg[section]
+    message = f"config key '{section}' is required to define a problem"
+    with pytest.raises(ConfigError, match=message):
+        build_problem(resolve_config(cfg))
+    _assert_rejected(tmp_path, capsys, "solve-hjb", _write(tmp_path, cfg),
+                     message)
 
 
 def test_run_flow_rejects_colliding_probes(tmp_path, capsys):

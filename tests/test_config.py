@@ -3,10 +3,12 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 
-from exitflow.config import (_SPEC, ConfigError, config_digest, load_config,
-                             resolve_config)
+from exitflow import lq_benchmark
+from exitflow.config import (_SPEC, ConfigError, build_problem, config_digest,
+                             load_config, resolve_config)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -110,6 +112,22 @@ def test_shipped_config_digests(name, digest):
     # a change to the reader that alters a resolved shipped config shows here
     path = os.path.join(ROOT, "configs", name + ".json")
     assert config_digest(load_config(path)) == digest
+
+
+def _problem_bits(problem):
+    arrays = (problem.coef_tab, problem.lq_tab, problem.sigma_nodes,
+              problem.actions.actions, problem.actions.mu_weights,
+              np.array([problem.g_left, problem.g_right]))
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("kind", ["discrete", "interval"])
+def test_shipped_config_builds_lq_benchmark(kind):
+    # the CLI runs and the tests that use lq_benchmark solve one problem
+    path = os.path.join(ROOT, "configs", f"lq_{kind}.json")
+    built = build_problem(load_config(path))
+    assert built.actions.kind == kind
+    assert _problem_bits(built) == _problem_bits(lq_benchmark(kind))
 
 
 def _spec_keys(spec, prefix=""):

@@ -56,6 +56,14 @@ def test_gauss_legendre_two_point():
     assert np.allclose(a.mu_weights, [0.5, 0.5])
 
 
+@pytest.mark.parametrize("alpha, beta", [(-math.inf, 1.0), (-1.0, math.nan),
+                                         (math.nan, 1.0), (-1.0, math.inf)])
+def test_interval_rejects_non_finite_ends(alpha, beta):
+    # a NaN end also slips past the alpha < beta check
+    with pytest.raises(ValueError, match="interval ends must be finite"):
+        make_action_space(alpha=alpha, beta=beta, n_quad=4)
+
+
 def test_interval_rule_unchanged_by_mutating_a_copy():
     # the rule of each order is cached; callers get fresh arrays
     first = make_action_space(alpha=0.0, beta=2.0, n_quad=12)

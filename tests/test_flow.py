@@ -146,7 +146,7 @@ def test_scheduler_rejects_non_finite_time(sched):
                 fn(s)
 
 
-def test_mirror_rhs_constant_in_action_freezes_policy():
+def test_flow_constant_in_action_freezes_policy():
     grid = build_grid(0.0, 1.0, 5)
     acts = make_action_space(values=[-1.0, 0.0, 1.0])
     prob = make_problem(grid, acts, b=lambda x, a: 0.3, c=lambda x, a: 0.1,
@@ -231,6 +231,23 @@ def test_integrate_flow_rejects_non_finite_horizon_or_step(lq, S, dt):
                            side_effect=AssertionError("value solve ran")), \
             pytest.raises(ValueError, match="need finite 0 < dt <= S"):
         integrate_flow(lq, np.zeros((29, 5)), sched, S=S, dt=dt, probes=[14])
+
+
+@pytest.mark.parametrize("entry, probes, message", [
+    (math.inf, [14], "non-finite entries"),
+    (math.nan, [14], "non-finite entries"),
+    (0.0, [-1], "interior node indices"),
+    (0.0, [29], "interior node indices"),
+    (0.0, [], "interior node indices")])
+def test_integrate_flow_rejects_bad_start_or_probe(lq, entry, probes,
+                                                   message):
+    z0 = np.zeros((29, 5))
+    z0[3, 2] = entry
+    sched = Scheduler(kind="constant", tau=0.5)
+    with mock.patch.object(flow, "solve_on_policy_bellman",
+                           side_effect=AssertionError("value solve ran")), \
+            pytest.raises(ValueError, match=message):
+        integrate_flow(lq, z0, sched, S=1.0, dt=0.1, probes=probes)
 
 
 @pytest.mark.parametrize("record_every", [1, 3])

@@ -8,7 +8,8 @@ from exitflow import (gibbs_policy, hard_hamiltonian,
                       interval_quadratic_softmin, lq_benchmark,
                       make_action_space, make_problem, soft_hamiltonian)
 from exitflow.domain import DISCRETE, ActionSpace, build_grid, lq_feature
-from exitflow.hamiltonian import hard_minimum, interval_quadratic_min
+from exitflow.elliptic import ValueField
+from exitflow.hamiltonian import _hard_minimum, interval_quadratic_min
 
 
 def _two_action_problem(z0, z1):
@@ -120,7 +121,6 @@ def test_hard_min_interval_lq_clamps_like_python_min_max():
     # beta) leaves it (numpy's maximum would return 0.0), at one x and
     # over all nodes, so the selected actions print the same either way
     from exitflow.domain import LQCoefficients, make_lq_problem
-    from exitflow.hamiltonian import lq_hard_minimum
     coeffs = LQCoefficients(b_bar=lambda x: 0.0, b_hat=lambda x: 1.0,
                             c_bar=lambda x: 0.0, c_hat=lambda x: 0.0,
                             f_bar=lambda x: 0.0, f_tilde=lambda x: 0.0,
@@ -130,8 +130,8 @@ def test_hard_min_interval_lq_clamps_like_python_min_max():
                            sigma=lambda x: 1.0, g=lambda x: 0.0)
     val, amin = hard_hamiltonian(prob, 0.5, 0.0, 0.0)
     assert val == 0.0 and math.copysign(1.0, amin) == -1.0
-    _, acts, _ = lq_hard_minimum(prob.lq_tab, np.zeros(3), np.zeros(3),
-                                 0.0, 1.0)
+    _, acts, _ = _hard_minimum(prob, ValueField(v=np.zeros(5),
+                                                dv=np.zeros(3)))
     assert np.all(np.signbit(acts))
 
 
@@ -171,9 +171,8 @@ def test_non_lq_closures_receive_python_floats():
     assert len(seen) == 3 * 5 * 8
     assert set(seen) == {(float, float)}
     seen.clear()
-    xs = prob.grid.interior
-    u, p = np.linspace(0.0, 0.5, 5), np.linspace(-1.0, 1.0, 5)
-    hard_minimum(prob, xs, u, p, prob.coef_tab, prob.lq_tab)
+    _hard_minimum(prob, ValueField(v=np.linspace(0.0, 0.5, 7),
+                                   dv=np.linspace(-1.0, 1.0, 5)))
     assert len(seen) > 3 * 5
     assert set(seen) == {(float, float)}
 
@@ -275,7 +274,7 @@ def _closed_form(problem, x, u, p, tau):
         slope / two_fhat, tau / two_fhat, -1.0, 1.0)
 
 
-def test_lq_reduction_consistency():
+def test_lq_closed_form_matches_softmin_quadrature():
     # closed form through the reduction == direct softmin quadrature
     lq = lq_benchmark("interval", alpha=-1.0, beta=1.0, n_quad=64)
     for tau in (1.0, 0.1, 1e-2, 1e-3):
@@ -312,7 +311,7 @@ def test_soft_hamiltonian_switches_to_closed_form():
     assert -1e-10 <= soft - hard <= 2.0 * tau * math.log(1.0 / tau)
 
 
-def test_discrete_bias_gap_bound():
+def test_discrete_soft_hard_gap_within_tau_log_n():
     lq = lq_benchmark("discrete")
     rng = np.random.default_rng(4)
     samples = [(rng.uniform(0.1, 0.9), rng.uniform(-1, 1), rng.uniform(-3, 3))
@@ -323,7 +322,7 @@ def test_discrete_bias_gap_bound():
     assert -1e-10 <= gap <= tau * math.log(5.0) + 1e-10
 
 
-def test_discrete_bias_gap_saturates():
+def test_discrete_soft_hard_gap_saturates_at_tau_log_2():
     # z = {0, M} with M >> tau: the far action's weight vanishes and the
     # gap approaches tau*ln 2
     tau = 0.05

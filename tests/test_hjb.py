@@ -175,7 +175,7 @@ def test_interval_unregularized_continuous_argmin(lq_interval):
 def test_howard_monotone_values(lq):
     # classical Howard property: values nonincreasing across iterations
     from exitflow.elliptic import average_coefficients, solve_linear
-    from exitflow.hamiltonian import hard_minimum
+    from exitflow.hamiltonian import _hard_minimum
     pol = uniform_policy(lq.n_interior, lq.actions)
     coefficients = average_coefficients(lq, pol, 0.0)
     prev = None
@@ -184,8 +184,7 @@ def test_howard_monotone_values(lq):
         if prev is not None:
             assert np.all(vf.v <= prev + 1e-9)
         prev = vf.v
-        _, _, coefficients = hard_minimum(lq, lq.grid.interior, vf.interior,
-                                          vf.dv, lq.coef_tab, lq.lq_tab)
+        _, _, coefficients = _hard_minimum(lq, vf)
 
 
 def _non_lq_interval_problem():
@@ -324,19 +323,19 @@ def _biases(problem, taus):
                                 - base))) for tau in taus]
 
 
-def test_regularization_bias_zero_data():
+def test_soft_hard_value_gap_zero_data():
     prob = _zero_data_problem()
     assert all(abs(bias) <= 1e-10 for bias in _biases(prob, [1.0, 0.1]))
 
 
-def test_regularization_bias_monotone(lq):
+def test_soft_hard_value_gap_shrinks_with_tau(lq):
     biases = _biases(lq, [1.0, 0.3, 0.1, 0.03, 0.01])
     assert all(b >= -1e-8 for b in biases)
     for hi, lo in zip(biases, biases[1:]):
         assert lo <= hi + 1e-8
 
 
-def test_regularization_bias_discrete_bound(lq):
+def test_soft_hard_value_gap_within_occupancy_tau_log_n(lq):
     # bias <= occupancy mass * tau * ln N; the occupancy mass is bounded by
     # the uniform-policy expected discounted exit time, measured via f == 1
     grid = lq.grid
@@ -379,17 +378,27 @@ def test_howard_cycle_caught_at_first_repeat(monkeypatch, lq, lq_interval,
     ends = problem.actions.actions[[0, -1]]
     calls = []
 
-    def alternating(problem, xs, u, p, coef, lq_rows):
+    def alternating(problem, vf):
+        xs, u, p = problem.grid.interior, vf.interior, vf.dv
         a = np.full(xs.size, ends[len(calls) % 2])
         calls.append(a)
         b, c, f = (np.array([fn(x, ai) for x, ai in zip(xs, a)])
                    for fn in (problem.b, problem.c, problem.f))
         return b * p - c * u + f, a, (b, c, f)
 
-    monkeypatch.setattr(exitflow.hjb, "hard_minimum", alternating)
+    monkeypatch.setattr(exitflow.hjb, "_hard_minimum", alternating)
     with pytest.raises(ConvergenceError, match="cycling") as err:
         solve_unregularized_hjb(problem)
     assert len(err.value.residual_history) <= 4
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_solvers_reject_max_iter_below_one(lq, max_iter):
+    # rejected before any solve: no residual history to report
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        solve_regularized_hjb(lq, 0.5, max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        solve_unregularized_hjb(lq, max_iter=max_iter)
 
 
 def test_nonconvergence_reports_history(lq):

@@ -22,7 +22,7 @@ from exitflow.config import _poly
 from exitflow.domain import (LQCoefficients, _tabulate, build_grid,
                              lq_feature)
 from exitflow.elliptic import ValueField, diffusion
-from exitflow.hamiltonian import (hard_hamiltonian, hard_minimum,
+from exitflow.hamiltonian import (_hard_minimum, hard_hamiltonian,
                                   soft_hamiltonian)
 from exitflow.kernels import thomas_solve, tridiag_apply
 
@@ -286,12 +286,6 @@ def lq_maps_problems(draw, kind=None):
                                g=_poly([0.0]))
 
 
-def _howard_step(problem, vf):
-    """The node-wise minimum as Howard iteration calls it."""
-    return hard_minimum(problem, problem.grid.interior, vf.interior, vf.dv,
-                        problem.coef_tab, problem.lq_tab)
-
-
 def _value_field(draw, n):
     v = draw(hnp.arrays(np.float64, n + 2, elements=st.floats(-3.0, 3.0)))
     return ValueField(v=v, dv=(v[2:] - v[:-2]) / (2.0 / (n + 1)))
@@ -321,7 +315,7 @@ def test_interval_lq_howard_step_matches_per_node_minimum(data):
     lq, problem = data.draw(lq_maps_problems("interval"))
     vf = _value_field(data.draw, problem.n_interior)
     alpha, beta = problem.actions.alpha, problem.actions.beta
-    ham, acts, selected = _howard_step(problem, vf)
+    ham, acts, selected = _hard_minimum(problem, vf)
     for i, x in enumerate(problem.grid.interior):
         u, p = vf.interior[i], vf.dv[i]
         node_ham, node_a = hard_hamiltonian(problem, x, u, p)
@@ -340,7 +334,7 @@ def test_interval_lq_howard_step_matches_per_node_minimum(data):
 def test_discrete_selected_coefficients_match_closures(data):
     lq, problem = data.draw(lq_maps_problems("discrete"))
     vf = _value_field(data.draw, problem.n_interior)
-    ham, acts, selected = _howard_step(problem, vf)
+    ham, acts, selected = _hard_minimum(problem, vf)
     cols = np.argmin(optimal_feature(problem, vf), axis=1)
     assert _bits(acts) == _bits(problem.actions.actions[cols])
     assert _bits(ham) == _bits(optimal_feature(problem, vf).min(axis=1))
