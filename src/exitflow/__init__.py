@@ -9,8 +9,7 @@ from .domain import (ActionSpace, ControlProblem, Grid, LQCoefficients,
                      build_grid, lq_benchmark, make_action_space,
                      make_lq_problem, make_problem, manufactured_problem)
 from .elliptic import (SolverError, ValueField, average_coefficients,
-                       optimal_feature, pde_residual,
-                       performance_difference_check, solve_on_policy_bellman)
+                       optimal_feature, solve_on_policy_bellman)
 from .flow import (FlowTrajectory, Scheduler, UnstableFlowError,
                    error_decomposition, integrate_flow)
 from .hamiltonian import (hard_hamiltonian, interval_quadratic_softmin,
@@ -18,4 +17,4 @@ from .hamiltonian import (hard_hamiltonian, interval_quadratic_softmin,
 from .hjb import (ConvergenceError, HjbSolution, solve_regularized_hjb,
                   solve_unregularized_hjb)
 from .montecarlo import McEstimate, PathCapError, simulate_exit_value
-from .policy import Policy, gibbs_policy, kl_between, kl_to_reference, uniform_policy
+from .policy import Policy, gibbs_policy, kl_to_reference, uniform_policy

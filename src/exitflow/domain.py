@@ -12,15 +12,17 @@ those values by broadcasting over the action nodes, so building an LQ
 problem calls each map O(n) times whatever the number of actions.
 Rows of the seven map values are read only here, by
 ``lq_coefficients`` and ``lq_feature``, and rows of the b, c, f table
-by ``_feature_table``; ``_feature_row`` forms one row of it at a point,
-on or off the grid, for the pointwise Hamiltonians.  A
-problem also forms, on first use, the constants of the central-difference
+by ``_feature_table``.  ``_tables`` is the one tabulation: the problem's
+tables at its interior nodes, and the pointwise Hamiltonians' one-node
+tables at a point on or off the grid, come from it.  A problem also
+forms, on first use, the constants of the central-difference
 stencil that ``elliptic`` assembles and differentiates with, and the
 sup-norm of f from which the solvers take their default tolerance.
 """
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
@@ -172,6 +174,18 @@ class ControlProblem:
         return _Stencil(sig2, diff, -2.0 * diff, 2.0 * h)
 
 
+def _count(n, name, low):
+    """``n`` as an int of at least ``low``; a float, even a whole one, is
+    refused rather than truncated."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
+    if n < low:
+        raise ValueError(f"{name} must be >= {low}, got {n}")
+    return n
+
+
 def build_grid(left, right, n_interior):
     """Uniform grid with spacing (right-left)/(n_interior+1)."""
     left = float(left)
@@ -180,9 +194,7 @@ def build_grid(left, right, n_interior):
         raise ValueError("grid endpoints must be finite")
     if left >= right:
         raise ValueError(f"grid needs left < right, got [{left}, {right}]")
-    n_interior = int(n_interior)
-    if n_interior < 1:
-        raise ValueError("n_interior must be >= 1")
+    n_interior = _count(n_interior, "n_interior", 1)
     nodes = np.linspace(left, right, n_interior + 2)
     spacing = (right - left) / (n_interior + 1)
     return Grid(left=left, right=right, n_interior=n_interior,
@@ -211,6 +223,9 @@ def make_action_space(values=None, alpha=None, beta=None, n_quad=None):
     """
     if values is not None:
         acts = np.asarray(values, dtype=np.float64)
+        if acts.ndim != 1:
+            raise ValueError(f"discrete actions must be a 1-D list, got "
+                             f"shape {acts.shape}")
         if acts.size == 0:
             raise ValueError("discrete action list must be nonempty")
         if not np.all(np.isfinite(acts)):
@@ -223,9 +238,7 @@ def make_action_space(values=None, alpha=None, beta=None, n_quad=None):
         raise ValueError(f"interval ends must be finite, got [{alpha}, {beta}]")
     if alpha >= beta:
         raise ValueError(f"interval needs alpha < beta, got [{alpha}, {beta}]")
-    n_quad = int(n_quad)
-    if n_quad < 2:
-        raise ValueError("n_quad must be >= 2")
+    n_quad = _count(n_quad, "n_quad", 2)
     x, w = _gauss_legendre(n_quad)
     half = 0.5 * (beta - alpha)
     nodes = alpha + half * (x + 1.0)
@@ -253,25 +266,11 @@ def _tables(b, c, f, lq, xs, acts):
     read-only, from which the b, c, f table is broadcast (None otherwise).
     """
     if lq is None:
-        return np.stack([_tabulate(fn, xs, acts) for fn in (b, c, f)]), None
+        return np.array([_tabulate(fn, xs, acts) for fn in (b, c, f)]), None
     lq_tab = np.ascontiguousarray(
         np.array([lq.at(x) for x in xs], dtype=np.float64).T)
     lq_tab.flags.writeable = False
-    return np.stack(lq_coefficients(lq_tab[:, :, None], acts)), lq_tab
-
-
-def _feature_row(problem, x, u, p):
-    """b*p - c*u + f over the action nodes at one point x, on or off the
-    grid, with the values and operation order of a ``_feature_table`` row:
-    from the seven LQ map values at x on LQ problems, else from the
-    closures called on Python floats."""
-    acts = problem.actions.actions
-    if problem.lq is not None:
-        b, c, f = lq_coefficients(problem.lq.at(x), acts)
-    else:
-        b, c, f = (_tabulate(fn, np.array([x]), acts)[0]
-                   for fn in (problem.b, problem.c, problem.f))
-    return b * p - c * u + f
+    return np.array(lq_coefficients(lq_tab[:, :, None], acts)), lq_tab
 
 
 def make_problem(grid, actions, b, c, f, sigma, g, lq=None):

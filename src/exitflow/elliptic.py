@@ -8,23 +8,24 @@ The value of a fixed policy solves, on interior nodes,
 with policy-averaged coefficients.  Policy evaluation has one path:
 ``average_coefficients`` forms b_bar, c_bar and the forcing
 f_bar + tau*kl, ``assemble_system`` turns them into tridiagonal bands, and
-``solve_linear`` solves the bands into a ``ValueField``.  The value solve,
-the residual, the performance-difference check, Howard's uniform-policy
-bootstrap and the Monte Carlo tables all start from the same averages, so
-their identities hold at the level of linear algebra.  Every derivative
+``solve_linear`` solves the bands into a ``ValueField``.  The value
+solve, Howard's uniform-policy bootstrap and the Monte Carlo tables all
+start from the same averages, and so do the discrete residual and the
+performance-difference identity that the tests check, so those identities
+hold at the level of linear algebra.  Every derivative
 is central, in the solve as in the per-action generator table
 b*Dv - c*v + f and the diffusion term (sigma^2/2) v'' that the HJB
 residuals and the flow read; the advection stencil needs the cell Peclet
 condition |b_bar| h / sigma^2 <= 2, which a finer grid restores.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import _feature_table
-from .kernels import thomas_solve, tridiag_apply
-from .policy import Policy, _check_tau, kl_between, kl_to_reference
+from .kernels import thomas_solve
+from .policy import Policy, _check_tau, kl_to_reference
 
 class SolverError(RuntimeError):
     """Raised when a linear solve cannot be performed as requested."""
@@ -110,35 +111,3 @@ def diffusion(problem, vf: ValueField) -> np.ndarray:
 def optimal_feature(problem, vf: ValueField) -> np.ndarray:
     """Feature table b*Dv - c*v + f on interior nodes x action nodes."""
     return _feature_table(problem.coef_tab, vf.interior, vf.dv)
-
-
-def pde_residual(problem, p: Policy, tau, vf: ValueField) -> float:
-    """Max-norm residual of the discrete on-policy equation at vf."""
-    lower, diag, upper, rhs = assemble_system(
-        problem, *average_coefficients(problem, p, tau))
-    res = tridiag_apply(lower, diag, upper, vf.v[1:-1]) - rhs
-    return float(np.max(np.abs(res)))
-
-
-def performance_difference_check(problem, p: Policy, q: Policy, tau) -> float:
-    """Residual of the exact policy-difference identity.
-
-    Builds the advantage-plus-KL forcing h of q's value under the signed
-    kernel (p - q), solves the linear equation under p with zero boundary
-    data, and returns the max deviation from v_p - v_q.  The solves and
-    the generator table share one central-difference operator, so this is
-    a linear-algebra identity and the result is solver roundoff.
-    """
-    _check_tau(tau, positive=True)
-    b_p, c_p, forcing_p = average_coefficients(problem, p, tau)
-    vp = solve_linear(problem, b_p, c_p, forcing_p)
-    vq = solve_on_policy_bellman(problem, q, tau)
-    # (L^a v_q)(x_i) + f(x_i, a) for every action column
-    adv = diffusion(problem, vq)[:, None] + optimal_feature(problem, vq) \
-        + tau * q.log_density
-    forcing = np.einsum("ik,ik->i", p.weights - q.weights, adv) \
-        + tau * kl_between(p, q)
-    # w has zero boundary data
-    w = solve_linear(replace(problem, g_left=0.0, g_right=0.0), b_p, c_p,
-                     forcing)
-    return float(np.max(np.abs(w.interior - (vp.interior - vq.interior))))

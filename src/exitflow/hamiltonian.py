@@ -12,41 +12,55 @@ via (scaled) error functions at every tau.
 The hard minimum has one rule per kind of action set: the node minimum
 of the feature row on discrete sets, the clamped quadratic vertex on
 intervals with LQ structure, and a golden-section search around the node
-minimum on other intervals.  Howard iteration applies it at every
-interior node through the private ``_hard_minimum(problem, vf)``;
-``hard_hamiltonian`` applies it at one point, to the seven LQ map values
-there or to the one feature row its rule reads, with no (3, 1, N) table.
-The golden-section search runs on Python floats, so the b, c and f
-closures receive Python floats here as in ``domain``'s tabulation:
+minimum on other intervals.  ``_hard_minimum`` is the one function that
+chooses between them.  Howard iteration calls it on the problem's own
+tables at every interior node; ``hard_hamiltonian`` calls it on the
+one-node tables that ``domain._tables``, the tabulation that builds the
+problem's tables, forms at its point, so the two agree bit for bit at a
+grid node.  The golden-section search runs on Python floats, so the b, c
+and f closures receive Python floats here as in ``domain``'s tabulation:
 arithmetic on numpy scalars costs several times as much.  The feature
 table b*p - c*u + f and the LQ rows are read only through ``domain``.
+Both pointwise Hamiltonians refuse a non-finite x, u or p.
 """
 
 import math
 
 import numpy as np
 
-from .domain import (DISCRETE, _feature_row, _feature_table,
-                     _gauss_legendre, lq_coefficients, lq_feature)
+from .domain import (DISCRETE, _feature_table, _gauss_legendre, _tables,
+                     lq_coefficients, lq_feature)
 from .policy import _check_tau, gibbs_policy
 
 _GOLDEN_TOL = 1e-10  # bracket width that ends the golden-section search
 
 
+def _check_point(x, u, p):
+    """x, u and p as Python floats, refused unless all are finite."""
+    x, u, p = float(x), float(u), float(p)
+    if not (math.isfinite(x) and math.isfinite(u) and math.isfinite(p)):
+        raise ValueError(f"x, u and p must be finite, got {x!r}, {u!r}, "
+                         f"{p!r}")
+    return x, u, p
+
+
 def soft_hamiltonian(problem, x, u, p, tau):
     """Regularized Hamiltonian at a single (x, u, p).
 
-    Discrete action sets take the softmin of the tabulated z at x.  Interval
-    problems need LQ structure (ValueError otherwise), where z(a) = const +
-    2*f_hat*(p~*a + a^2/2): H_tau is const + 2*f_hat times the exact
-    error-function profile at p~ = slope/(2*f_hat), weight tau/(2*f_hat).
+    Discrete action sets take the softmin of the feature row at x.
+    Interval problems need LQ structure (ValueError otherwise), where
+    z(a) = const + 2*f_hat*(p~*a + a^2/2): H_tau is const + 2*f_hat times
+    the exact error-function profile at p~ = slope/(2*f_hat), weight
+    tau/(2*f_hat).
     """
+    x, u, p = _check_point(x, u, p)
     _check_tau(tau, positive=True)
     actions = problem.actions
     if actions.kind == DISCRETE:
-        z = _feature_row(problem, x, u, p)
-        return float(-tau * gibbs_policy(-z[None] / tau, actions)
-                     .log_partition[0])
+        coef, _ = _tables(problem.b, problem.c, problem.f, problem.lq,
+                          np.array([x]), actions.actions)
+        z = _feature_table(coef, np.array([u]), np.array([p]))
+        return float(-tau * gibbs_policy(-z / tau, actions).log_partition[0])
     if problem.lq is None:
         raise ValueError("problem has no LQ structure")
     const, slope, f_hat = lq_feature(problem.lq.at(x), p, u)
@@ -57,37 +71,31 @@ def soft_hamiltonian(problem, x, u, p, tau):
 
 def hard_hamiltonian(problem, x, u, p):
     """Unregularized Hamiltonian and a minimizing action at one (x, u, p),
-    by Howard's rule: bit for bit its value at a grid node."""
-    x, u, p = float(x), float(u), float(p)
-    actions = problem.actions
-    if actions.kind != DISCRETE and problem.lq is not None:
-        ham, a, _ = _lq_hard_minimum(problem.lq.at(x), p, u, actions.alpha,
-                                     actions.beta)
-        return float(ham), float(a)
-    z = _feature_row(problem, x, u, p)
-    k = int(np.argmin(z))
-    if actions.kind == DISCRETE:
-        return float(z[k]), float(actions.actions[k])
-    a, b, c, f = _interval_argmin(problem, x, u, p, k)
-    return float(b * p - c * u + f), a
+    by Howard's minimum on the tables at x: bit for bit its value at a
+    grid node."""
+    x, u, p = _check_point(x, u, p)
+    xs = np.array([x])
+    coef, lq_rows = _tables(problem.b, problem.c, problem.f, problem.lq, xs,
+                            problem.actions.actions)
+    ham, a, _ = _hard_minimum(problem, xs, np.array([u]), np.array([p]),
+                              coef, lq_rows)
+    return float(ham[0]), float(a[0])
 
 
-def _hard_minimum(problem, vf):
-    """Howard's step: at each interior node, the minimum over the actions
-    of b*p - c*u + f with u = v and p = Dv of the value field ``vf``, a
-    minimizing action, and the coefficients (b, c, f) there.
+def _hard_minimum(problem, xs, u, p, coef, lq_rows):
+    """Per-node minimum over the actions of b*p - c*u + f, a minimizing
+    action, and the coefficients (b, c, f) there, at the nodes ``xs`` with
+    per-node ``u``, ``p``, coefficient table ``coef`` of shape (3, n, N)
+    and LQ map values ``lq_rows`` of shape (7, n), or None.
 
-    Discrete: node argmin of the coefficient table, ties to the first
-    node.  Interval with LQ structure: quadratic vertex clamped to
-    [alpha, beta].  Other intervals: golden-section search around each
-    row's node minimum, on Python floats.
+    Discrete: node argmin of the table, ties to the first node.  Interval
+    with LQ structure: quadratic vertex clamped to [alpha, beta].  Other
+    intervals: golden-section search around each row's node minimum, on
+    Python floats.
     """
     actions = problem.actions
-    u, p = vf.interior, vf.dv
-    if actions.kind != DISCRETE and problem.lq_tab is not None:
-        return _lq_hard_minimum(problem.lq_tab, p, u, actions.alpha,
-                                actions.beta)
-    coef = problem.coef_tab
+    if actions.kind != DISCRETE and lq_rows is not None:
+        return _lq_hard_minimum(lq_rows, p, u, actions.alpha, actions.beta)
     z = _feature_table(coef, u, p)
     if actions.kind == DISCRETE:
         rows = np.arange(u.size)
@@ -95,8 +103,8 @@ def _hard_minimum(problem, vf):
         return z[rows, cols], actions.actions[cols], coef[:, rows, cols]
     acts, b, c, f = map(np.array, zip(*(
         _interval_argmin(problem, x, ui, pi, k)
-        for x, ui, pi, k in zip(problem.grid.interior.tolist(), u.tolist(),
-                                p.tolist(), np.argmin(z, axis=1).tolist()))))
+        for x, ui, pi, k in zip(xs.tolist(), u.tolist(), p.tolist(),
+                                np.argmin(z, axis=1).tolist()))))
     return b * p - c * u + f, acts, (b, c, f)
 
 
@@ -118,13 +126,13 @@ def _interval_argmin(problem, x, u, p, k):
 
 
 def _lq_hard_minimum(t, p, u, alpha, beta):
-    """Minimum over [alpha, beta] of b*p - c*u + f, its minimizer (the
-    vertex -slope/(2*f_hat) clamped to the interval) and (b, c, f) there,
-    from the seven LQ map values ``t``: scalars at one x, or per-node rows
-    with per-node p, u.
+    """Per-node minimum over [alpha, beta] of b*p - c*u + f, its
+    minimizer (the vertex -slope/(2*f_hat) clamped to the interval) and
+    (b, c, f) there, from the rows ``t`` of the seven LQ map values and
+    per-node p, u.
 
     The clamp orders ties and signed zeros as Python's max(a, alpha) and
-    min(a, beta) do, so scalar and per-node calls agree bit for bit.
+    min(a, beta) do, so it keeps a vertex of -0.0 at alpha = 0.0.
     """
     _, slope, f_hat = lq_feature(t, p, u)
     a = -slope / (2.0 * f_hat)

@@ -6,12 +6,12 @@ the softmin-optimal policy; convergence is measured by the semilinear
 residual (sigma^2/2) v'' + H_tau(x, v, Dv), with H_tau = -tau times the
 log-partition of that Gibbs image, so each iteration exponentiates its
 feature table once.  The tau = 0 solve is Howard iteration; its step
-is ``hamiltonian._hard_minimum(problem, vf)``, the node-wise minimum that
-``hard_hamiltonian`` evaluates at one point: the node argmin of the
-coefficient table on discrete action sets, the clamped vertex from the
-per-node LQ values on interval LQ problems, and a golden-section
-refinement of each node's minimum elsewhere, in which the b, c and f
-closures receive Python floats.  Each step also returns b, c and f at
+is ``hamiltonian._hard_minimum`` on the problem's tables, the node-wise
+minimum that ``hard_hamiltonian`` takes on the tables at one point: the
+node argmin of the coefficient table on discrete action sets, the
+clamped vertex from the per-node LQ values on interval LQ problems, and
+a golden-section refinement of each node's minimum elsewhere, in which
+the b, c and f closures receive Python floats.  Each step also returns b, c and f at
 the selected actions, which the next linear solve takes.
 """
 
@@ -134,7 +134,9 @@ def solve_unregularized_hjb(problem, tol=None,
     acts = None
     for it in range(1, max_iter + 1):
         vf = solve_linear(problem, *coefficients)
-        ham, new_acts, selected = _hard_minimum(problem, vf)
+        ham, new_acts, selected = _hard_minimum(
+            problem, problem.grid.interior, vf.interior, vf.dv,
+            problem.coef_tab, problem.lq_tab)
         res = _residual(problem, vf, ham)
         history.append(res)
         stationary = acts is not None and np.array_equal(new_acts, acts)

@@ -52,14 +52,6 @@ def thomas_solve(lower, diag, upper, rhs):
     return np.array(x)
 
 
-def tridiag_apply(lower, diag, upper, x):
-    """Matrix-vector product with the same band layout as thomas_solve."""
-    y = diag * x
-    y[1:] += lower[1:] * x[:-1]
-    y[:-1] += upper[:-1] * x[1:]
-    return y
-
-
 # ---------------------------------------------------------------------------
 # Euler-Maruyama exit-time simulation.
 #

@@ -1,4 +1,4 @@
-"""Gibbs policies: softmax image of a feature matrix, and KL divergences.
+"""Gibbs policies: softmax image of a feature matrix, and KL to the reference.
 
 A feature field is a plain float64 matrix with one row per interior grid
 node and one column per action node.  Policies store both probability
@@ -69,17 +69,3 @@ def uniform_policy(n_interior, actions):
 def kl_to_reference(p: Policy) -> np.ndarray:
     """KL(pi | mu) per interior node; nonnegative up to roundoff."""
     return np.einsum("ik,ik->i", p.weights, p.log_density)
-
-
-def kl_between(p: Policy, q: Policy) -> np.ndarray:
-    """KL(p | q) per interior node.
-
-    Raises if q is degenerate (weight below 1e-300 where p has mass),
-    which would make the divergence infinite.
-    """
-    if p.weights.shape != q.weights.shape:
-        raise ValueError("policy shapes differ")
-    support = p.weights > 0.0
-    if np.any(q.weights[support] < 1e-300):
-        raise ValueError("KL(p|q) is infinite: q vanishes on the support of p")
-    return np.einsum("ik,ik->i", p.weights, p.log_density - q.log_density)

@@ -1,0 +1,67 @@
+"""Identities of policy evaluation that only the tests check.
+
+The residual and the performance-difference check start from
+``elliptic.average_coefficients`` and the bands of
+``elliptic.assemble_system``, the one policy-evaluation path of the
+library, so each identity holds at the level of linear algebra and its
+check reads solver roundoff.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+
+from exitflow.elliptic import (assemble_system, average_coefficients,
+                               diffusion, optimal_feature, solve_linear,
+                               solve_on_policy_bellman)
+from exitflow.policy import _check_tau
+
+
+def kl_between(p, q):
+    """KL(p | q) per interior node.
+
+    Raises if q is degenerate (weight below 1e-300 where p has mass),
+    which would make the divergence infinite.
+    """
+    if p.weights.shape != q.weights.shape:
+        raise ValueError("policy shapes differ")
+    support = p.weights > 0.0
+    if np.any(q.weights[support] < 1e-300):
+        raise ValueError("KL(p|q) is infinite: q vanishes on the support of p")
+    return np.einsum("ik,ik->i", p.weights, p.log_density - q.log_density)
+
+
+def on_policy_residual(problem, p, tau, vf):
+    """Max-norm of A v - rhs, the discrete on-policy equation at ``vf``,
+    with the tridiagonal A and rhs that the value solve assembles."""
+    lower, diag, upper, rhs = assemble_system(
+        problem, *average_coefficients(problem, p, tau))
+    v = vf.v[1:-1]
+    av = diag * v
+    av[1:] += lower[1:] * v[:-1]
+    av[:-1] += upper[:-1] * v[1:]
+    return float(np.max(np.abs(av - rhs)))
+
+
+def performance_difference_check(problem, p, q, tau):
+    """Residual of the exact policy-difference identity.
+
+    Builds the advantage-plus-KL forcing h of q's value under the signed
+    kernel (p - q), solves the linear equation under p with zero boundary
+    data, and returns the max deviation from v_p - v_q.  The solves and
+    the generator table share one central-difference operator, so this is
+    a linear-algebra identity and the result is solver roundoff.
+    """
+    _check_tau(tau, positive=True)
+    b_p, c_p, forcing_p = average_coefficients(problem, p, tau)
+    vp = solve_linear(problem, b_p, c_p, forcing_p)
+    vq = solve_on_policy_bellman(problem, q, tau)
+    # (L^a v_q)(x_i) + f(x_i, a) for every action column
+    adv = diffusion(problem, vq)[:, None] + optimal_feature(problem, vq) \
+        + tau * q.log_density
+    forcing = np.einsum("ik,ik->i", p.weights - q.weights, adv) \
+        + tau * kl_between(p, q)
+    # w has zero boundary data
+    w = solve_linear(replace(problem, g_left=0.0, g_right=0.0), b_p, c_p,
+                     forcing)
+    return float(np.max(np.abs(w.interior - (vp.interior - vq.interior))))

@@ -15,6 +15,7 @@ import pytest
 import exitflow as xf
 from exitflow.domain import LQCoefficients, build_grid, make_lq_problem
 from exitflow.hamiltonian import interval_quadratic_min
+from identities import performance_difference_check
 
 
 def _report(num, name, ok, detail, elapsed, budget, measured=None):
@@ -274,7 +275,7 @@ def test_c11_performance_difference():
         q = xf.gibbs_policy(rng.standard_normal((29, 5)), lq.actions)
         vq = xf.solve_on_policy_bellman(lq, q, tau)
         scale = 1e-8 * (1.0 + float(np.max(np.abs(vq.v))))
-        disc = xf.performance_difference_check(lq, p, q, tau)
+        disc = performance_difference_check(lq, p, q, tau)
         worst = max(worst, disc / scale)
     _report(11, "performance-difference identity", worst <= 1.0,
             f"worst discrepancy {worst:.2e} of tolerance",

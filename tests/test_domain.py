@@ -64,6 +64,30 @@ def test_interval_rejects_non_finite_ends(alpha, beta):
         make_action_space(alpha=alpha, beta=beta, n_quad=4)
 
 
+@pytest.mark.parametrize("values", [[[0.0, 1.0], [2.0, 3.0]], 3.0,
+                                    [[0.5]]])
+def test_discrete_actions_must_be_one_dimensional(values):
+    # a 2-D list would give 2 actions but 4 weights, and a scalar no
+    # n_actions at all
+    with pytest.raises(ValueError, match="1-D"):
+        make_action_space(values=values)
+
+
+@pytest.mark.parametrize("n", [2.7, 3.0, "3", None])
+def test_counts_must_be_integers(n):
+    # refused, not truncated: 2.7 is not 2
+    with pytest.raises(ValueError, match="n_interior must be an integer"):
+        build_grid(0.0, 1.0, n)
+    with pytest.raises(ValueError, match="n_quad must be an integer"):
+        make_action_space(alpha=0.0, beta=1.0, n_quad=n)
+
+
+def test_counts_accept_numpy_integers():
+    assert build_grid(0.0, 1.0, np.int64(3)).n_interior == 3
+    assert make_action_space(alpha=0.0, beta=1.0,
+                             n_quad=np.int32(4)).n_actions == 4
+
+
 def test_interval_rule_unchanged_by_mutating_a_copy():
     # the rule of each order is cached; callers get fresh arrays
     first = make_action_space(alpha=0.0, beta=2.0, n_quad=12)

@@ -5,10 +5,10 @@ import pytest
 
 from exitflow import (average_coefficients, gibbs_policy, lq_benchmark,
                       make_action_space, make_problem, manufactured_problem,
-                      pde_residual, performance_difference_check,
                       solve_on_policy_bellman, uniform_policy)
 from exitflow.domain import build_grid
 from exitflow.elliptic import SolverError, ValueField
+from identities import on_policy_residual, performance_difference_check
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,7 @@ def test_residual_detects_perturbation(lq):
     bad = ValueField(v=v, dv=vf.dv)
     h = lq.grid.spacing
     sig2 = lq.sigma_interior[9] ** 2
-    assert pde_residual(lq, pol, 0.0, bad) >= eps * sig2 / h ** 2 * 0.5
+    assert on_policy_residual(lq, pol, 0.0, bad) >= eps * sig2 / h ** 2 * 0.5
 
 
 def test_residual_of_zero_field():
@@ -95,7 +95,7 @@ def test_residual_of_zero_field():
                        sigma=lambda x: 1.0, g=lambda x: 0.0)
     pol = uniform_policy(9, one.actions)
     zero = ValueField(v=np.zeros(11), dv=np.zeros(9))
-    assert abs(pde_residual(one, pol, 0.0, zero) - 1.0) <= 1e-15
+    assert abs(on_policy_residual(one, pol, 0.0, zero) - 1.0) <= 1e-15
 
 
 def test_mesh_convergence_second_order():

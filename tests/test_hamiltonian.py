@@ -62,6 +62,22 @@ def test_soft_hamiltonian_rejects_non_finite_tau(kind, tau):
         soft_hamiltonian(lq, 0.5, 0.0, 0.3, tau)
 
 
+@pytest.mark.parametrize("kind", ["discrete", "interval", "non_lq_interval"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_pointwise_hamiltonians_reject_non_finite_point(kind, bad, where):
+    # refused at the entry on every kind of action set, rather than
+    # turned into a nan or -inf value or action
+    problem = _non_lq_problem("interval") if kind == "non_lq_interval" \
+        else lq_benchmark(kind, n_interior=5, n_quad=8)
+    point = [0.5, 0.2, 0.3]
+    point[where] = bad
+    with pytest.raises(ValueError, match="x, u and p must be finite"):
+        hard_hamiltonian(problem, *point)
+    with pytest.raises(ValueError, match="x, u and p must be finite"):
+        soft_hamiltonian(problem, *point, 0.1)
+
+
 def test_interval_softmin_rejects_subnormal_tau():
     # lo^2 - hi^2 would be inf - inf, a silent nan
     with pytest.raises(ValueError, match="got 1e-310"):
@@ -130,8 +146,9 @@ def test_hard_min_interval_lq_clamps_like_python_min_max():
                            sigma=lambda x: 1.0, g=lambda x: 0.0)
     val, amin = hard_hamiltonian(prob, 0.5, 0.0, 0.0)
     assert val == 0.0 and math.copysign(1.0, amin) == -1.0
-    _, acts, _ = _hard_minimum(prob, ValueField(v=np.zeros(5),
-                                                dv=np.zeros(3)))
+    vf = ValueField(v=np.zeros(5), dv=np.zeros(3))
+    _, acts, _ = _hard_minimum(prob, prob.grid.interior, vf.interior, vf.dv,
+                               prob.coef_tab, prob.lq_tab)
     assert np.all(np.signbit(acts))
 
 
@@ -171,8 +188,9 @@ def test_non_lq_closures_receive_python_floats():
     assert len(seen) == 3 * 5 * 8
     assert set(seen) == {(float, float)}
     seen.clear()
-    _hard_minimum(prob, ValueField(v=np.linspace(0.0, 0.5, 7),
-                                   dv=np.linspace(-1.0, 1.0, 5)))
+    vf = ValueField(v=np.linspace(0.0, 0.5, 7), dv=np.linspace(-1.0, 1.0, 5))
+    _hard_minimum(prob, prob.grid.interior, vf.interior, vf.dv,
+                  prob.coef_tab, prob.lq_tab)
     assert len(seen) > 3 * 5
     assert set(seen) == {(float, float)}
 

@@ -184,7 +184,8 @@ def test_howard_monotone_values(lq):
         if prev is not None:
             assert np.all(vf.v <= prev + 1e-9)
         prev = vf.v
-        _, _, coefficients = _hard_minimum(lq, vf)
+        _, _, coefficients = _hard_minimum(lq, lq.grid.interior, vf.interior,
+                                           vf.dv, lq.coef_tab, lq.lq_tab)
 
 
 def _non_lq_interval_problem():
@@ -378,8 +379,7 @@ def test_howard_cycle_caught_at_first_repeat(monkeypatch, lq, lq_interval,
     ends = problem.actions.actions[[0, -1]]
     calls = []
 
-    def alternating(problem, vf):
-        xs, u, p = problem.grid.interior, vf.interior, vf.dv
+    def alternating(problem, xs, u, p, coef, lq_rows):
         a = np.full(xs.size, ends[len(calls) % 2])
         calls.append(a)
         b, c, f = (np.array([fn(x, ai) for x, ai in zip(xs, a)])

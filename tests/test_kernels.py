@@ -61,14 +61,6 @@ def test_thomas_zero_pivot_raises(diag, row):
         kernels.thomas_solve(ones, diag, ones, ones)
 
 
-def test_tridiag_apply_roundtrip():
-    rng = np.random.default_rng(7)
-    lower, diag, upper, rhs = _random_dd_system(rng, 21)
-    x = kernels.thomas_solve(lower, diag, upper, rhs)
-    assert np.allclose(kernels.tridiag_apply(lower, diag, upper, x), rhs,
-                       atol=1e-12)
-
-
 def _chunk_state(n):
     return (np.full(n, 0.5), np.ones(n), np.zeros(n),
             np.zeros(n, dtype=np.int64))

@@ -13,8 +13,7 @@ from exitflow import (Scheduler, SolverError, average_coefficients,
                       gibbs_policy, growth_integrals,
                       growth_integrals_quadrature, kl_to_reference,
                       lq_benchmark, make_action_space, make_lq_problem,
-                      optimal_feature, pde_residual,
-                      performance_difference_check, simulate_exit_value,
+                      optimal_feature, simulate_exit_value,
                       solve_on_policy_bellman, solve_regularized_hjb,
                       solve_unregularized_hjb)
 from exitflow import bounds, kernels
@@ -24,7 +23,9 @@ from exitflow.domain import (LQCoefficients, _tabulate, build_grid,
 from exitflow.elliptic import ValueField, diffusion
 from exitflow.hamiltonian import (_hard_minimum, hard_hamiltonian,
                                   soft_hamiltonian)
-from exitflow.kernels import thomas_solve, tridiag_apply
+from exitflow.kernels import thomas_solve
+from identities import on_policy_residual, performance_difference_check
+from test_hjb import _non_lq_interval_problem
 
 PROBLEMS = {"discrete": lq_benchmark("discrete", n_interior=9, n_actions=5),
             "interval": lq_benchmark("interval", n_interior=9, n_quad=12)}
@@ -60,14 +61,6 @@ def test_thomas_matches_dense_solve(system):
     x = thomas_solve(lower, diag, upper, rhs)
     ref = np.linalg.solve(_dense(lower, diag, upper), rhs)
     assert np.max(np.abs(x - ref)) <= 1e-12
-
-
-@settings(deadline=None)
-@given(dominant_systems())
-def test_tridiag_apply_inverts_thomas(system):
-    lower, diag, upper, rhs = system
-    x = thomas_solve(lower, diag, upper, rhs)
-    assert np.max(np.abs(tridiag_apply(lower, diag, upper, x) - rhs)) <= 1e-12
 
 
 @st.composite
@@ -132,7 +125,7 @@ def test_solver_residual_contract(case, tau):
     problem, z = case
     pol = gibbs_policy(z, problem.actions)
     vf = solve_on_policy_bellman(problem, pol, tau)
-    res = pde_residual(problem, pol, tau, vf)
+    res = on_policy_residual(problem, pol, tau, vf)
     assert res <= 1e-10 * (1.0 + problem.f_sup)
 
 
@@ -158,7 +151,7 @@ def test_peclet_gate(case, tau, target, sign):
             solve_on_policy_bellman(problem, pol, tau)
         return
     vf = solve_on_policy_bellman(problem, pol, tau)
-    res = pde_residual(problem, pol, tau, vf)
+    res = on_policy_residual(problem, pol, tau, vf)
     assert res <= 1e-10 * (1.0 + problem.f_sup)
 
 
@@ -315,7 +308,9 @@ def test_interval_lq_howard_step_matches_per_node_minimum(data):
     lq, problem = data.draw(lq_maps_problems("interval"))
     vf = _value_field(data.draw, problem.n_interior)
     alpha, beta = problem.actions.alpha, problem.actions.beta
-    ham, acts, selected = _hard_minimum(problem, vf)
+    ham, acts, selected = _hard_minimum(
+        problem, problem.grid.interior, vf.interior, vf.dv,
+        problem.coef_tab, problem.lq_tab)
     for i, x in enumerate(problem.grid.interior):
         u, p = vf.interior[i], vf.dv[i]
         node_ham, node_a = hard_hamiltonian(problem, x, u, p)
@@ -334,13 +329,36 @@ def test_interval_lq_howard_step_matches_per_node_minimum(data):
 def test_discrete_selected_coefficients_match_closures(data):
     lq, problem = data.draw(lq_maps_problems("discrete"))
     vf = _value_field(data.draw, problem.n_interior)
-    ham, acts, selected = _hard_minimum(problem, vf)
+    ham, acts, selected = _hard_minimum(
+        problem, problem.grid.interior, vf.interior, vf.dv,
+        problem.coef_tab, problem.lq_tab)
     cols = np.argmin(optimal_feature(problem, vf), axis=1)
     assert _bits(acts) == _bits(problem.actions.actions[cols])
     assert _bits(ham) == _bits(optimal_feature(problem, vf).min(axis=1))
     for row, fn in zip(selected, (problem.b, problem.c, problem.f)):
         assert _bits(row) == _bits([fn(x, a) for x, a
                                     in zip(problem.grid.interior, acts)])
+
+
+NON_LQ_INTERVAL = _non_lq_interval_problem()
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_howard_step_matches_pointwise_hamiltonian(data):
+    # the discrete and the non-LQ interval rules: hard_hamiltonian at each
+    # interior node gives Howard's per-node value and action bit for bit
+    if data.draw(st.booleans()):
+        _, problem = data.draw(lq_maps_problems("discrete"))
+    else:
+        problem = NON_LQ_INTERVAL
+    vf = _value_field(data.draw, problem.n_interior)
+    ham, acts, _ = _hard_minimum(
+        problem, problem.grid.interior, vf.interior, vf.dv,
+        problem.coef_tab, problem.lq_tab)
+    for i, x in enumerate(problem.grid.interior):
+        assert _bits(hard_hamiltonian(problem, x, vf.interior[i], vf.dv[i])) \
+            == _bits([ham[i], acts[i]])
 
 
 @settings(deadline=None)
