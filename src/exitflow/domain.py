@@ -11,10 +11,13 @@ evaluated once per interior node, and the b, c, f table is formed from
 those values by broadcasting over the action nodes, so building an LQ
 problem calls each map O(n) times whatever the number of actions.
 Rows of the seven map values are read only here, by
-``lq_coefficients`` and ``lq_feature``, and rows of the b, c, f table
-by ``_feature_table``.  ``_tables`` is the one tabulation: the problem's
-tables at its interior nodes, and the pointwise Hamiltonians' one-node
-tables at a point on or off the grid, come from it.  A problem also
+``lq_coefficients``, ``lq_averages`` (b, c and f averaged under a law
+with given E[a] and E[a^2]) and ``lq_feature``, and rows of the b, c, f
+table by ``_feature_table``.  ``_tables`` is the one tabulation: the
+problem's tables at its interior nodes, and the pointwise Hamiltonians'
+one-node tables at a point on or off the grid, come from it; on
+interval LQ problems the hard minimum at a point reads only the seven
+values there (``_lq_rows``).  A problem also
 forms, on first use, the constants of the central-difference
 stencil that ``elliptic`` assembles and differentiates with, and the
 sup-norm of f from which the solvers take their default tolerance.
@@ -64,6 +67,13 @@ class ActionSpace:
     def n_actions(self):
         return self.actions.shape[0]
 
+    @functools.cached_property
+    def _powers(self):
+        """The nodes a and a**2 as the rows of a (2, n_actions) array:
+        the two columns of a quadratic-in-a feature row besides the
+        constant, formed once per action space."""
+        return np.array([self.actions, self.actions * self.actions])
+
 
 @dataclass(frozen=True)
 class LQCoefficients:
@@ -108,6 +118,13 @@ def lq_coefficients(t, a):
     field order: scalars at one x, or per-node rows that broadcast
     against ``a``."""
     return t[0] + t[1] * a, t[2] + t[3] * a, t[4] + t[5] * a + t[6] * a * a
+
+
+def lq_averages(t, m1, m2):
+    """(b_bar, c_bar, f_bar) under a law of the action with E[a] = ``m1``
+    and E[a**2] = ``m2``, from the seven LQ map values ``t``: per-node
+    rows."""
+    return t[0] + t[1] * m1, t[2] + t[3] * m1, t[4] + t[5] * m1 + t[6] * m2
 
 
 def lq_feature(t, p, u):
@@ -158,6 +175,13 @@ class ControlProblem:
     @property
     def f_tab(self):
         return self.coef_tab[2]
+
+    @functools.cached_property
+    def _interval_lq(self):
+        """Interval actions with LQ structure: the policy averages, the
+        improved features of policy iteration and the hard minimum are
+        then formed from ``lq_tab``."""
+        return self.actions.kind != DISCRETE and self.lq_tab is not None
 
     @functools.cached_property
     def f_sup(self):
@@ -267,10 +291,17 @@ def _tables(b, c, f, lq, xs, acts):
     """
     if lq is None:
         return np.array([_tabulate(fn, xs, acts) for fn in (b, c, f)]), None
-    lq_tab = np.ascontiguousarray(
-        np.array([lq.at(x) for x in xs], dtype=np.float64).T)
-    lq_tab.flags.writeable = False
+    lq_tab = _lq_rows(lq, xs)
     return np.array(lq_coefficients(lq_tab[:, :, None], acts)), lq_tab
+
+
+def _lq_rows(lq, xs):
+    """The seven maps of ``lq`` at the nodes ``xs``, shape (7, xs.size)
+    in field order, read-only."""
+    rows = np.ascontiguousarray(
+        np.array([lq.at(x) for x in xs], dtype=np.float64).T)
+    rows.flags.writeable = False
+    return rows
 
 
 def make_problem(grid, actions, b, c, f, sigma, g, lq=None):

@@ -8,7 +8,12 @@ The value of a fixed policy solves, on interior nodes,
 with policy-averaged coefficients.  Policy evaluation has one path:
 ``average_coefficients`` forms b_bar, c_bar and the forcing
 f_bar + tau*kl, ``assemble_system`` turns them into tridiagonal bands, and
-``solve_linear`` solves the bands into a ``ValueField``.  The value
+``solve_linear`` solves the bands into a ``ValueField``.  On interval
+action sets with LQ structure the averages are affine in the policy's
+action moments E[a] and E[a^2] (``domain.lq_averages``), so they are
+formed from those two numbers per node and the seven LQ maps, without
+the policy's weights; elsewhere they contract the (3, n, N) coefficient
+table with the weights.  The value
 solve, Howard's uniform-policy bootstrap and the Monte Carlo tables all
 start from the same averages, and so do the discrete residual and the
 performance-difference identity that the tests check, so those identities
@@ -23,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import _feature_table
+from .domain import _feature_table, lq_averages
 from .kernels import thomas_solve
-from .policy import Policy, _check_tau, kl_to_reference
+from .policy import Policy, _check_tau
 
 class SolverError(RuntimeError):
     """Raised when a linear solve cannot be performed as requested."""
@@ -44,9 +49,25 @@ class ValueField:
 
 def average_coefficients(problem, p: Policy, tau):
     """Policy averages (b_bar, c_bar, forcing) on interior nodes, with the
-    forcing f_bar + tau*KL(p|mu)."""
-    b_bar, c_bar, f_bar = np.einsum("jik,ik->ji", problem.coef_tab, p.weights)
-    return b_bar, c_bar, f_bar + tau * kl_to_reference(p)
+    forcing f_bar + tau*KL(p|mu).
+
+    On interval LQ problems the averages are affine in the policy's action
+    moments E[a] and E[a^2], and are formed from them and ``lq_tab``;
+    elsewhere they contract ``coef_tab`` with the weights.  A policy whose
+    shape is not (n_interior, n_actions) raises ValueError.
+    """
+    actions = problem.actions
+    shape = (problem.n_interior, actions.n_actions)
+    if p.shape != shape:
+        raise ValueError(f"policy of shape {p.shape} does not match the "
+                         f"problem's (n_interior, n_actions) = {shape}")
+    if problem._interval_lq:
+        b_bar, c_bar, f_bar = lq_averages(problem.lq_tab,
+                                          *p.moments(actions))
+    else:
+        b_bar, c_bar, f_bar = np.einsum("jik,ik->ji", problem.coef_tab,
+                                        p.weights)
+    return b_bar, c_bar, f_bar + tau * p.kl
 
 
 def _max_cell_peclet(problem, b_bar):

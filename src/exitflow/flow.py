@@ -197,7 +197,7 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
         return np.einsum("ji,jik->ik", theta, tables)
 
     def evaluate(theta, tau):
-        pol = gibbs_policy(features(theta), problem.actions)
+        pol = gibbs_policy(features(theta), problem.actions, overwrite=True)
         return pol, solve_on_policy_bellman(problem, pol, tau)
 
     def rhs(theta, tau, vf=None):

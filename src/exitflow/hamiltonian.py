@@ -16,20 +16,22 @@ minimum on other intervals.  ``_hard_minimum`` is the one function that
 chooses between them.  Howard iteration calls it on the problem's own
 tables at every interior node; ``hard_hamiltonian`` calls it on the
 one-node tables that ``domain._tables``, the tabulation that builds the
-problem's tables, forms at its point, so the two agree bit for bit at a
-grid node.  The golden-section search runs on Python floats, so the b, c
-and f closures receive Python floats here as in ``domain``'s tabulation:
-arithmetic on numpy scalars costs several times as much.  The feature
-table b*p - c*u + f and the LQ rows are read only through ``domain``.
-Both pointwise Hamiltonians refuse a non-finite x, u or p.
+problem's tables, forms at its point (on interval LQ problems only the
+seven LQ values there, all the clamped vertex reads), so the two agree
+bit for bit at a grid node.  The golden-section search runs on Python
+floats, so the b, c and f closures receive Python floats here as in
+``domain``'s tabulation: arithmetic on numpy scalars costs several times
+as much.  The feature table b*p - c*u + f and the LQ rows are read only
+through ``domain``.  Both pointwise Hamiltonians refuse a non-finite x,
+u or p.
 """
 
 import math
 
 import numpy as np
 
-from .domain import (DISCRETE, _feature_table, _gauss_legendre, _tables,
-                     lq_coefficients, lq_feature)
+from .domain import (DISCRETE, _feature_table, _gauss_legendre, _lq_rows,
+                     _tables, lq_coefficients, lq_feature)
 from .policy import _check_tau, gibbs_policy
 
 _GOLDEN_TOL = 1e-10  # bracket width that ends the golden-section search
@@ -60,7 +62,8 @@ def soft_hamiltonian(problem, x, u, p, tau):
         coef, _ = _tables(problem.b, problem.c, problem.f, problem.lq,
                           np.array([x]), actions.actions)
         z = _feature_table(coef, np.array([u]), np.array([p]))
-        return float(-tau * gibbs_policy(-z / tau, actions).log_partition[0])
+        pol = gibbs_policy(-z / tau, actions, overwrite=True)
+        return float(-tau * pol.log_partition[0])
     if problem.lq is None:
         raise ValueError("problem has no LQ structure")
     const, slope, f_hat = lq_feature(problem.lq.at(x), p, u)
@@ -75,8 +78,12 @@ def hard_hamiltonian(problem, x, u, p):
     grid node."""
     x, u, p = _check_point(x, u, p)
     xs = np.array([x])
-    coef, lq_rows = _tables(problem.b, problem.c, problem.f, problem.lq, xs,
-                            problem.actions.actions)
+    if problem._interval_lq:
+        # the clamped vertex reads only the seven LQ values
+        coef, lq_rows = None, _lq_rows(problem.lq, xs)
+    else:
+        coef, lq_rows = _tables(problem.b, problem.c, problem.f, problem.lq,
+                                xs, problem.actions.actions)
     ham, a, _ = _hard_minimum(problem, xs, np.array([u]), np.array([p]),
                               coef, lq_rows)
     return float(ham[0]), float(a[0])
@@ -94,7 +101,7 @@ def _hard_minimum(problem, xs, u, p, coef, lq_rows):
     Python floats.
     """
     actions = problem.actions
-    if actions.kind != DISCRETE and lq_rows is not None:
+    if problem._interval_lq:
         return _lq_hard_minimum(lq_rows, p, u, actions.alpha, actions.beta)
     z = _feature_table(coef, u, p)
     if actions.kind == DISCRETE:

@@ -5,8 +5,13 @@ exact improvement map Z <- -(b*Dv - c*v + f)/tau, whose Gibbs image is
 the softmin-optimal policy; convergence is measured by the semilinear
 residual (sigma^2/2) v'' + H_tau(x, v, Dv), with H_tau = -tau times the
 log-partition of that Gibbs image, so each iteration exponentiates its
-feature table once.  The tau = 0 solve is Howard iteration; its step
-is ``hamiltonian._hard_minimum`` on the problem's tables, the node-wise
+feature table once.  On interval LQ problems b*Dv - c*v + f is
+k0 + k1*a + k2*a^2 per node (``domain.lq_feature``): the features are
+-(k1*a + k2*a^2)/tau, one (n, 2) x (2, N) product, H_tau takes k0 back,
+and the next value solve reads the policy through its two action
+moments, so no b, c, f table is formed and no weights are read.  The
+tau = 0 solve is Howard iteration; its step is
+``hamiltonian._hard_minimum`` on the problem's tables, the node-wise
 minimum that ``hard_hamiltonian`` takes on the tables at one point: the
 node argmin of the coefficient table on discrete action sets, the
 clamped vertex from the per-node LQ values on interval LQ problems, and
@@ -20,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from .domain import lq_feature
 from .elliptic import (ValueField, average_coefficients, diffusion,
                        optimal_feature, solve_linear, solve_on_policy_bellman)
 from .hamiltonian import _hard_minimum
@@ -72,20 +78,33 @@ def solve_regularized_hjb(problem, tau, tol=None, max_iter=MAX_ITER,
     _check_max_iter(max_iter)
     if tol is None:
         tol = default_tolerance(problem)
-    n = problem.n_interior
+    actions = problem.actions
     if z0 is None:
-        pol = uniform_policy(n, problem.actions)
+        pol = uniform_policy(problem.n_interior, actions)
     else:
-        pol = gibbs_policy(z0, problem.actions)
+        pol = gibbs_policy(z0, actions)
     history = []
     for it in range(1, max_iter + 1):
         vf = solve_on_policy_bellman(problem, pol, tau)
-        # -F/tau in F's own array: IEEE division is sign-symmetric, so
-        # F / -tau has the bits of -F / tau
-        feature = optimal_feature(problem, vf)
-        feature /= -tau
-        improved = gibbs_policy(feature, problem.actions)
-        res = _residual(problem, vf, -tau * improved.log_partition)
+        if problem._interval_lq:
+            # F = k0 + k1*a + k2*a^2: the Gibbs image of -(k1*a + k2*a^2)/tau
+            # is that of -F/tau, and H_tau takes k0 back.  The product is
+            # laid out column by column, so the row maximum runs over
+            # contiguous columns
+            k0, k1, k2 = lq_feature(problem.lq_tab, vf.dv, vf.interior)
+            slopes = np.array([k1, k2])
+            slopes /= -tau
+            feature = (actions._powers.T @ slopes).T
+            improved = gibbs_policy(feature, actions, overwrite=True)
+            ham = k0 - tau * improved.log_partition
+        else:
+            # -F/tau in F's own array: IEEE division is sign-symmetric,
+            # so F / -tau has the bits of -F / tau
+            feature = optimal_feature(problem, vf)
+            feature /= -tau
+            improved = gibbs_policy(feature, actions, overwrite=True)
+            ham = -tau * improved.log_partition
+        res = _residual(problem, vf, ham)
         history.append(res)
         if res <= tol:
             return HjbSolution(v_star=vf, iterations=it,

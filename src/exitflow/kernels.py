@@ -2,16 +2,20 @@
 
 Both are plain Python/numpy.  The tridiagonal solve runs on Python floats:
 at the grid sizes used here (tens to hundreds of rows) per-element numpy
-indexing costs more than the arithmetic, and a LAPACK call would pull in
-``scipy.linalg`` and its memory footprint for a few microseconds.  The
-path simulation alone decides which paths of a batch are still alive.  It
-has two walks with the same bits: a numpy step over all live paths for the
-bulk of a batch, and a walk of each path on Python floats once a chunk
-starts with at most ``SCALAR_PATHS`` of them, a threshold measured where
-the two cost the same rather than a setting.  The walk keeps numpy's
-exponential, whose last bit differs from ``math.exp`` on some arguments,
-and the bulk keeps no whole-chunk history of positions, which would raise
-peak memory.
+indexing costs more than the arithmetic.  LAPACK's ``dgtsv`` would be
+faster still (on a 2-vCPU x86-64 VM, 3.2, 7.8 and 22 us at n = 29, 199
+and 799, against 16, 89 and 357 us for this loop), but importing
+``scipy.linalg.lapack`` on top of ``scipy.special`` raises a process's
+peak resident memory from 53.8 to 60.1 MB there, about 11 % of a
+``run-flow`` process's peak, more than the 10 % by which ``perfbench``
+lets peak memory grow.  The path simulation alone decides which paths of
+a batch are still alive.  It has two walks with the same bits: a numpy
+step over all live paths for the bulk of a batch, and a walk of each path
+on Python floats once a chunk starts with at most ``SCALAR_PATHS`` of
+them, a threshold measured where the two cost the same rather than a
+setting.  The walk keeps numpy's exponential, whose last bit differs from
+``math.exp`` on some arguments, and the bulk keeps no whole-chunk history
+of positions, which would raise peak memory.
 """
 
 import numpy as np

@@ -1,26 +1,100 @@
 """Gibbs policies: softmax image of a feature matrix, and KL to the reference.
 
 A feature field is a plain float64 matrix with one row per interior grid
-node and one column per action node.  Policies store both probability
-weights (mu quadrature weights folded in, rows sum to 1) and log-densities
-relative to the reference measure; KL values are always formed from the
-log-densities to avoid cancellation at small weights.  A Gibbs policy
-also keeps each row's log-partition ln(mu-average of e^z), so the Gibbs
-image of -z/tau carries the softmin H_tau = -tau*log_partition of z.
+node and one column per action node.  A policy exposes probability
+weights (mu quadrature weights folded in, rows sum to 1), log-densities
+relative to the reference measure, KL(pi|mu) per row and the action
+moments E_pi[a], E_pi[a^2].  A Gibbs policy keeps the max-shifted
+features s = z - max(z), and e*mu with e = exp(s) until its first use.
+From e it forms each row's normaliser S0 = e @ mu and log-partition
+ln(mu-average of e^z) = max(z) + ln S0, so the Gibbs image of -z/tau
+carries the softmin H_tau = -tau*log_partition of z, and its KL as
+E_pi[s] - ln S0, that is sum(e*mu*s)/S0 - ln S0, two terms of opposite
+sign that need no log-density.  The weights e*mu/S0, the
+log-densities s - ln S0 and the moments ((e*mu) @ [a, a^2])/S0 are
+formed on first read, so a caller that averages an LQ problem through
+the moments never forms the weights, and KL never forms the
+log-densities.  The weights and log-densities have the bits of the
+eager formulas.  Directly built policies (deterministic selections)
+store weights and log-densities and form KL and moments from them.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+import functools
 
 import numpy as np
 
 
-@dataclass(frozen=True)
 class Policy:
-    weights: np.ndarray      # (n_interior, n_actions), rows sum to 1
-    log_density: np.ndarray  # ln d(pi)/d(mu); finite, also where weight is 0
-    # ln of the mu-average of e^z per row; None on deterministic selections
-    log_partition: Optional[np.ndarray] = None
+    """A policy on the action nodes, one row per interior node, stored as
+    its weights, shape (n_interior, n_actions) with rows summing to 1, and
+    its log-densities ln d(pi)/d(mu), finite also where a weight is 0.
+    ``log_partition`` is ln of the mu-average of e^z per row for a Gibbs
+    policy, None on deterministic selections."""
+
+    def __init__(self, weights, log_density, log_partition=None):
+        self.weights = weights
+        self.log_density = log_density
+        self.log_partition = log_partition
+        self.shape = weights.shape
+
+    @functools.cached_property
+    def kl(self):
+        """KL(pi | mu) per interior node."""
+        return np.einsum("ik,ik->i", self.weights, self.log_density)
+
+    def moments(self, actions):
+        """E_pi[a] and E_pi[a^2] per interior node, shape (2, n_interior),
+        over the nodes of ``actions``."""
+        return actions._powers @ self.weights.T
+
+
+class _GibbsPolicy(Policy):
+    """The Gibbs policy of the shifted features ``s`` = z - m, ``m`` the
+    row maximum of z (module doc); weights, log-densities and moments are
+    formed on first read."""
+
+    def __init__(self, s, m, actions):
+        self._s = s
+        self._actions = actions
+        self.shape = s.shape
+        self._emu = emu = np.exp(s)
+        self._norm = emu @ actions.mu_weights
+        emu *= actions.mu_weights
+        self._log_norm = np.log(self._norm)
+        self.log_partition = m + self._log_norm
+        kl = np.einsum("ik,ik->i", emu, s)
+        kl /= self._norm
+        kl -= self._log_norm
+        self.kl = kl
+
+    @functools.cached_property
+    def weights(self):
+        return self._take_emu() / self._norm[:, None]
+
+    @functools.cached_property
+    def log_density(self):
+        return self._s - self._log_norm[:, None]
+
+    def moments(self, actions):
+        if actions is not self._actions:
+            return super().moments(actions)
+        return self._moments
+
+    @functools.cached_property
+    def _moments(self):
+        moments = self._actions._powers @ self._take_emu().T
+        moments /= self._norm
+        return moments
+
+    def _take_emu(self):
+        """e*mu, handed over to the first of the weights and the moments
+        to be formed, so that a policy keeps one (n, N) array once they
+        are read; the other forms it again from s, with the same bits."""
+        emu = self.__dict__.pop("_emu", None)
+        if emu is None:
+            emu = np.exp(self._s)
+            emu *= self._actions.mu_weights
+        return emu
 
 
 def _check_tau(tau, positive):
@@ -34,14 +108,14 @@ def _check_tau(tau, positive):
                          f"{float(low)!r}, got {tau!r}")
 
 
-def gibbs_policy(z, actions):
+def gibbs_policy(z, actions, *, overwrite=False):
     """Map a feature matrix to the Gibbs policy with density e^z / norm,
     norm being the mu-average of e^z, and keep ln(norm) per row.
 
     Stabilized with a per-row max shift, so feature scales of order
-    1/tau for small tau stay finite.  Leaves ``z`` unchanged: the shifted
-    copy becomes the log-density, and the weights are formed in the
-    array the exponential writes.
+    1/tau for small tau stay finite.  Leaves ``z`` unchanged, unless
+    ``overwrite`` hands a float64 array over: the shifted features are
+    then formed in z's own array, which the policy keeps.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != actions.n_actions:
@@ -49,23 +123,19 @@ def gibbs_policy(z, actions):
                          f"{actions.n_actions} action nodes")
     if not np.all(np.isfinite(z)):
         raise ValueError("feature matrix has non-finite entries")
-    m = z.max(axis=1, keepdims=True)
-    log_density = z - m
-    weights = np.exp(log_density)
-    norm = weights @ actions.mu_weights
-    weights *= actions.mu_weights
-    weights /= norm[:, None]
-    log_norm = np.log(norm)
-    log_density -= log_norm[:, None]
-    return Policy(weights=weights, log_density=log_density,
-                  log_partition=m[:, 0] + log_norm)
+    m = z.max(axis=1)
+    if overwrite:
+        z -= m[:, None]
+        return _GibbsPolicy(z, m, actions)
+    return _GibbsPolicy(z - m[:, None], m, actions)
 
 
 def uniform_policy(n_interior, actions):
     """The reference measure itself (zero feature)."""
-    return gibbs_policy(np.zeros((n_interior, actions.n_actions)), actions)
+    return gibbs_policy(np.zeros((n_interior, actions.n_actions)), actions,
+                        overwrite=True)
 
 
 def kl_to_reference(p: Policy) -> np.ndarray:
     """KL(pi | mu) per interior node; nonnegative up to roundoff."""
-    return np.einsum("ik,ik->i", p.weights, p.log_density)
+    return p.kl

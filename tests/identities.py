@@ -1,4 +1,5 @@
-"""Identities of policy evaluation that only the tests check.
+"""Identities of policy evaluation that only the tests check, and the
+non-LQ problem several test modules share.
 
 The residual and the performance-difference check start from
 ``elliptic.average_coefficients`` and the bands of
@@ -7,10 +8,12 @@ library, so each identity holds at the level of linear algebra and its
 check reads solver roundoff.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
+from exitflow.domain import build_grid, make_action_space, make_problem
 from exitflow.elliptic import (assemble_system, average_coefficients,
                                diffusion, optimal_feature, solve_linear,
                                solve_on_policy_bellman)
@@ -65,3 +68,20 @@ def performance_difference_check(problem, p, q, tau):
     w = solve_linear(replace(problem, g_left=0.0, g_right=0.0), b_p, c_p,
                      forcing)
     return float(np.max(np.abs(w.interior - (vp.interior - vq.interior))))
+
+
+def non_lq_problem(kind="interval"):
+    """A 15-node problem convex in the action on [-1, 1] but not of LQ
+    form: 64 Gauss-Legendre actions (``kind="interval"``), so Howard runs
+    a golden-section refinement at every node, and 64 nodes are more
+    than the about 46 evaluations that search makes; or 7 uniform
+    actions (``kind="discrete"``)."""
+    actions = make_action_space(alpha=-1.0, beta=1.0, n_quad=64) \
+        if kind == "interval" else make_action_space(
+            values=np.linspace(-1.0, 1.0, 7))
+    return make_problem(build_grid(0.0, 1.0, 15), actions,
+                        b=lambda x, a: 0.5 * a + 0.2 * x,
+                        c=lambda x, a: 0.1,
+                        f=lambda x, a: 1.0 + (1.2 + x) * a * a
+                        + 0.1 * math.cos(3.0 * a),
+                        sigma=lambda x: 1.0, g=lambda x: 0.0)

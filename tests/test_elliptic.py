@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -197,3 +198,23 @@ def test_performance_difference_subnormal_tau(lq):
     q = gibbs_policy(np.random.default_rng(1).standard_normal((29, 5)),
                      lq.actions)
     assert performance_difference_check(lq, pol, q, 1e-300) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["discrete", "interval"])
+@pytest.mark.parametrize("rows", [1, 28, 30])
+def test_policy_of_another_row_count_is_refused(kind, rows):
+    # a 1-row policy used to broadcast into a 31-node value without a word
+    problem = lq_benchmark(kind, n_quad=16)
+    n_actions = problem.actions.n_actions
+    pol = gibbs_policy(np.zeros((rows, n_actions)), problem.actions)
+    with pytest.raises(ValueError, match=re.escape(
+            f"policy of shape {(rows, n_actions)} does not match the "
+            f"problem's (n_interior, n_actions) = {(29, n_actions)}")):
+        solve_on_policy_bellman(problem, pol, 0.1)
+
+
+def test_policy_over_other_actions_is_refused(lq):
+    other = make_action_space(values=[-1.0, 0.0, 1.0])
+    pol = gibbs_policy(np.zeros((lq.n_interior, 3)), other)
+    with pytest.raises(ValueError, match=r"\(29, 3\).*\(29, 5\)"):
+        average_coefficients(lq, pol, 0.0)

@@ -10,6 +10,7 @@ from exitflow import (gibbs_policy, hard_hamiltonian,
 from exitflow.domain import DISCRETE, ActionSpace, build_grid, lq_feature
 from exitflow.elliptic import ValueField
 from exitflow.hamiltonian import _hard_minimum, interval_quadratic_min
+from identities import non_lq_problem
 
 
 def _two_action_problem(z0, z1):
@@ -68,7 +69,7 @@ def test_soft_hamiltonian_rejects_non_finite_tau(kind, tau):
 def test_pointwise_hamiltonians_reject_non_finite_point(kind, bad, where):
     # refused at the entry on every kind of action set, rather than
     # turned into a nan or -inf value or action
-    problem = _non_lq_problem("interval") if kind == "non_lq_interval" \
+    problem = non_lq_problem("interval") if kind == "non_lq_interval" \
         else lq_benchmark(kind, n_interior=5, n_quad=8)
     point = [0.5, 0.2, 0.3]
     point[where] = bad
@@ -385,18 +386,6 @@ def test_soft_hamiltonian_rejects_non_lq_interval():
         soft_hamiltonian(prob, 0.5, 0.0, 0.0, 0.1)
 
 
-def _non_lq_problem(kind):
-    actions = make_action_space(alpha=-1.0, beta=1.0, n_quad=64) \
-        if kind == "interval" else make_action_space(
-            values=np.linspace(-1.0, 1.0, 7))
-    return make_problem(build_grid(0.0, 1.0, 15), actions,
-                        b=lambda x, a: 0.5 * a + 0.2 * x,
-                        c=lambda x, a: 0.1,
-                        f=lambda x, a: 1.0 + (1.2 + x) * a * a
-                        + 0.1 * math.cos(3.0 * a),
-                        sigma=lambda x: 1.0, g=lambda x: 0.0)
-
-
 HAM_SAMPLES = [(0.3, 0.2, -1.0, 0.1), (0.71, 1.3, 2.5, 1e-3),
                (0.5, 0.0, 0.0, 1.0), (0.12, -0.4, 0.7, 0.03)]
 # (hard minimum, its action, softmin) per sample, recorded when the
@@ -427,7 +416,7 @@ HAM_BITS = {
 @pytest.mark.parametrize("name", list(HAM_BITS))
 def test_pointwise_hamiltonian_bits(name):
     problem = lq_benchmark(name) if name in ("discrete", "interval") \
-        else _non_lq_problem(name.rsplit("_", 1)[1])
+        else non_lq_problem(name.rsplit("_", 1)[1])
     for (x, u, p, tau), (ham, act, soft) in zip(HAM_SAMPLES, HAM_BITS[name]):
         got = hard_hamiltonian(problem, x, u, p)
         # hex tells -0.0 from 0.0

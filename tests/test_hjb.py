@@ -10,6 +10,7 @@ from exitflow import (gibbs_policy, lq_benchmark, make_action_space,
                       solve_unregularized_hjb, uniform_policy)
 from exitflow.domain import LQCoefficients, build_grid, make_lq_problem
 from exitflow.hjb import ConvergenceError, default_tolerance
+from identities import non_lq_problem
 
 
 @pytest.fixture(scope="module")
@@ -188,23 +189,10 @@ def test_howard_monotone_values(lq):
                                            vf.dv, lq.coef_tab, lq.lq_tab)
 
 
-def _non_lq_interval_problem():
-    # convex in the action on [-1, 1] but not of LQ form, so Howard runs
-    # a golden-section refinement at every node; 64 action nodes are more
-    # than the about 46 evaluations that search makes
-    grid = build_grid(0.0, 1.0, 15)
-    acts = make_action_space(alpha=-1.0, beta=1.0, n_quad=64)
-    return make_problem(grid, acts, b=lambda x, a: 0.5 * a + 0.2 * x,
-                        c=lambda x, a: 0.1,
-                        f=lambda x, a: 1.0 + (1.2 + x) * a * a
-                        + 0.1 * math.cos(3.0 * a),
-                        sigma=lambda x: 1.0, g=lambda x: 0.0)
-
-
 def test_howard_non_lq_interval(monkeypatch):
     import exitflow.hamiltonian
     import exitflow.hjb
-    base = _non_lq_interval_problem()
+    base = non_lq_problem()
     calls, b_calls = [], []
     original = exitflow.hamiltonian.hard_hamiltonian
 
@@ -260,7 +248,7 @@ INTERVAL_TAU_01_V = [
 
 
 def test_howard_non_lq_interval_bits():
-    sol = solve_unregularized_hjb(_non_lq_interval_problem())
+    sol = solve_unregularized_hjb(non_lq_problem())
     assert sol.argmin_actions.tolist() == NON_LQ_ARGMIN
     assert sol.v_star.v.tolist() == NON_LQ_V
 
@@ -269,7 +257,7 @@ def test_howard_non_lq_interval_closure_calls():
     # the golden-section search and the selected coefficients call each of
     # b, c and f exactly as often as when the search first ran on Python
     # floats (4 iterations x 15 nodes)
-    base = _non_lq_interval_problem()
+    base = non_lq_problem()
     calls = {"b": 0, "c": 0, "f": 0}
 
     def counting(name):
@@ -290,6 +278,36 @@ def test_regularized_interval_lq_bits():
     problem = lq_benchmark("interval", n_interior=7, n_quad=16)
     sol = solve_regularized_hjb(problem, 0.1)
     assert sol.v_star.v.tolist() == INTERVAL_TAU_01_V
+
+
+def test_regularized_interval_lq_reads_no_tables(monkeypatch, lq_interval):
+    # on interval LQ problems each iteration works from the seven LQ maps
+    # and two action moments per node: no b*p - c*u + f table is formed
+    # and no policy's weights are read before the solve returns
+    import exitflow.domain
+    import exitflow.elliptic
+    import exitflow.hamiltonian
+    from exitflow.policy import _GibbsPolicy
+    calls = []
+    table = exitflow.domain._feature_table
+    weights_of = _GibbsPolicy.__dict__["weights"].func
+
+    def counting_table(*args):
+        calls.append("_feature_table")
+        return table(*args)
+
+    def counting_weights(pol):
+        calls.append("weights")
+        return weights_of(pol)
+
+    for module in (exitflow.domain, exitflow.elliptic, exitflow.hamiltonian):
+        monkeypatch.setattr(module, "_feature_table", counting_table)
+    monkeypatch.setattr(_GibbsPolicy, "weights", property(counting_weights))
+    sol = solve_regularized_hjb(lq_interval, 0.1)
+    assert sol.iterations > 1 and calls == []
+    weights = sol.optimal_policy.weights
+    assert calls == ["weights"]
+    assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-14
 
 
 @pytest.mark.parametrize("kind", ["discrete", "interval"])

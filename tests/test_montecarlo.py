@@ -155,3 +155,12 @@ def test_path_cap_near_zero_noise(monkeypatch):
     pol = uniform_policy(9, acts)
     with pytest.raises(PathCapError):
         simulate_exit_value(prob, pol, 0.5, 0.0, 4, 1e-3, seed=0)
+
+
+def test_policy_of_another_row_count_is_refused():
+    # the Monte Carlo tables start from the same averages, so a policy of
+    # the wrong shape is refused before any path is drawn
+    lq = lq_benchmark("discrete")
+    pol = gibbs_policy(np.zeros((1, 5)), lq.actions)
+    with pytest.raises(ValueError, match=r"\(1, 5\).*\(29, 5\)"):
+        simulate_exit_value(lq, pol, 0.5, 0.1, 10, 1e-3, seed=0)

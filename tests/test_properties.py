@@ -24,8 +24,8 @@ from exitflow.elliptic import ValueField, diffusion
 from exitflow.hamiltonian import (_hard_minimum, hard_hamiltonian,
                                   soft_hamiltonian)
 from exitflow.kernels import thomas_solve
-from identities import on_policy_residual, performance_difference_check
-from test_hjb import _non_lq_interval_problem
+from identities import (non_lq_problem, on_policy_residual,
+                        performance_difference_check)
 
 PROBLEMS = {"discrete": lq_benchmark("discrete", n_interior=9, n_actions=5),
             "interval": lq_benchmark("interval", n_interior=9, n_quad=12)}
@@ -144,7 +144,8 @@ def test_peclet_gate(case, tau, target, sign):
     peclet = np.max(np.abs(np.sum(pol.weights * drift, axis=1)) * h / sig2)
     coef_tab = problem.coef_tab.copy()
     coef_tab[0] = (target / peclet) * drift
-    problem = replace(problem, coef_tab=coef_tab)
+    # the scaled drift is not affine in the action: averages over the table
+    problem = replace(problem, coef_tab=coef_tab, lq_tab=None)
     b_bar = average_coefficients(problem, pol, tau)[0]
     if np.max(np.abs(b_bar) * h / sig2) > 2.0:
         with pytest.raises(SolverError, match="Peclet"):
@@ -180,6 +181,53 @@ def test_gibbs_variational_identity(case, tau):
     ham = -tau * pol.log_partition
     rhs = np.einsum("ik,ik->i", pol.weights, z) + tau * kl_to_reference(pol)
     assert np.all(np.abs(ham - rhs) <= 1e-12 * (1.0 + np.abs(ham)))
+
+
+@st.composite
+def interval_lq_features(draw):
+    """A random interval LQ problem and a feature matrix on it, at a
+    scale from 1e-3 to 10, with some rows made near one-hot by a spike
+    on one action node (800 underflows every other weight to zero)."""
+    _, problem = draw(lq_maps_problems("interval"))
+    n, n_actions = problem.n_interior, problem.actions.n_actions
+    scale = 10.0 ** draw(st.floats(-3.0, 1.0))
+    z = scale * draw(hnp.arrays(np.float64, (n, n_actions), elements=unit))
+    spikes = draw(hnp.arrays(np.float64, n, elements=st.sampled_from(
+        [0.0, 0.0, 5.0, 40.0, 800.0])))
+    cols = draw(hnp.arrays(np.int64, n,
+                           elements=st.integers(0, n_actions - 1)))
+    z[np.arange(n), cols] += spikes
+    return problem, z
+
+
+@settings(deadline=None)
+@given(interval_lq_features())
+def test_moment_averages_match_the_weights(case):
+    """On interval LQ problems the averages come from the two action
+    moments, without the weights; they agree with the contraction of the
+    tables with the weights, which, read afterwards, have the bits of the
+    eager Gibbs formulas, as have the log-densities."""
+    problem, z = case
+    pol = gibbs_policy(z, problem.actions)
+    averages = average_coefficients(problem, pol, 0.0)
+    assert "weights" not in vars(pol)
+    mu = problem.actions.mu_weights
+    shifted = z - z.max(axis=1, keepdims=True)
+    weights = np.exp(shifted)
+    norm = weights @ mu
+    weights *= mu
+    weights /= norm[:, None]
+    log_density = shifted - np.log(norm)[:, None]
+    assert pol.weights.tobytes() == weights.tobytes()
+    assert pol.log_density.tobytes() == log_density.tobytes()
+    for bar, tab in zip(averages, problem.coef_tab):
+        ref = np.einsum("ik,ik->i", tab, weights)
+        assert np.max(np.abs(bar - ref)) \
+            <= 1e-13 * (1.0 + np.max(np.abs(tab)))
+    kl = kl_to_reference(pol)
+    assert np.all(kl >= -1e-12)
+    assert np.max(np.abs(kl - np.einsum("ik,ik->i", weights, log_density))) \
+        <= 1e-13
 
 
 @st.composite
@@ -340,7 +388,7 @@ def test_discrete_selected_coefficients_match_closures(data):
                                     in zip(problem.grid.interior, acts)])
 
 
-NON_LQ_INTERVAL = _non_lq_interval_problem()
+NON_LQ_INTERVAL = non_lq_problem()
 
 
 @settings(deadline=None, max_examples=50)
