@@ -17,4 +17,4 @@ from .hamiltonian import (hard_hamiltonian, interval_quadratic_softmin,
 from .hjb import (ConvergenceError, HjbSolution, solve_regularized_hjb,
                   solve_unregularized_hjb)
 from .montecarlo import McEstimate, PathCapError, simulate_exit_value
-from .policy import Policy, gibbs_policy, kl_to_reference, uniform_policy
+from .policy import Policy, gibbs_policy, uniform_policy

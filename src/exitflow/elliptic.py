@@ -54,16 +54,22 @@ def average_coefficients(problem, p: Policy, tau):
     On interval LQ problems the averages are affine in the policy's action
     moments E[a] and E[a^2], and are formed from them and ``lq_tab``;
     elsewhere they contract ``coef_tab`` with the weights.  A policy whose
-    shape is not (n_interior, n_actions) raises ValueError.
+    shape is not (n_interior, n_actions), or that is built over action
+    nodes or weights other than the problem's, raises ValueError.
     """
     actions = problem.actions
     shape = (problem.n_interior, actions.n_actions)
     if p.shape != shape:
         raise ValueError(f"policy of shape {p.shape} does not match the "
                          f"problem's (n_interior, n_actions) = {shape}")
+    own = p.actions
+    if own is not actions and not (
+            np.array_equal(own.actions, actions.actions)
+            and np.array_equal(own.mu_weights, actions.mu_weights)):
+        raise ValueError("policy is built over other action nodes or "
+                         "weights than the problem's")
     if problem._interval_lq:
-        b_bar, c_bar, f_bar = lq_averages(problem.lq_tab,
-                                          *p.moments(actions))
+        b_bar, c_bar, f_bar = lq_averages(problem.lq_tab, *p.moments())
     else:
         b_bar, c_bar, f_bar = np.einsum("jik,ik->ji", problem.coef_tab,
                                         p.weights)

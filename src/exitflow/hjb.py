@@ -129,7 +129,7 @@ def _one_hot_policy(problem, actions_selected):
     logd = np.zeros((n, acts.size))
     weights[np.arange(n), cols] = 1.0
     logd[np.arange(n), cols] = -np.log(w[cols])
-    return Policy(weights=weights, log_density=logd)
+    return Policy(weights=weights, log_density=logd, actions=problem.actions)
 
 
 def solve_unregularized_hjb(problem, tol=None,

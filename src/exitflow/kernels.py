@@ -10,12 +10,15 @@ peak resident memory from 53.8 to 60.1 MB there, about 11 % of a
 ``run-flow`` process's peak, more than the 10 % by which ``perfbench``
 lets peak memory grow.  The path simulation alone decides which paths of
 a batch are still alive.  It has two walks with the same bits: a numpy
-step over all live paths for the bulk of a batch, and a walk of each path
-on Python floats once a chunk starts with at most ``SCALAR_PATHS`` of
-them, a threshold measured where the two cost the same rather than a
-setting.  The walk keeps numpy's exponential, whose last bit differs from
-``math.exp`` on some arguments, and the bulk keeps no whole-chunk history
-of positions, which would raise peak memory.
+step over all live paths for the bulk of a batch, 21 numpy calls a step
+whatever the path count, and a walk of each path on Python floats once at
+most ``SCALAR_PATHS`` are left, a threshold measured where the two cost
+the same rather than a setting.  A chunk hands over from the first to the
+second on the step that leaves that few.  The walk keeps numpy's
+exponential, whose last bit differs from ``math.exp`` on some arguments,
+and forms the discount factors and costs of all its paths at once; the
+bulk keeps no whole-chunk history of positions, which would raise peak
+memory.
 """
 
 import numpy as np
@@ -75,27 +78,38 @@ def thomas_solve(lower, diag, upper, rhs):
 # has x > left).  Everything after `cost` is keyword-only, so a wrapper
 # such as perfbench's tracer finds `steps` and `normals` by name.
 #
-# Two walks give the same bits.  A chunk that starts with more than
-# SCALAR_PATHS live paths runs one numpy step for all of them at a time.
-# A chunk that starts with fewer (the tail of a batch, where a few slow
-# paths keep it alive) walks each path on Python floats instead, as
-# `thomas_solve` does: there numpy's per-call overhead, 20-40 us a step
-# whatever the path count, is most of the cost.  The position recursion
-# does not involve gamma or the cost, so the walk first takes the
-# positions alone, then forms c, f + tau*KL, the discount factors and both
-# running sums and products on arrays of at most n_steps + 1 entries, in
-# the vector loop's order of operations.
+# Two walks give the same bits.  While more than SCALAR_PATHS paths are
+# live, one numpy step moves all of them at a time; once exits leave
+# SCALAR_PATHS or fewer, or a chunk starts with that few (the tail of a
+# batch, where a few slow paths keep it alive), the rest of the chunk
+# walks each path on Python floats, as `thomas_solve` does.  The numpy
+# step pays numpy's per-call overhead, not arithmetic, up to a few hundred
+# paths, so it makes 21 calls a step (one more once a path has exited to
+# gather the live rows of normals): the b, c, f + tau*KL and sigma tables
+# and their cell differences are stacked into one (8, n - 1) array per
+# chunk, so one gather, one multiply and one add interpolate all four,
+# and cost, discount and position are updated in place, in the order
+# (gamma * fkl) * dt, gamma * exp(c * -dt) (the bits of (-c) * dt), then
+# (x + b * dt) + (sigma * sqrt(dt)) * xi.  The position recursion does
+# not involve gamma or the cost, so the walk first takes the positions of
+# one path after another, then forms c, f + tau*KL, the discount factors
+# and the running costs of all walked paths at once, on (paths x longest
+# walk + 1) arrays padded with 1.0 among the factors and -0.0 among the
+# cost terms, which leave products and sums, signed zeros included, as
+# they are.
 #
 # The discount factor stays `np.exp`, on arrays: numpy's SIMD exponential
 # and `math.exp` differ in the last bit on a few per cent of arguments,
 # while `np.exp` gives an element the same bits whatever the array length.
-# The bulk keeps no (paths x steps) history to accumulate a whole chunk at
-# once: storing one raised the `oracle` benchmark's peak RSS from 63 to
-# 75 MB and slowed its first 1000-path chunk by a third.  SCALAR_PATHS is
-# a measured crossover, not a setting: at dt = 2e-4 a vector chunk with a
-# few dozen paths costs 5-10 ms, a path walked through a whole chunk
-# 0.12-0.3 ms, and the `oracle` wall time is flat for thresholds from 24
-# to 96.  Either side of it gives the same result.
+# The numpy step keeps no (paths x steps) history to accumulate a whole
+# chunk at once, as the walk does for its few paths: storing one for the
+# bulk raised the `oracle` benchmark's peak RSS from 63 to 75 MB and
+# slowed its first 1000-path chunk by a third.
+# SCALAR_PATHS is a measured crossover, not a setting: on a 2-vCPU x86-64
+# VM at dt = 2e-4 the numpy step takes about 13 us at 40 live paths and
+# 37 us at 1000, the walk about 0.35 us per path and step, and the
+# `oracle` wall time is flat for thresholds from 16 to 48.  Either side of
+# it gives the same result.
 # ---------------------------------------------------------------------------
 
 SCALAR_PATHS = 24
@@ -103,9 +117,12 @@ SCALAR_PATHS = 24
 
 def _nodes(xa, left, spacing, top):
     """Cell index and in-cell weight of each position."""
-    pos = (xa - left) / spacing
-    idx = np.minimum(pos.astype(np.int64), top)
-    return idx, pos - idx
+    pos = xa - left
+    pos /= spacing
+    idx = pos.astype(np.int64)
+    np.minimum(idx, top, out=idx)
+    pos -= idx
+    return idx, pos
 
 
 def simulate_chunk(x, gamma, cost, *, steps, normals, left, right, spacing,
@@ -114,52 +131,73 @@ def simulate_chunk(x, gamma, cost, *, steps, normals, left, right, spacing,
     how many are still live."""
     sqrt_dt = np.sqrt(dt)
     top = b_tab.size - 2
-    tabs = [(t, np.diff(t)) for t in (b_tab, c_tab, fkl_tab, s_tab)]
+    # rows 0-3: f + tau*KL, c, b and sigma at each cell's left node; rows
+    # 4-7: their differences across the cell
+    tabs = np.array([fkl_tab, c_tab, b_tab, s_tab])
+    tabs = np.concatenate((tabs[:, :-1], np.diff(tabs)))
+    # the step's factors of c, b and sigma
+    scale = np.array([[-dt], [dt], [sqrt_dt]])
     n_steps = normals.shape[1]
     live = np.flatnonzero((x > left) & (x < right))
-    if live.size <= SCALAR_PATHS:
-        return _walk_paths(x, gamma, cost, steps, normals, live, float(left),
-                           float(right), float(spacing), tabs, float(dt),
-                           float(sqrt_dt), top, g_left, g_right)
-    rows = np.arange(live.size)
+    rows = None  # the normals rows of the live paths, once one has exited
     xa, ga, ca = x[live], gamma[live], cost[live]
-    for j in range(n_steps):
-        if live.size == 0:
-            break
-        idx, w = _nodes(xa, left, spacing, top)
-        b, c, fkl, sig = (t[idx] + w * d[idx] for t, d in tabs)
-        ca += ga * fkl * dt
-        ga = ga * np.exp(-c * dt)
-        xa = xa + b * dt + sig * sqrt_dt * normals[:, j][rows]
-        out = (xa <= left) | (xa >= right)
-        if out.any():
+    # numpy reads a 0-d array operand faster than a Python or numpy scalar
+    lo, hi, h, dt_, top_ = map(np.array, (left, right, spacing, dt, top))
+    j = 0
+    while j < n_steps and live.size > SCALAR_PATHS:
+        idx, w = _nodes(xa, lo, h, top_)
+        near = tabs.take(idx, axis=1)
+        at = near[4:]
+        at *= w
+        at += near[:4]
+        fkl = at[0]
+        fkl *= ga
+        fkl *= dt_
+        ca += fkl
+        at[1:] *= scale
+        c = at[1]
+        ga *= np.exp(c, out=c)
+        xa += at[2]
+        sig = at[3]
+        sig *= normals[:, j] if rows is None else normals[:, j][rows]
+        xa += sig
+        j += 1
+        out = xa <= lo
+        out |= xa >= hi
+        if np.count_nonzero(out):
             gone = live[out]
             x_out, g_out = xa[out], ga[out]
             payoff = np.where(x_out <= left, g_left, g_right)
             x[gone] = x_out
             gamma[gone] = g_out
             cost[gone] = ca[out] + g_out * payoff
-            steps[gone] += j + 1
+            steps[gone] += j
             keep = ~out
-            live, rows = live[keep], rows[keep]
+            live = live[keep]
+            rows = np.flatnonzero(keep) if rows is None else rows[keep]
             xa, ga, ca = xa[keep], ga[keep], ca[keep]
     x[live] = xa
     gamma[live] = ga
     cost[live] = ca
-    steps[live] += n_steps
-    return live.size
+    steps[live] += j
+    if j == n_steps or live.size == 0:
+        return live.size
+    tail = normals[:, j:] if rows is None else normals[rows, j:]
+    return _walk_paths(x, gamma, cost, steps, tail, live, float(left),
+                       float(right), float(spacing), tabs, float(dt),
+                       float(sqrt_dt), top, g_left, g_right)
 
 
 def _walk_paths(x, gamma, cost, steps, normals, live, left, right, spacing,
                 tabs, dt, sqrt_dt, top, g_left, g_right):
-    """simulate_chunk's scalar walk, one live path after another."""
-    (b_tab, b_diff), (c_tab, c_diff), (f_tab, f_diff), (s_tab, s_diff) = tabs
-    bt, bd, st, sd = (a.tolist() for a in (b_tab, b_diff, s_tab, s_diff))
-    n_live = 0
-    for row, p in enumerate(live.tolist()):
-        xj = float(x[p])
-        starts = []
-        for z in normals[row].tolist():
+    """simulate_chunk's scalar walk: the positions of one live path after
+    another on Python floats, then the discount factors and running costs
+    of all of them at once."""
+    bt, st, bd, sd = (tabs[r].tolist() for r in (2, 3, 6, 7))
+    starts, ends, walked = [], [], []
+    for xj, zs in zip(x[live].tolist(), normals.tolist()):
+        k = len(starts)
+        for z in zs:
             pos = (xj - left) / spacing
             i = int(pos)
             if i > top:
@@ -170,22 +208,35 @@ def _walk_paths(x, gamma, cost, steps, normals, live, left, right, spacing,
                 + (st[i] + w * sd[i]) * sqrt_dt * z
             if xj <= left or xj >= right:
                 break
-        k = len(starts)
-        idx, w = _nodes(np.array(starts), left, spacing, top)
-        ga = np.empty(k + 1)
-        ga[0] = gamma[p]
-        ga[1:] = np.exp(-(c_tab[idx] + w * c_diff[idx]) * dt)
-        np.multiply.accumulate(ga, out=ga)
-        ca = np.empty(k + 1)
-        ca[0] = cost[p]
-        ca[1:] = ga[:-1] * (f_tab[idx] + w * f_diff[idx]) * dt
-        total = np.add.accumulate(ca)[-1]
-        x[p] = xj
-        gamma[p] = ga[-1]
-        steps[p] += k
-        if xj <= left or xj >= right:
-            cost[p] = total + ga[-1] * (g_left if xj <= left else g_right)
-        else:
-            cost[p] = total
-            n_live += 1
-    return n_live
+        ends.append(xj)
+        walked.append(len(starts) - k)
+    # one row per path, padded after its walk with 1.0 among the discount
+    # factors and -0.0 among the cost terms: x*1.0 and x + -0.0 are x,
+    # signed zeros included, so each row's last entry is its own result
+    walked = np.array(walked)
+    taken = np.arange(1, walked.max() + 1) <= walked[:, None]
+    idx, w = _nodes(np.array(starts), left, spacing, top)
+    near = tabs.take(idx, axis=1)
+    at = near[4:6]
+    at *= w
+    at += near[:2]
+    fkl, c = at
+    ga = np.ones((live.size, taken.shape[1] + 1))
+    ga[:, 0] = gamma[live]
+    ga[:, 1:][taken] = np.exp(c * -dt)
+    np.multiply.accumulate(ga, axis=1, out=ga)
+    ca = np.full(ga.shape, -0.0)
+    ca[:, 0] = cost[live]
+    fkl *= ga[:, :-1][taken]
+    fkl *= dt
+    ca[:, 1:][taken] = fkl
+    total = np.add.accumulate(ca, axis=1)[:, -1]
+    xe = np.array(ends)
+    g_end = ga[:, -1]
+    out = (xe <= left) | (xe >= right)
+    total[out] += g_end[out] * np.where(xe[out] <= left, g_left, g_right)
+    x[live] = xe
+    gamma[live] = g_end
+    cost[live] = total
+    steps[live] += walked
+    return live.size - int(np.count_nonzero(out))

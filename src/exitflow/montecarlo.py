@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import _count
 from .elliptic import average_coefficients
 from .kernels import simulate_chunk
 from .policy import Policy, _check_tau
@@ -61,9 +62,7 @@ def simulate_exit_value(problem, p: Policy, x0, tau, n_paths, dt_sim,
     if not 0.0 < dt_sim < np.inf:
         raise ValueError("dt_sim must be positive and finite")
     _check_tau(tau, positive=False)
-    n_paths = int(n_paths)
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    n_paths = _count(n_paths, "n_paths", 1)
     b_tab, c_tab, fkl_tab, s_tab = _extended_tables(problem, p, tau)
     n_batches = (n_paths + BATCH_PATHS - 1) // BATCH_PATHS
     streams = np.random.SeedSequence(seed).spawn(n_batches)

@@ -1,10 +1,11 @@
 """Gibbs policies: softmax image of a feature matrix, and KL to the reference.
 
 A feature field is a plain float64 matrix with one row per interior grid
-node and one column per action node.  A policy exposes probability
-weights (mu quadrature weights folded in, rows sum to 1), log-densities
-relative to the reference measure, KL(pi|mu) per row and the action
-moments E_pi[a], E_pi[a^2].  A Gibbs policy keeps the max-shifted
+node and one column per action node.  A policy records the action space
+it is built over and exposes probability weights (mu quadrature weights
+folded in, rows sum to 1), log-densities relative to the reference
+measure, KL(pi|mu) per row and the action moments E_pi[a], E_pi[a^2]
+over its own action nodes.  A Gibbs policy keeps the max-shifted
 features s = z - max(z), and e*mu with e = exp(s) until its first use.
 From e it forms each row's normaliser S0 = e @ mu and log-partition
 ln(mu-average of e^z) = max(z) + ln S0, so the Gibbs image of -z/tau
@@ -25,15 +26,16 @@ import numpy as np
 
 
 class Policy:
-    """A policy on the action nodes, one row per interior node, stored as
-    its weights, shape (n_interior, n_actions) with rows summing to 1, and
-    its log-densities ln d(pi)/d(mu), finite also where a weight is 0.
-    ``log_partition`` is ln of the mu-average of e^z per row for a Gibbs
-    policy, None on deterministic selections."""
+    """A policy on the action nodes of ``actions``, one row per interior
+    node, stored as its weights, shape (n_interior, n_actions) with rows
+    summing to 1, and its log-densities ln d(pi)/d(mu), finite also where
+    a weight is 0.  ``log_partition`` is ln of the mu-average of e^z per
+    row for a Gibbs policy, None on deterministic selections."""
 
-    def __init__(self, weights, log_density, log_partition=None):
+    def __init__(self, weights, log_density, actions, log_partition=None):
         self.weights = weights
         self.log_density = log_density
+        self.actions = actions
         self.log_partition = log_partition
         self.shape = weights.shape
 
@@ -42,10 +44,10 @@ class Policy:
         """KL(pi | mu) per interior node."""
         return np.einsum("ik,ik->i", self.weights, self.log_density)
 
-    def moments(self, actions):
+    def moments(self):
         """E_pi[a] and E_pi[a^2] per interior node, shape (2, n_interior),
-        over the nodes of ``actions``."""
-        return actions._powers @ self.weights.T
+        over the policy's own action nodes."""
+        return self.actions._powers @ self.weights.T
 
 
 class _GibbsPolicy(Policy):
@@ -55,7 +57,7 @@ class _GibbsPolicy(Policy):
 
     def __init__(self, s, m, actions):
         self._s = s
-        self._actions = actions
+        self.actions = actions
         self.shape = s.shape
         self._emu = emu = np.exp(s)
         self._norm = emu @ actions.mu_weights
@@ -75,14 +77,12 @@ class _GibbsPolicy(Policy):
     def log_density(self):
         return self._s - self._log_norm[:, None]
 
-    def moments(self, actions):
-        if actions is not self._actions:
-            return super().moments(actions)
+    def moments(self):
         return self._moments
 
     @functools.cached_property
     def _moments(self):
-        moments = self._actions._powers @ self._take_emu().T
+        moments = self.actions._powers @ self._take_emu().T
         moments /= self._norm
         return moments
 
@@ -93,7 +93,7 @@ class _GibbsPolicy(Policy):
         emu = self.__dict__.pop("_emu", None)
         if emu is None:
             emu = np.exp(self._s)
-            emu *= self._actions.mu_weights
+            emu *= self.actions.mu_weights
         return emu
 
 
@@ -134,8 +134,3 @@ def uniform_policy(n_interior, actions):
     """The reference measure itself (zero feature)."""
     return gibbs_policy(np.zeros((n_interior, actions.n_actions)), actions,
                         overwrite=True)
-
-
-def kl_to_reference(p: Policy) -> np.ndarray:
-    """KL(pi | mu) per interior node; nonnegative up to roundoff."""
-    return p.kl

@@ -4,9 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from exitflow import (average_coefficients, gibbs_policy, lq_benchmark,
-                      make_action_space, make_problem, manufactured_problem,
-                      solve_on_policy_bellman, uniform_policy)
+from exitflow import (Policy, average_coefficients, gibbs_policy,
+                      lq_benchmark, make_action_space, make_problem,
+                      manufactured_problem, solve_on_policy_bellman,
+                      uniform_policy)
 from exitflow.domain import build_grid
 from exitflow.elliptic import SolverError, ValueField
 from identities import on_policy_residual, performance_difference_check
@@ -218,3 +219,24 @@ def test_policy_over_other_actions_is_refused(lq):
     pol = gibbs_policy(np.zeros((lq.n_interior, 3)), other)
     with pytest.raises(ValueError, match=r"\(29, 3\).*\(29, 5\)"):
         average_coefficients(lq, pol, 0.0)
+    # as many nodes as the problem has, but elsewhere: a Gibbs policy and
+    # a directly built one are refused, on discrete sets (weights
+    # contracted with the table) and on interval LQ problems (moments)
+    interval = lq_benchmark("interval", n_quad=16)
+    for problem, other in [
+            (lq, make_action_space(values=np.linspace(-3.0, 3.0, 5))),
+            (interval, make_action_space(alpha=-2.0, beta=2.0, n_quad=16))]:
+        shape = (problem.n_interior, other.n_actions)
+        direct = Policy(np.tile(other.mu_weights, (shape[0], 1)),
+                        np.zeros(shape), other)
+        for pol in (gibbs_policy(np.zeros(shape), other), direct):
+            with pytest.raises(ValueError, match="other action nodes"):
+                average_coefficients(problem, pol, 0.0)
+    # an action space built anew with the same nodes and weights is the
+    # same action space
+    again = make_action_space(values=np.linspace(-1.0, 1.0, 5))
+    pol = gibbs_policy(np.zeros((lq.n_interior, 5)), again)
+    for a, b in zip(average_coefficients(lq, pol, 0.1),
+                    average_coefficients(lq, uniform_policy(29, lq.actions),
+                                         0.1)):
+        assert np.array_equal(a, b)

@@ -160,3 +160,25 @@ def test_simulation_chunk_skips_retired_paths(chunk_walk):
         0.863893792803303, 1.1965638281074926]
     assert steps[live].tolist() == [43, 360, 370, 390, 118]
     assert n_live == 3
+
+
+def test_simulation_chunk_keeps_negative_zero_costs(chunk_walk):
+    # the least negative subnormal as f + tau*KL makes every cost term
+    # (gamma * f) * dt underflow to -0.0, and -0.0 exit payoffs add -0.0,
+    # so each cost stays the -0.0 it started as.  The per-path walk pads
+    # the discount factors and cost terms of a path that exits before the
+    # longest walk of its chunk, and these pads must leave that sign
+    # alone.  Strong drift and no noise send the paths out on the right
+    # after different numbers of steps
+    n, nodes = 5, 5
+    x, gamma, cost, steps = _chunk_state(n)
+    x[:] = [0.12, 0.32, 0.52, 0.72, 0.92]
+    cost[:] = -0.0
+    n_live = _chunk(x, gamma, cost, steps, np.zeros((n, 400)), 0.0, 1.0,
+                    0.25, np.full(nodes, 5.0), np.linspace(0.0, 0.3, nodes),
+                    np.full(nodes, -5e-324), np.full(nodes, 1e-8), 0.01,
+                    -0.0, -0.0)
+    assert n_live == 0
+    assert steps.tolist() == [18, 14, 10, 6, 2]
+    assert np.all(x >= 1.0) and np.all(gamma < 1.0)
+    assert np.all(cost == 0.0) and np.all(np.signbit(cost))

@@ -82,10 +82,12 @@ def test_discount_and_kl_accumulation():
 def test_validates_inputs(manufactured):
     pol = uniform_policy(49, manufactured.actions)
     # (x0, tau, n_paths, dt_sim); a NaN or infinite dt_sim would otherwise
-    # run every path to STEP_CAP, and such a tau return a NaN estimate
+    # run every path to STEP_CAP, such a tau return a NaN estimate, and a
+    # fractional n_paths run and report a truncated path count
     for x0, tau, n_paths, dt_sim in [
             (0.0, 0.0, 10, 1e-3), (0.5, 0.0, 10, -1e-3), (0.5, -0.1, 10, 1e-3),
-            (0.5, 0.0, 0, 1e-3), (0.5, math.nan, 10, 1e-3),
+            (0.5, 0.0, 0, 1e-3), (0.5, 0.0, 10.7, 1e-3),
+            (0.5, math.nan, 10, 1e-3),
             (0.5, math.inf, 10, 1e-3), (0.5, 0.0, 10, math.nan),
             (0.5, 0.0, 10, math.inf)]:
         with pytest.raises(ValueError):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from exitflow import (gibbs_policy, kl_to_reference, make_action_space,
-                      uniform_policy)
+from exitflow import gibbs_policy, make_action_space, uniform_policy
 from identities import kl_between
 
 
@@ -57,14 +56,14 @@ def test_rejects_non_finite(two_uniform):
 
 def test_kl_to_reference_zero_for_uniform(two_uniform):
     p = uniform_policy(4, two_uniform)
-    assert np.max(np.abs(kl_to_reference(p))) <= 1e-14
+    assert np.max(np.abs(p.kl)) <= 1e-14
 
 
 def test_kl_to_reference_frozen_value(two_uniform):
     # weights (0.8, 0.2) against uniform: 0.8 ln 1.6 + 0.2 ln 0.4
     p = gibbs_policy(np.log(np.array([[1.6, 0.4]])), two_uniform)
     assert np.allclose(p.weights, [[0.8, 0.2]], atol=1e-14)
-    kl = kl_to_reference(p)
+    kl = p.kl
     assert abs(kl[0] - 0.19274475702175743) <= 1e-12
 
 
@@ -72,7 +71,7 @@ def test_kl_to_reference_near_point_mass(two_uniform):
     # weights (1-eps, eps) approach ln 2 as eps -> 0
     for eps, tol in ((1e-6, 2e-5), (1e-9, 3e-8)):
         z = np.log(np.array([[2.0 * (1 - eps), 2.0 * eps]]))
-        kl = kl_to_reference(gibbs_policy(z, two_uniform))
+        kl = gibbs_policy(z, two_uniform).kl
         assert abs(kl[0] - math.log(2.0)) <= tol
 
 
@@ -98,7 +97,7 @@ def test_kl_nonnegative_random():
     for _ in range(25):
         p = gibbs_policy(3.0 * rng.standard_normal((5, 9)), acts)
         q = gibbs_policy(3.0 * rng.standard_normal((5, 9)), acts)
-        assert np.all(kl_to_reference(p) >= -1e-12)
+        assert np.all(p.kl >= -1e-12)
         assert np.all(kl_between(p, q) >= -1e-12)
 
 
@@ -107,7 +106,7 @@ def test_kl_between_consistent_with_reference():
     rng = np.random.default_rng(23)
     p = gibbs_policy(rng.standard_normal((8, 5)), acts)
     mu = uniform_policy(8, acts)
-    diff = kl_between(p, mu) - kl_to_reference(p)
+    diff = kl_between(p, mu) - p.kl
     assert np.max(np.abs(diff)) <= 1e-12
 
 

@@ -11,8 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 from exitflow import (Scheduler, SolverError, average_coefficients,
                       gibbs_policy, growth_integrals,
-                      growth_integrals_quadrature, kl_to_reference,
-                      lq_benchmark, make_action_space, make_lq_problem,
+                      growth_integrals_quadrature, lq_benchmark,
+                      make_action_space, make_lq_problem,
                       optimal_feature, simulate_exit_value,
                       solve_on_policy_bellman, solve_regularized_hjb,
                       solve_unregularized_hjb)
@@ -81,7 +81,7 @@ def test_gibbs_rows_sum_to_one_and_kl_nonnegative(case):
     pol = gibbs_policy(z, problem.actions)
     assert np.all(pol.weights >= 0.0)
     assert np.max(np.abs(pol.weights.sum(axis=1) - 1.0)) <= 1e-12
-    assert np.all(kl_to_reference(pol) >= -1e-12)
+    assert np.all(pol.kl >= -1e-12)
 
 
 @settings(deadline=None)
@@ -106,7 +106,7 @@ def test_stacked_averages_are_convex_combinations(case):
     pol = gibbs_policy(z, problem.actions)
     b_bar, c_bar, forcing = average_coefficients(problem, pol, 0.5)
     f_bar = average_coefficients(problem, pol, 0.0)[2]
-    kl = kl_to_reference(pol)
+    kl = pol.kl
     assert np.all(kl >= -1e-12)
     assert np.array_equal(forcing, f_bar + 0.5 * kl)
     for bar, tab in ((b_bar, problem.b_tab), (c_bar, problem.c_tab),
@@ -179,7 +179,7 @@ def test_gibbs_variational_identity(case, tau):
     problem, z = case
     pol = gibbs_policy(-z / tau, problem.actions)
     ham = -tau * pol.log_partition
-    rhs = np.einsum("ik,ik->i", pol.weights, z) + tau * kl_to_reference(pol)
+    rhs = np.einsum("ik,ik->i", pol.weights, z) + tau * pol.kl
     assert np.all(np.abs(ham - rhs) <= 1e-12 * (1.0 + np.abs(ham)))
 
 
@@ -224,7 +224,7 @@ def test_moment_averages_match_the_weights(case):
         ref = np.einsum("ik,ik->i", tab, weights)
         assert np.max(np.abs(bar - ref)) \
             <= 1e-13 * (1.0 + np.max(np.abs(tab)))
-    kl = kl_to_reference(pol)
+    kl = pol.kl
     assert np.all(kl >= -1e-12)
     assert np.max(np.abs(kl - np.einsum("ik,ik->i", weights, log_density))) \
         <= 1e-13
@@ -526,26 +526,30 @@ def chunk_cases(draw):
     row = int(np.count_nonzero(~retired[:late]))
     normals[row] = 0.0
     normals[row, -1] = draw(st.sampled_from([-1e6, 1e6]))
+    # a limit below the live count: the chunk starts in numpy and hands
+    # its last paths to the per-path walk once enough have exited
+    handoff = draw(st.integers(1, len(starts) - 1))
     state = [x, gamma, cost, steps]
     kwargs = dict(left=left, right=right, spacing=width / (nodes - 1),
                   b_tab=tables[0], c_tab=tables[1], fkl_tab=tables[2],
                   s_tab=tables[3], dt=dt, g_left=draw(st.floats(-1.0, 1.0)),
                   g_right=draw(st.floats(-1.0, 1.0)))
-    return state, normals, kwargs, retired, late
+    return state, normals, kwargs, retired, late, handoff
 
 
 @settings(deadline=None)
 @given(chunk_cases())
 def test_chunk_walks_agree_bitwise(case):
-    # the per-path walk on Python floats and the numpy step over all live
-    # paths leave every output array with the same bits, return the number
-    # of paths left inside (left, right) and leave retired paths untouched
-    state, normals, kwargs, retired, late = case
+    # the per-path walk on Python floats, the numpy step over all live
+    # paths and a chunk that hands over from one to the other leave every
+    # output array with the same bits, return the number of paths left
+    # inside (left, right) and leave retired paths untouched
+    state, normals, kwargs, retired, late, handoff = case
     left, right = kwargs["left"], kwargs["right"]
     n_steps = normals.shape[1]
     steps_before = state[3][late]
     outs = []
-    for limit in (0, 1_000_000):
+    for limit in (0, 1_000_000, handoff):
         out = [a.copy() for a in state]
         with mock.patch.object(kernels, "SCALAR_PATHS", limit):
             n_live = kernels.simulate_chunk(*out[:3], steps=out[3],
@@ -557,5 +561,6 @@ def test_chunk_walks_agree_bitwise(case):
         assert steps[late] == steps_before + n_steps
         for a, b in zip(out, state):
             assert a[retired].tobytes() == b[retired].tobytes()
-    for a, b in zip(*outs):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for out in outs[1:]:
+        for a, b in zip(outs[0], out):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
