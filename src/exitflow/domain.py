@@ -123,8 +123,14 @@ def lq_coefficients(t, a):
 def lq_averages(t, m1, m2):
     """(b_bar, c_bar, f_bar) under a law of the action with E[a] = ``m1``
     and E[a**2] = ``m2``, from the seven LQ map values ``t``: per-node
-    rows."""
-    return t[0] + t[1] * m1, t[2] + t[3] * m1, t[4] + t[5] * m1 + t[6] * m2
+    rows, as the rows of one (3, n) array.  The strided views t[1:6:2] and
+    t[0:5:2] (b_hat, c_hat, f_tilde and b_bar, c_bar, f_bar) take the three
+    terms in m1 in one multiply and one add, with the bits of
+    t[0] + t[1]*m1, t[2] + t[3]*m1 and (t[4] + t[5]*m1) + t[6]*m2."""
+    out = t[1:6:2] * m1
+    out += t[0:5:2]
+    out[2] += t[6] * m2
+    return out
 
 
 def lq_feature(t, p, u):

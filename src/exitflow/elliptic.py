@@ -21,7 +21,17 @@ hold at the level of linear algebra.  Every derivative
 is central, in the solve as in the per-action generator table
 b*Dv - c*v + f and the diffusion term (sigma^2/2) v'' that the HJB
 residuals and the flow read; the advection stencil needs the cell Peclet
-condition |b_bar| h / sigma^2 <= 2, which a finer grid restores.
+condition |b_bar| h / sigma^2 <= 1, under which the off-diagonal bands
+(sigma^2 -/+ b_bar h)/(2h^2) are nonnegative and, with c_bar >= 0, every
+row is diagonally dominant; a finer grid restores it.
+
+The flow evaluates thousands of policies on a few dozen nodes, where a
+solve costs numpy's per-call overhead rather than arithmetic, so the path
+keeps its calls few: the LQ averages take four numpy calls on strided
+views of ``lq_tab``, and ``assemble_system`` hands the bands and rhs to
+``thomas_solve`` as lists of Python floats, with the Dirichlet data
+folded into the rhs on those floats, since the elimination runs on them.
+Each operation that produces a bit keeps its operands and its order.
 """
 
 from dataclasses import dataclass
@@ -30,7 +40,7 @@ import numpy as np
 
 from .domain import _feature_table, lq_averages
 from .kernels import thomas_solve
-from .policy import Policy, _check_tau
+from .policy import Policy, _check_tau, _einsum
 
 class SolverError(RuntimeError):
     """Raised when a linear solve cannot be performed as requested."""
@@ -58,7 +68,7 @@ def average_coefficients(problem, p: Policy, tau):
     nodes or weights other than the problem's, raises ValueError.
     """
     actions = problem.actions
-    shape = (problem.n_interior, actions.n_actions)
+    shape = problem.coef_tab.shape[1:]
     if p.shape != shape:
         raise ValueError(f"policy of shape {p.shape} does not match the "
                          f"problem's (n_interior, n_actions) = {shape}")
@@ -69,40 +79,43 @@ def average_coefficients(problem, p: Policy, tau):
         raise ValueError("policy is built over other action nodes or "
                          "weights than the problem's")
     if problem._interval_lq:
-        b_bar, c_bar, f_bar = lq_averages(problem.lq_tab, *p.moments())
+        b_bar, c_bar, f_bar = lq_averages(problem.lq_tab, *p.moments)
     else:
-        b_bar, c_bar, f_bar = np.einsum("jik,ik->ji", problem.coef_tab,
-                                        p.weights)
+        b_bar, c_bar, f_bar = _einsum("jik,ik->ji", problem.coef_tab,
+                                      p.weights)
     return b_bar, c_bar, f_bar + tau * p.kl
 
 
 def _max_cell_peclet(problem, b_bar):
     """Largest cell Peclet number |b_bar| h / sigma^2 over interior nodes."""
-    peclet = np.abs(b_bar) * problem.grid.spacing / problem._stencil.sig2
-    return float(peclet.max()) if peclet.size else 0.0
+    peclet = np.abs(b_bar) * problem.grid.spacing
+    peclet /= problem._stencil.sig2
+    return float(np.maximum.reduce(peclet)) if peclet.size else 0.0
 
 
 def assemble_system(problem, b_bar, c_bar, forcing):
     """Central-difference bands and rhs of the interior tridiagonal system.
 
     Row i encodes (sigma_i^2/2) v'' + b_i v' - c_i v = -forcing_i with the
-    Dirichlet data folded into the rhs.  Returns (lower, diag, upper, rhs).
+    Dirichlet data folded into the rhs.  Returns (lower, diag, upper, rhs)
+    as lists of Python floats, which ``thomas_solve`` runs on as they are
+    and numpy reads as arrays.
     """
     pmax = _max_cell_peclet(problem, b_bar)
-    if pmax > 2.0:
+    if pmax > 1.0:
         raise SolverError(
-            f"cell Peclet number {pmax:.3g} > 2 breaks diagonal dominance "
-            f"of the central advection stencil; raise grid.n_interior so "
-            f"that |b| h / sigma^2 <= 2")
+            f"cell Peclet number {pmax:.3g} > 1 makes an off-diagonal band "
+            f"of the central advection stencil negative and the rows not "
+            f"diagonally dominant; raise grid.n_interior so that "
+            f"|b| h / sigma^2 <= 1")
     _, diff, diag_diff, two_h = problem._stencil
     adv = b_bar / two_h
-    lower = diff - adv
-    upper = diff + adv
-    diag = diag_diff - c_bar
-    rhs = -np.asarray(forcing, dtype=np.float64).copy()
+    lower = (diff - adv).tolist()
+    upper = (diff + adv).tolist()
+    rhs = np.negative(forcing).tolist()
     rhs[0] -= lower[0] * problem.g_left
     rhs[-1] -= upper[-1] * problem.g_right
-    return lower, diag, upper, rhs
+    return lower, (diag_diff - c_bar).tolist(), upper, rhs
 
 
 def solve_linear(problem, b_bar, c_bar, forcing) -> ValueField:

@@ -24,6 +24,15 @@ the plain value costs one extra linear solve with the KL forcing
 dropped.  The error decomposition of a trajectory solves its own
 reference HJBs: the hard-min optimum once and the softmin optimum once
 per distinct recorded tau.
+
+A stage goes through the one Gibbs map (``policy.gibbs_policy``) and the
+one value solve (``elliptic.solve_on_policy_bellman``) that every other
+caller uses.  On a few dozen nodes its cost is numpy's per-call overhead
+more than arithmetic, so the stage keeps its calls few: the contraction
+into Z skips ``np.einsum``'s dispatch layers, and the slope
+(-Dv, v, -1, 0) - tau*theta is formed into one preallocated array, with
+-Dv negated in place.  Every operation that produces a bit keeps its
+operands and its order.
 """
 import math
 import numbers
@@ -33,7 +42,7 @@ import numpy as np
 
 from .elliptic import optimal_feature, solve_on_policy_bellman
 from .hjb import solve_regularized_hjb, solve_unregularized_hjb
-from .policy import gibbs_policy
+from .policy import _einsum, gibbs_policy
 
 CONSTANT = "constant"
 HORIZON_CONSTANT = "horizon_constant"
@@ -171,16 +180,21 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
     by ``config.resolve_config``.
     """
     z = np.array(z0, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("initial feature matrix has non-finite entries")
     if not 0.0 < dt <= S < math.inf:
         raise ValueError(f"need finite 0 < dt <= S, got S={S!r}, dt={dt!r}")
     if not isinstance(record_every, numbers.Integral) or record_every < 1:
         raise ValueError(f"record_every must be an integer >= 1, "
                          f"got {record_every!r}")
-    probes = np.asarray(probes, dtype=np.int64)
+    probes = np.asarray(probes)
+    if probes.size and probes.dtype.kind not in "iu":
+        # 1.7 would record node 1; True would record node 1 as well
+        raise ValueError(f"probes must be integer interior node indices, "
+                         f"got {probes.tolist()!r}")
     if probes.size == 0 or probes.min() < 0 or probes.max() >= problem.n_interior:
         raise ValueError("probes must be interior node indices")
+    probes = probes.astype(np.int64)
     n_steps = int(round(S / dt))
     # tau at each flow point k*dt; a step's end i*dt + dt is not (i+1)*dt
     points = np.arange(n_steps + 1) * dt
@@ -192,9 +206,10 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
     tables = np.concatenate([problem.coef_tab, z[None]])
     drive = np.zeros((4, problem.n_interior))
     drive[2] = -1.0
+    minus_dv = drive[0]
 
     def features(theta):
-        return np.einsum("ji,jik->ik", theta, tables)
+        return _einsum("ji,jik->ik", theta, tables)
 
     def evaluate(theta, tau):
         pol = gibbs_policy(features(theta), problem.actions, overwrite=True)
@@ -203,8 +218,9 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
     def rhs(theta, tau, vf=None):
         if vf is None:
             vf = evaluate(theta, tau)[1]
-        drive[0] = -vf.dv
-        drive[1] = vf.interior
+        # (-Dv, v) in the first two rows of drive
+        np.negative(vf.dv, out=minus_dv)
+        drive[1] = vf.v[1:-1]
         return drive - tau * theta
 
     def record(s, tau_s, pol, vf):
@@ -231,7 +247,7 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
         k4 = rhs(theta + dt * k3, tau_1)
         theta = theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s = step * dt
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise UnstableFlowError(
                 f"non-finite feature state at step {step} (s={s:g})")
         pol, vf = evaluate(theta, tau_at[step])

@@ -2,7 +2,9 @@
 
 Both are plain Python/numpy.  The tridiagonal solve runs on Python floats:
 at the grid sizes used here (tens to hundreds of rows) per-element numpy
-indexing costs more than the arithmetic.  LAPACK's ``dgtsv`` would be
+indexing costs more than the arithmetic, so it takes the bands and rhs as
+lists of floats, as the value solve assembles them, and converts arrays
+only when it is handed arrays.  LAPACK's ``dgtsv`` would be
 faster still (on a 2-vCPU x86-64 VM, 3.2, 7.8 and 22 us at n = 29, 199
 and 799, against 16, 89 and 357 us for this loop), but importing
 ``scipy.linalg.lapack`` on top of ``scipy.special`` raises a process's
@@ -27,35 +29,35 @@ import numpy as np
 def thomas_solve(lower, diag, upper, rhs):
     """Solve the tridiagonal system with bands (lower, diag, upper).
 
-    ``lower[0]`` and ``upper[-1]`` are ignored.  Raises ZeroDivisionError
-    on a zero pivot; callers assemble diagonally dominant systems so this
-    only fires on degenerate input.
+    Takes the bands and rhs either all as lists of Python floats, as
+    ``elliptic.assemble_system`` forms them, which the elimination reads
+    as they are, or as arrays, which it reads as Python floats first; it
+    changes none of them.  ``lower[0]`` and ``upper[-1]`` are ignored.
+    Raises ZeroDivisionError on a zero pivot; callers assemble diagonally
+    dominant systems so this only fires on degenerate input.
     """
-    lo = np.asarray(lower, dtype=np.float64).tolist()
-    dg = np.asarray(diag, dtype=np.float64).tolist()
-    up = np.asarray(upper, dtype=np.float64).tolist()
-    x = np.asarray(rhs, dtype=np.float64).tolist()
-    n = len(x)
-    beta = dg[0]
+    if not isinstance(rhs, list):
+        lower, diag, upper, rhs = [np.asarray(a, dtype=np.float64).tolist()
+                                   for a in (lower, diag, upper, rhs)]
+    n = len(rhs)
+    beta = diag[0]
     if beta == 0.0:
         raise ZeroDivisionError("singular tridiagonal system at row 0")
     cp = [0.0] * n
+    x = [0.0] * n
     # the previous row's pivot ratio and value ride in locals, which
     # Python reads faster than list entries
-    c_prev = cp[0] = up[0] / beta
-    x_prev = x[0] = x[0] / beta
+    c_prev = cp[0] = upper[0] / beta
+    x_prev = x[0] = rhs[0] / beta
     for i in range(1, n):
-        low = lo[i]
-        beta = dg[i] - low * c_prev
+        low = lower[i]
+        beta = diag[i] - low * c_prev
         if beta == 0.0:
             raise ZeroDivisionError(f"singular tridiagonal system at row {i}")
-        c_prev = up[i] / beta
-        cp[i] = c_prev
-        x_prev = (x[i] - low * x_prev) / beta
-        x[i] = x_prev
+        cp[i] = c_prev = upper[i] / beta
+        x[i] = x_prev = (rhs[i] - low * x_prev) / beta
     for i in range(n - 2, -1, -1):
-        x_prev = x[i] - cp[i] * x_prev
-        x[i] = x_prev
+        x[i] = x_prev = x[i] - cp[i] * x_prev
     return np.array(x)
 
 

@@ -7,22 +7,48 @@ folded in, rows sum to 1), log-densities relative to the reference
 measure, KL(pi|mu) per row and the action moments E_pi[a], E_pi[a^2]
 over its own action nodes.  A Gibbs policy keeps the max-shifted
 features s = z - max(z), and e*mu with e = exp(s) until its first use.
-From e it forms each row's normaliser S0 = e @ mu and log-partition
-ln(mu-average of e^z) = max(z) + ln S0, so the Gibbs image of -z/tau
-carries the softmin H_tau = -tau*log_partition of z, and its KL as
+From e it forms each row's normaliser S0 = e @ mu and its KL as
 E_pi[s] - ln S0, that is sum(e*mu*s)/S0 - ln S0, two terms of opposite
-sign that need no log-density.  The weights e*mu/S0, the
-log-densities s - ln S0 and the moments ((e*mu) @ [a, a^2])/S0 are
-formed on first read, so a caller that averages an LQ problem through
-the moments never forms the weights, and KL never forms the
-log-densities.  The weights and log-densities have the bits of the
-eager formulas.  Directly built policies (deterministic selections)
-store weights and log-densities and form KL and moments from them.
+sign that need no log-density.  The log-partition
+ln(mu-average of e^z) = max(z) + ln S0, by which the Gibbs image of
+-z/tau carries the softmin H_tau = -tau*log_partition of z, the weights
+e*mu/S0, the log-densities s - ln S0 and the moments
+((e*mu) @ [a, a^2])/S0 are formed on first read, so the flow, which
+reads only KL and the moments or the weights, never forms the
+log-partition, a caller that averages an LQ problem through the moments
+never forms the weights, and KL never forms the log-densities.  Each
+has the bits of its eager formula, and a first read does not pay for
+``functools.cached_property``'s lock.  Directly built policies
+(deterministic selections) store weights and log-densities and form KL
+and moments from them.
 """
 
-import functools
-
 import numpy as np
+
+try:
+    # what np.einsum(subscripts, *operands) calls, without the dispatch
+    # and argument handling around it, which cost about as much again as
+    # a contraction of a few hundred entries
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy before 2.0
+    _einsum = np.einsum
+
+
+class _formed_once:
+    """A table of a policy formed on its first read and then stored in
+    the instance, as ``functools.cached_property`` does, but without that
+    descriptor's lock, which on Python 3.11 costs about as much again as
+    forming a small table: a policy is not shared between threads."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class Policy:
@@ -39,11 +65,12 @@ class Policy:
         self.log_partition = log_partition
         self.shape = weights.shape
 
-    @functools.cached_property
+    @_formed_once
     def kl(self):
         """KL(pi | mu) per interior node."""
-        return np.einsum("ik,ik->i", self.weights, self.log_density)
+        return _einsum("ik,ik->i", self.weights, self.log_density)
 
+    @_formed_once
     def moments(self):
         """E_pi[a] and E_pi[a^2] per interior node, shape (2, n_interior),
         over the policy's own action nodes."""
@@ -52,36 +79,37 @@ class Policy:
 
 class _GibbsPolicy(Policy):
     """The Gibbs policy of the shifted features ``s`` = z - m, ``m`` the
-    row maximum of z (module doc); weights, log-densities and moments are
-    formed on first read."""
+    row maximum of z (module doc); the log-partition, weights,
+    log-densities and moments are formed on first read."""
 
     def __init__(self, s, m, actions):
         self._s = s
+        self._m = m
         self.actions = actions
         self.shape = s.shape
         self._emu = emu = np.exp(s)
-        self._norm = emu @ actions.mu_weights
+        self._norm = norm = emu @ actions.mu_weights
         emu *= actions.mu_weights
-        self._log_norm = np.log(self._norm)
-        self.log_partition = m + self._log_norm
-        kl = np.einsum("ik,ik->i", emu, s)
-        kl /= self._norm
-        kl -= self._log_norm
+        self._log_norm = log_norm = np.log(norm)
+        kl = _einsum("ik,ik->i", emu, s)
+        kl /= norm
+        kl -= log_norm
         self.kl = kl
 
-    @functools.cached_property
+    @_formed_once
+    def log_partition(self):
+        return self._m + self._log_norm
+
+    @_formed_once
     def weights(self):
         return self._take_emu() / self._norm[:, None]
 
-    @functools.cached_property
+    @_formed_once
     def log_density(self):
         return self._s - self._log_norm[:, None]
 
+    @_formed_once
     def moments(self):
-        return self._moments
-
-    @functools.cached_property
-    def _moments(self):
         moments = self.actions._powers @ self._take_emu().T
         moments /= self._norm
         return moments
@@ -121,9 +149,10 @@ def gibbs_policy(z, actions, *, overwrite=False):
     if z.ndim != 2 or z.shape[1] != actions.n_actions:
         raise ValueError(f"feature matrix shape {z.shape} does not match "
                          f"{actions.n_actions} action nodes")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("feature matrix has non-finite entries")
-    m = z.max(axis=1)
+    # the ufunc reduce that ndarray.max calls, without its wrapper
+    m = np.maximum.reduce(z, axis=1)
     if overwrite:
         z -= m[:, None]
         return _GibbsPolicy(z, m, actions)

@@ -135,6 +135,21 @@ def test_peclet_violation_names_the_grid_remedy():
         solve_on_policy_bellman(prob, pol, 0.0)
 
 
+@pytest.mark.parametrize("peclet", [1.5, 2.0])
+def test_peclet_between_one_and_two_is_refused(peclet):
+    # at h = 0.1, sigma = 1 and c = 0 the lower band (sigma^2 - b h)/(2h^2)
+    # is negative for |b| h / sigma^2 > 1, so the rows are not diagonally
+    # dominant and the solve could overshoot; such a solve is refused
+    grid = build_grid(0.0, 1.0, 9)
+    acts = make_action_space(values=[1.0])
+    prob = make_problem(grid, acts, b=lambda x, a: 10.0 * peclet * a,
+                        c=lambda x, a: 0.0, f=lambda x, a: 1.0,
+                        sigma=lambda x: 1.0, g=lambda x: 0.0)
+    with pytest.raises(SolverError,
+                       match=f"Peclet number {peclet:g} > 1 .*<= 1"):
+        solve_on_policy_bellman(prob, uniform_policy(9, acts), 0.0)
+
+
 def test_performance_difference_identical_policies(lq):
     pol = uniform_policy(lq.n_interior, lq.actions)
     assert performance_difference_check(lq, pol, pol, 0.5) <= 1e-12

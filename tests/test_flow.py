@@ -1,16 +1,19 @@
+import hashlib
 import math
+import os
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from exitflow import flow
+from exitflow import elliptic, flow
 from exitflow import (Scheduler, error_decomposition, gibbs_policy,
                       growth_integrals, integrate_flow, lq_benchmark,
                       make_action_space, make_problem,
                       optimal_feature, solve_on_policy_bellman,
                       solve_regularized_hjb, solve_unregularized_hjb,
                       uniform_policy)
+from exitflow.config import build_problem, load_config, probe_indices
 from exitflow.domain import build_grid
 from exitflow.flow import UnstableFlowError
 
@@ -238,7 +241,12 @@ def test_integrate_flow_rejects_non_finite_horizon_or_step(lq, S, dt):
     (math.nan, [14], "non-finite entries"),
     (0.0, [-1], "interior node indices"),
     (0.0, [29], "interior node indices"),
-    (0.0, [], "interior node indices")])
+    (0.0, [], "interior node indices"),
+    # 1.7 and 4.2 used to record nodes 1 and 4, True node 1
+    (0.0, [1.7, 4.2], "integer interior node indices"),
+    (0.0, [14.0], "integer interior node indices"),
+    (0.0, [True], "integer interior node indices"),
+    (0.0, np.array([1, 0], dtype=bool), "integer interior node indices")])
 def test_integrate_flow_rejects_bad_start_or_probe(lq, entry, probes,
                                                    message):
     z0 = np.zeros((29, 5))
@@ -443,6 +451,74 @@ _SCHEDULERS = [Scheduler(kind="constant", tau=0.5),
                Scheduler(kind="inverse_linear"),
                Scheduler(kind="inverse_sqrt"),
                Scheduler(kind="power_law", beta=0.5)]
+
+
+# The first 16 hex digits of the SHA-256 of the little-endian float64
+# bytes of z_final, values_at_probe, unregularized_values and kl_mass, for
+# a flow from zero features on each shipped config's problem (29 nodes,
+# its probes) to S = 1 at dt = 0.05 with a record every 5 steps, under
+# each scheduler of _SCHEDULERS.  Any change to a bit of the Gibbs map, the
+# value solve or the RK4 loop shows here.
+FLOW_BITS = {
+    ("lq_discrete", "constant"): (
+        "db3ca3ea8bfe9cef", "940d0a752311f4da",
+        "cadbf3f2f284de44", "368e946bab303860"),
+    ("lq_discrete", "horizon_constant"): (
+        "469d0c28b862c46d", "0ea018bbc47db570",
+        "3329fedce3d03456", "01b71eebaf147316"),
+    ("lq_discrete", "inverse_linear"): (
+        "1902b5ec9d8e1577", "5af6ead9948aeba4",
+        "f28dc1b4ab0e7399", "ea6233a6dcedd6ad"),
+    ("lq_discrete", "inverse_sqrt"): (
+        "035b047a6f52c62a", "1052a0946dba6c09",
+        "553af96f4948ca2e", "9d55bce6baa17f4a"),
+    ("lq_discrete", "power_law"): (
+        "035b047a6f52c62a", "1052a0946dba6c09",
+        "553af96f4948ca2e", "dfd5bfa6b1170f87"),
+    ("lq_interval", "constant"): (
+        "862c9a729b820e56", "417b892da6552533",
+        "b3ce49c12853fe4b", "8761609a36275e3f"),
+    ("lq_interval", "horizon_constant"): (
+        "86a1866ca3f2eb9a", "e27c57ef8e0e2149",
+        "c80258508a230acc", "a17ec5b2f5ef7456"),
+    ("lq_interval", "inverse_linear"): (
+        "2cb722a3b4cc857f", "4a0639b025b8d39b",
+        "669932bb47bf3745", "1885b5fd688a147f"),
+    ("lq_interval", "inverse_sqrt"): (
+        "e6ebd16d56ef677d", "ed541307b45e56ed",
+        "337ea63788d94e07", "816305bc0ce2c53d"),
+    ("lq_interval", "power_law"): (
+        "e7852a8d9efdcb1b", "ed541307b45e56ed",
+        "337ea63788d94e07", "d470b32f135fcb29"),
+}
+_TRAJECTORY_ARRAYS = ("z_final", "values_at_probe", "unregularized_values",
+                      "kl_mass")
+
+
+def _digest(a):
+    data = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("config", ["lq_discrete", "lq_interval"])
+@pytest.mark.parametrize("sched", _SCHEDULERS, ids=lambda s: s.kind)
+def test_flow_bits_on_shipped_configs(config, sched):
+    # also one tridiagonal solve per value solve, 4n + 2 + r of them, each
+    # through the module attribute elliptic.thomas_solve
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    resolved = load_config(os.path.join(root, "configs", config + ".json"))
+    problem = build_problem(resolved)
+    probes = probe_indices(problem.grid, resolved["flow"]["probes"])
+    z0 = np.zeros((problem.n_interior, problem.actions.n_actions))
+    with mock.patch.object(elliptic, "thomas_solve",
+                           wraps=elliptic.thomas_solve) as thomas:
+        traj = integrate_flow(problem, z0, sched, S=1.0, dt=0.05,
+                              probes=probes, record_every=5)
+    n, r = traj.step_count, len(traj.times)
+    assert (n, r) == (20, 5)
+    assert thomas.call_count == 4 * n + 2 + r
+    assert [_digest(getattr(traj, name)) for name in _TRAJECTORY_ARRAYS] \
+        == list(FLOW_BITS[config, sched.kind])
 
 
 def _stage_taus(sched, n_steps, dt):
