@@ -40,7 +40,8 @@ import numpy as np
 
 from .domain import _feature_table, lq_averages
 from .kernels import thomas_solve
-from .policy import Policy, _check_tau, _einsum
+from ._compat import einsum
+from .policy import Policy, _check_tau
 
 class SolverError(RuntimeError):
     """Raised when a linear solve cannot be performed as requested."""
@@ -81,7 +82,7 @@ def average_coefficients(problem, p: Policy, tau):
     if problem._interval_lq:
         b_bar, c_bar, f_bar = lq_averages(problem.lq_tab, *p.moments)
     else:
-        b_bar, c_bar, f_bar = _einsum("jik,ik->ji", problem.coef_tab,
+        b_bar, c_bar, f_bar = einsum("jik,ik->ji", problem.coef_tab,
                                       p.weights)
     return b_bar, c_bar, f_bar + tau * p.kl
 

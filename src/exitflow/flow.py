@@ -42,7 +42,8 @@ import numpy as np
 
 from .elliptic import optimal_feature, solve_on_policy_bellman
 from .hjb import solve_regularized_hjb, solve_unregularized_hjb
-from .policy import _einsum, gibbs_policy
+from ._compat import einsum
+from .policy import gibbs_policy
 
 CONSTANT = "constant"
 HORIZON_CONSTANT = "horizon_constant"
@@ -209,7 +210,7 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
     minus_dv = drive[0]
 
     def features(theta):
-        return _einsum("ji,jik->ik", theta, tables)
+        return einsum("ji,jik->ik", theta, tables)
 
     def evaluate(theta, tau):
         pol = gibbs_policy(features(theta), problem.actions, overwrite=True)

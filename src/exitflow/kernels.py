@@ -2,9 +2,8 @@
 
 Both are plain Python/numpy.  The tridiagonal solve runs on Python floats:
 at the grid sizes used here (tens to hundreds of rows) per-element numpy
-indexing costs more than the arithmetic, so it takes the bands and rhs as
-lists of floats, as the value solve assembles them, and converts arrays
-only when it is handed arrays.  LAPACK's ``dgtsv`` would be
+indexing costs more than the arithmetic, so the value solve hands it the
+bands and rhs as lists of floats.  LAPACK's ``dgtsv`` would be
 faster still (on a 2-vCPU x86-64 VM, 3.2, 7.8 and 22 us at n = 29, 199
 and 799, against 16, 89 and 357 us for this loop), but importing
 ``scipy.linalg.lapack`` on top of ``scipy.special`` raises a process's
@@ -29,16 +28,13 @@ import numpy as np
 def thomas_solve(lower, diag, upper, rhs):
     """Solve the tridiagonal system with bands (lower, diag, upper).
 
-    Takes the bands and rhs either all as lists of Python floats, as
-    ``elliptic.assemble_system`` forms them, which the elimination reads
-    as they are, or as arrays, which it reads as Python floats first; it
-    changes none of them.  ``lower[0]`` and ``upper[-1]`` are ignored.
-    Raises ZeroDivisionError on a zero pivot; callers assemble diagonally
-    dominant systems so this only fires on degenerate input.
+    The bands and rhs are lists of Python floats, as
+    ``elliptic.assemble_system`` forms them; the elimination reads them
+    entry by entry and changes none of them.  ``lower[0]`` and
+    ``upper[-1]`` are ignored.  Raises ZeroDivisionError on a zero pivot;
+    callers assemble diagonally dominant systems so this only fires on
+    degenerate input.
     """
-    if not isinstance(rhs, list):
-        lower, diag, upper, rhs = [np.asarray(a, dtype=np.float64).tolist()
-                                   for a in (lower, diag, upper, rhs)]
     n = len(rhs)
     beta = diag[0]
     if beta == 0.0:

@@ -17,38 +17,16 @@ e*mu/S0, the log-densities s - ln S0 and the moments
 reads only KL and the moments or the weights, never forms the
 log-partition, a caller that averages an LQ problem through the moments
 never forms the weights, and KL never forms the log-densities.  Each
-has the bits of its eager formula, and a first read does not pay for
-``functools.cached_property``'s lock.  Directly built policies
+has the bits of its eager formula.  Directly built policies
 (deterministic selections) store weights and log-densities and form KL
 and moments from them.
 """
 
+import functools
+
 import numpy as np
 
-try:
-    # what np.einsum(subscripts, *operands) calls, without the dispatch
-    # and argument handling around it, which cost about as much again as
-    # a contraction of a few hundred entries
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # numpy before 2.0
-    _einsum = np.einsum
-
-
-class _formed_once:
-    """A table of a policy formed on its first read and then stored in
-    the instance, as ``functools.cached_property`` does, but without that
-    descriptor's lock, which on Python 3.11 costs about as much again as
-    forming a small table: a policy is not shared between threads."""
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
+from ._compat import einsum
 
 
 class Policy:
@@ -65,12 +43,12 @@ class Policy:
         self.log_partition = log_partition
         self.shape = weights.shape
 
-    @_formed_once
+    @functools.cached_property
     def kl(self):
         """KL(pi | mu) per interior node."""
-        return _einsum("ik,ik->i", self.weights, self.log_density)
+        return einsum("ik,ik->i", self.weights, self.log_density)
 
-    @_formed_once
+    @functools.cached_property
     def moments(self):
         """E_pi[a] and E_pi[a^2] per interior node, shape (2, n_interior),
         over the policy's own action nodes."""
@@ -91,24 +69,24 @@ class _GibbsPolicy(Policy):
         self._norm = norm = emu @ actions.mu_weights
         emu *= actions.mu_weights
         self._log_norm = log_norm = np.log(norm)
-        kl = _einsum("ik,ik->i", emu, s)
+        kl = einsum("ik,ik->i", emu, s)
         kl /= norm
         kl -= log_norm
         self.kl = kl
 
-    @_formed_once
+    @functools.cached_property
     def log_partition(self):
         return self._m + self._log_norm
 
-    @_formed_once
+    @functools.cached_property
     def weights(self):
         return self._take_emu() / self._norm[:, None]
 
-    @_formed_once
+    @functools.cached_property
     def log_density(self):
         return self._s - self._log_norm[:, None]
 
-    @_formed_once
+    @functools.cached_property
     def moments(self):
         moments = self.actions._powers @ self._take_emu().T
         moments /= self._norm

@@ -17,7 +17,8 @@ def _random_dd_system(rng, n):
 def test_thomas_matches_dense_solve(n):
     rng = np.random.default_rng(n)
     lower, diag, upper, rhs = _random_dd_system(rng, n)
-    x = kernels.thomas_solve(lower, diag, upper, rhs)
+    x = kernels.thomas_solve(lower.tolist(), diag.tolist(), upper.tolist(),
+                             rhs.tolist())
     A = np.diag(diag)
     for i in range(1, n):
         A[i, i - 1] = lower[i]
@@ -48,7 +49,8 @@ def test_thomas_golden_values():
     upper = 0.5 + (i % 5) / 8.0
     diag = -(lower + upper + 1.0)
     rhs = (i % 7) - 3.0
-    x = kernels.thomas_solve(lower, diag, upper, rhs)
+    x = kernels.thomas_solve(lower.tolist(), diag.tolist(), upper.tolist(),
+                             rhs.tolist())
     assert np.array_equal(x, THOMAS_33)
 
 
@@ -56,7 +58,7 @@ def test_thomas_golden_values():
                                        ([1.0, 1.0, 3.0], 1)])
 def test_thomas_zero_pivot_raises(diag, row):
     # with unit off-diagonals the second pivot is diag[1] - 1/diag[0]
-    ones = np.ones(3)
+    ones = [1.0] * 3
     with pytest.raises(ZeroDivisionError, match=f"row {row}"):
         kernels.thomas_solve(ones, diag, ones, ones)
 
