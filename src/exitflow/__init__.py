@@ -14,7 +14,7 @@ from .flow import (FlowTrajectory, Scheduler, UnstableFlowError,
                    error_decomposition, integrate_flow)
 from .hamiltonian import (hard_hamiltonian, interval_quadratic_softmin,
                           soft_hamiltonian)
-from .hjb import (ConvergenceError, HjbSolution, solve_regularized_hjb,
-                  solve_unregularized_hjb)
+from .hjb import (ConvergenceError, HjbSolution, regularized_path,
+                  solve_regularized_hjb, solve_unregularized_hjb)
 from .montecarlo import McEstimate, PathCapError, simulate_exit_value
 from .policy import Policy, gibbs_policy, uniform_policy

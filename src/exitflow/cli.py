@@ -25,8 +25,8 @@ from .elliptic import SolverError, optimal_feature, solve_on_policy_bellman
 from .flow import (POWER_LAW, Scheduler, UnstableFlowError,
                    error_decomposition, integrate_flow)
 from .hamiltonian import bias_sweep_rows
-from .hjb import (ConvergenceError, solve_regularized_hjb,
-                  solve_unregularized_hjb)
+from .hjb import (ConvergenceError, regularized_path,
+                  solve_regularized_hjb, solve_unregularized_hjb)
 from .montecarlo import PathCapError, simulate_exit_value
 from .policy import uniform_policy
 
@@ -83,9 +83,8 @@ def cmd_solve_hjb(resolved, out_dir):
     problem = build_problem(resolved)
     solver = resolved["solver"]
     outputs = []
-    sols = [solve_unregularized_hjb(problem, **solver)]
-    for tau in resolved["hjb"]["taus"]:
-        sols.append(solve_regularized_hjb(problem, tau, **solver))
+    sols = [solve_unregularized_hjb(problem, **solver),
+            *regularized_path(problem, resolved["hjb"]["taus"], **solver)]
     for sol, tag in zip(sols, tags):
         rows = []
         acts = problem.actions.actions

@@ -47,15 +47,26 @@ def write_csv(path, header, rows):
 
 
 def write_matrix_csv(path, matrix, row_labels=None, col_labels=None):
-    """Feature/policy matrices: one row per grid node, action columns."""
-    matrix = np.asarray(matrix)
+    """Feature/policy matrices: one row per grid node, action columns.
+
+    Labels and entries are numbers, formatted as float64 with one "%.17g"
+    join per row: the text format_value gives a float, and an integer
+    label up to 2**53 (the default row numbers) keeps its integer text.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
     if col_labels is None:
         col_labels = [f"a{k}" for k in range(matrix.shape[1])]
     header = ["x"] + [format_value(c) for c in col_labels]
     if row_labels is None:
         row_labels = np.arange(matrix.shape[0])
-    rows = ([lab] + list(row) for lab, row in zip(row_labels, matrix))
-    return write_csv(path, header, rows)
+    labels = np.asarray(row_labels, dtype=np.float64).tolist()
+    line = ",".join(["%.17g"] * (matrix.shape[1] + 1)) + "\n"
+
+    def write(fh):
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for lab, row in zip(labels, matrix):
+            fh.write(line % (lab, *row.tolist()))
+    return _write_atomic(path, write)
 
 
 def read_matrix_csv(path):

@@ -23,7 +23,9 @@ regularized and the plain value of the running policy at probe nodes;
 the plain value costs one extra linear solve with the KL forcing
 dropped.  The error decomposition of a trajectory solves its own
 reference HJBs: the hard-min optimum once and the softmin optimum once
-per distinct recorded tau.
+per distinct recorded tau, along one regularized path
+(``hjb.regularized_path``): in record order, each solve from the
+previous tau's optimum.
 
 A stage goes through the one Gibbs map (``policy.gibbs_policy``) and the
 one value solve (``elliptic.solve_on_policy_bellman``) that every other
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import optimal_feature, solve_on_policy_bellman
-from .hjb import solve_regularized_hjb, solve_unregularized_hjb
+from .hjb import regularized_path, solve_unregularized_hjb
 from ._compat import einsum
 from .policy import gibbs_policy
 
@@ -277,16 +279,20 @@ def error_decomposition(problem, traj: FlowTrajectory,
     """Split v_0^pi - v_0^* at the probes at every record.
 
     Solves the unregularized HJB once and the regularized HJB once per
-    distinct recorded tau, so a constant schedule makes one solve of each;
-    ``solver`` (tol, max_iter) goes to every solve.
+    distinct recorded tau, so a constant schedule makes one solve of each.
+    The regularized solves run along ``hjb.regularized_path`` in record
+    order, each from the previous tau's optimum, so the values agree with
+    solves from the uniform policy within the solver tolerance, not bit
+    for bit.  ``solver`` (tol, max_iter) goes to every solve.
     """
     def at_probes(sol):
         return sol.v_star.v[1:-1][traj.probe_indices]
 
     taus = traj.tau_values.tolist()
     v0_star = at_probes(solve_unregularized_hjb(problem, **solver))
-    by_tau = {tau: at_probes(solve_regularized_hjb(problem, tau, **solver))
-              for tau in dict.fromkeys(taus)}
+    distinct = list(dict.fromkeys(taus))
+    by_tau = dict(zip(distinct, map(at_probes, regularized_path(
+        problem, distinct, **solver))))
     v_tau_star = np.array([by_tau[tau] for tau in taus])
     v_reg, v_unreg = traj.values_at_probe, traj.unregularized_values
     return ErrorDecomposition(kl_term=v_unreg - v_reg,

@@ -9,8 +9,15 @@ feature table once.  On interval LQ problems b*Dv - c*v + f is
 k0 + k1*a + k2*a^2 per node (``domain.lq_feature``): the features are
 -(k1*a + k2*a^2)/tau, one (n, 2) x (2, N) product, H_tau takes k0 back,
 and the next value solve reads the policy through its two action
-moments, so no b, c, f table is formed and no weights are read.  The
-tau = 0 solve is Howard iteration; its step is
+moments, so no b, c, f table is formed and no weights are read.
+``regularized_path`` solves a list of tau in order, each from the
+previous optimum: its first solve starts from the uniform policy, each
+later one from the Gibbs image of -F(v*_prev)/tau, formed by the same
+improvement step (``_improvement_feature``) that the iteration takes.
+Policy iteration is Newton's method on the HJB, so from the optimum at a
+nearby tau it converges in about two iterations.
+
+The tau = 0 solve is Howard iteration; its step is
 ``hamiltonian._hard_minimum`` on the problem's tables, the node-wise
 minimum that ``hard_hamiltonian`` takes on the tables at one point: the
 node argmin of the coefficient table on discrete action sets, the
@@ -66,6 +73,31 @@ def _residual(problem, vf, ham):
     return float(np.max(np.abs(diffusion(problem, vf) + ham)))
 
 
+def _improvement_feature(problem, vf, tau):
+    """Features of the improvement step at the value ``vf``, and the part
+    k0 of F = b*Dv - c*v + f that they leave out.
+
+    On interval LQ problems the features are -(k1*a + k2*a^2)/tau and k0
+    is F's action-free term; elsewhere they are -F/tau and k0 is 0.  Either
+    way their Gibbs image is that of -F/tau, and the softmin Hamiltonian at
+    ``vf`` is k0 - tau times its log-partition.  The features are a fresh
+    array, which the Gibbs map may take over.
+    """
+    if problem._interval_lq:
+        # F = k0 + k1*a + k2*a^2: the Gibbs image of -(k1*a + k2*a^2)/tau
+        # is that of -F/tau.  The product is laid out column by column, so
+        # the row maximum runs over contiguous columns
+        k0, k1, k2 = lq_feature(problem.lq_tab, vf.dv, vf.interior)
+        slopes = np.array([k1, k2])
+        slopes /= -tau
+        return (problem.actions._powers.T @ slopes).T, k0
+    # -F/tau in F's own array: IEEE division is sign-symmetric, so
+    # F / -tau has the bits of -F / tau
+    feature = optimal_feature(problem, vf)
+    feature /= -tau
+    return feature, 0.0
+
+
 def solve_regularized_hjb(problem, tau, tol=None, max_iter=MAX_ITER,
                           z0=None) -> HjbSolution:
     """Fixed point of the softmin HJB for tau > 0.
@@ -86,24 +118,9 @@ def solve_regularized_hjb(problem, tau, tol=None, max_iter=MAX_ITER,
     history = []
     for it in range(1, max_iter + 1):
         vf = solve_on_policy_bellman(problem, pol, tau)
-        if problem._interval_lq:
-            # F = k0 + k1*a + k2*a^2: the Gibbs image of -(k1*a + k2*a^2)/tau
-            # is that of -F/tau, and H_tau takes k0 back.  The product is
-            # laid out column by column, so the row maximum runs over
-            # contiguous columns
-            k0, k1, k2 = lq_feature(problem.lq_tab, vf.dv, vf.interior)
-            slopes = np.array([k1, k2])
-            slopes /= -tau
-            feature = (actions._powers.T @ slopes).T
-            improved = gibbs_policy(feature, actions, overwrite=True)
-            ham = k0 - tau * improved.log_partition
-        else:
-            # -F/tau in F's own array: IEEE division is sign-symmetric,
-            # so F / -tau has the bits of -F / tau
-            feature = optimal_feature(problem, vf)
-            feature /= -tau
-            improved = gibbs_policy(feature, actions, overwrite=True)
-            ham = -tau * improved.log_partition
+        feature, k0 = _improvement_feature(problem, vf, tau)
+        improved = gibbs_policy(feature, actions, overwrite=True)
+        ham = k0 - tau * improved.log_partition
         res = _residual(problem, vf, ham)
         history.append(res)
         if res <= tol:
@@ -114,6 +131,29 @@ def solve_regularized_hjb(problem, tau, tol=None, max_iter=MAX_ITER,
     raise ConvergenceError(
         f"policy iteration did not reach tol={tol:.3g} in {max_iter} "
         f"iterations (last residual {history[-1]:.3g})", history)
+
+
+def regularized_path(problem, taus, tol=None, max_iter=MAX_ITER):
+    """Softmin HJB solutions for ``taus``, yielded in the given order.
+
+    The first solve starts from the uniform policy; each later one from
+    the improvement step at the previous optimum, the Gibbs image of
+    -F(v*_prev)/tau.  Policy iteration is Newton's method on the HJB, so
+    from an optimum at a nearby tau it needs few iterations.  Every tau
+    is checked before the first solve.  The generator keeps no solution
+    once it has yielded it, only the next start's features.
+    """
+    taus = list(taus)
+    for tau in taus:
+        _check_tau(tau, positive=True)
+    z0 = None
+    for k, tau in enumerate(taus):
+        sol = solve_regularized_hjb(problem, tau, tol=tol, max_iter=max_iter,
+                                    z0=z0)
+        if k + 1 < len(taus):
+            z0 = _improvement_feature(problem, sol.v_star, taus[k + 1])[0]
+        yield sol
+        del sol
 
 
 def _one_hot_policy(problem, actions_selected):

@@ -1,5 +1,6 @@
-"""Identities of policy evaluation that only the tests check, and the
-non-LQ problem several test modules share.
+"""Identities of policy evaluation that only the tests check, the
+comparison bound between two HJB solutions, and the non-LQ problem
+several test modules share.
 
 The residual and the performance-difference check start from
 ``elliptic.average_coefficients`` and the bands of
@@ -68,6 +69,37 @@ def performance_difference_check(problem, p, q, tau):
     w = solve_linear(replace(problem, g_left=0.0, g_right=0.0), b_p, c_p,
                      forcing)
     return float(np.max(np.abs(w.interior - (vp.interior - vq.interior))))
+
+
+def comparison_slack(problem, tol):
+    """2*tol/c_min: how far apart two HJB solutions with the same boundary
+    data can lie when each has a semilinear residual of at most tol.
+
+    The Hamiltonian (softmin or hard min) is a minimum over policies of
+    functions affine in (v, Dv), so it is concave: with p and q the
+    minimizing policies at u and w, A_p e <= R[u] - R[w] <= A_q e for
+    e = u - w, where R is the residual and A_pi the on-policy operator
+    (sigma^2/2) D^2 + b_pi D - c_pi with zero boundary data.  When every
+    action's cell Peclet number is at most 1, A_pi is tridiagonal with
+    nonnegative off-diagonal bands and row sums -c_pi <= -c_min.  At a
+    positive maximum of e - 2*tol/c_min, A_q (e - 2*tol/c_min) is then
+    negative, yet it is at least A_q e + 2*tol >= 0: so e <= 2*tol/c_min,
+    and A_p e <= 2*tol gives e >= -2*tol/c_min the same way.
+
+    The premises are checked on the action nodes and, on an interval, at
+    its ends, which a hard minimum may select and where the b and c of an
+    LQ problem take their extremes.
+    """
+    actions = problem.actions.actions.tolist()
+    if problem.actions.kind == "interval":
+        actions += [problem.actions.alpha, problem.actions.beta]
+    xs = problem.grid.interior.tolist()
+    b, c = (np.array([[fn(x, a) for a in actions] for x in xs])
+            for fn in (problem.b, problem.c))
+    peclet = np.abs(b) * problem.grid.spacing / problem._stencil.sig2[:, None]
+    c_min = float(np.min(c))
+    assert np.max(peclet) <= 1.0 and c_min > 0.0
+    return 2.0 * tol / c_min
 
 
 def non_lq_problem(kind="interval"):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from exitflow import gibbs_policy, make_action_space
 from exitflow.csvio import (format_value, read_matrix_csv, write_csv,
@@ -40,3 +41,20 @@ def test_policy_matrix_serialization(tmp_path):
     back = read_matrix_csv(path)
     assert np.array_equal(back, pol.weights)
 
+
+
+@pytest.mark.parametrize("row_labels", [None, [-0.0, 5e-324, 0.1, 1e308]])
+def test_matrix_rows_match_the_per_cell_rule(tmp_path, row_labels):
+    # each matrix row is one "%.17g" join; its bytes are those of
+    # write_csv, which formats every cell through format_value
+    z = np.array([[-0.0, 5e-324, 1e308, np.inf],
+                  [-np.inf, 1.0 / 3.0, -2.5e-310, 7.0],
+                  [0.1 + 0.2, -1e-300, 123456789.0, 0.0],
+                  [1e16, 2.0 ** 53, -1.7976931348623157e308, 1e-5]])
+    cols = [-1.0, -0.5, 0.5, 1.0]
+    fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+    write_matrix_csv(str(fast), z, row_labels=row_labels, col_labels=cols)
+    labels = np.arange(4) if row_labels is None else row_labels
+    write_csv(str(ref), ["x"] + [format_value(c) for c in cols],
+              [[lab, *row] for lab, row in zip(labels, z)])
+    assert fast.read_bytes() == ref.read_bytes()

@@ -320,27 +320,42 @@ def test_error_decomposition_optimal_start(lq):
 def test_error_decomposition_solves_once_per_distinct_tau(monkeypatch, lq,
                                                           kind, params):
     import exitflow.flow
+    import exitflow.hjb
     sched = Scheduler(kind=kind, **params)
     traj = integrate_flow(lq, np.zeros((29, 5)), sched, S=1.0, dt=0.05,
                           probes=[7, 21], record_every=5)
-    howard, policy_iteration = [], []
+    calls = []
 
-    def counting(calls, fn):
+    def counting(name, fn):
         def wrapped(problem, *args, **kwargs):
-            calls.append((*args, kwargs))
-            return fn(problem, *args, **kwargs)
+            sol = fn(problem, *args, **kwargs)
+            calls.append((name, args, kwargs, sol))
+            return sol
         return wrapped
 
     monkeypatch.setattr(exitflow.flow, "solve_unregularized_hjb",
-                        counting(howard, solve_unregularized_hjb))
-    monkeypatch.setattr(exitflow.flow, "solve_regularized_hjb",
-                        counting(policy_iteration, solve_regularized_hjb))
+                        counting("howard", solve_unregularized_hjb))
+    monkeypatch.setattr(exitflow.hjb, "solve_regularized_hjb",
+                        counting("pi", solve_regularized_hjb))
     dec = error_decomposition(lq, traj, max_iter=50)
     # five records: one tau under the constant schedule, five otherwise
-    distinct = sorted(set(traj.tau_values.tolist()), reverse=True)
+    distinct = list(dict.fromkeys(traj.tau_values.tolist()))
     assert len(distinct) == (1 if kind == "constant" else 5)
-    assert howard == [({"max_iter": 50},)]
-    assert policy_iteration == [(tau, {"max_iter": 50}) for tau in distinct]
+    assert calls[0][:3] == ("howard", (), {"max_iter": 50})
+    # then one policy-iteration solve per distinct tau, in record order:
+    # the first from the uniform policy, each later one from the Gibbs
+    # image of -F/tau at the previous optimum
+    pis = calls[1:]
+    assert [(name, args) for name, args, _, _ in pis] \
+        == [("pi", (tau,)) for tau in distinct]
+    for k, (_, (tau,), kwargs, _) in enumerate(pis):
+        z0 = kwargs.pop("z0")
+        assert kwargs == {"tol": None, "max_iter": 50}
+        if k == 0:
+            assert z0 is None
+        else:
+            warm = optimal_feature(lq, pis[k - 1][3].v_star) / -tau
+            assert np.array_equal(z0, warm)
     assert dec.total.shape == (5, 2)
 
 

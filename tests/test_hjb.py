@@ -1,16 +1,21 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from exitflow import (gibbs_policy, lq_benchmark, make_action_space,
-                      make_problem, optimal_feature, simulate_exit_value,
-                      solve_on_policy_bellman, solve_regularized_hjb,
-                      solve_unregularized_hjb, uniform_policy)
+                      make_problem, optimal_feature, regularized_path,
+                      simulate_exit_value, solve_on_policy_bellman,
+                      solve_regularized_hjb, solve_unregularized_hjb,
+                      uniform_policy)
+from exitflow.config import build_problem, build_scheduler, load_config
 from exitflow.domain import LQCoefficients, build_grid, make_lq_problem
 from exitflow.hjb import ConvergenceError, default_tolerance
-from identities import non_lq_problem
+from identities import comparison_slack, non_lq_problem
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -280,10 +285,8 @@ def test_regularized_interval_lq_bits():
     assert sol.v_star.v.tolist() == INTERVAL_TAU_01_V
 
 
-def test_regularized_interval_lq_reads_no_tables(monkeypatch, lq_interval):
-    # on interval LQ problems each iteration works from the seven LQ maps
-    # and two action moments per node: no b*p - c*u + f table is formed
-    # and no policy's weights are read before the solve returns
+def _count_table_and_weight_reads(monkeypatch):
+    """Log each b*p - c*u + f table formed and each policy's weights read."""
     import exitflow.domain
     import exitflow.elliptic
     import exitflow.hamiltonian
@@ -303,11 +306,62 @@ def test_regularized_interval_lq_reads_no_tables(monkeypatch, lq_interval):
     for module in (exitflow.domain, exitflow.elliptic, exitflow.hamiltonian):
         monkeypatch.setattr(module, "_feature_table", counting_table)
     monkeypatch.setattr(_GibbsPolicy, "weights", property(counting_weights))
+    return calls
+
+
+def test_regularized_interval_lq_reads_no_tables(monkeypatch, lq_interval):
+    # on interval LQ problems each iteration works from the seven LQ maps
+    # and two action moments per node: no b*p - c*u + f table is formed
+    # and no policy's weights are read before the solve returns
+    calls = _count_table_and_weight_reads(monkeypatch)
     sol = solve_regularized_hjb(lq_interval, 0.1)
     assert sol.iterations > 1 and calls == []
     weights = sol.optimal_policy.weights
     assert calls == ["weights"]
     assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-14
+
+
+def test_regularized_path_interval_lq_reads_no_tables(monkeypatch,
+                                                      lq_interval):
+    # the warm starts come from the LQ maps as the iterations do
+    calls = _count_table_and_weight_reads(monkeypatch)
+    sols = list(regularized_path(lq_interval, [0.5, 0.2, 0.1]))
+    assert all(sol.iterations > 1 for sol in sols) and calls == []
+
+
+@pytest.mark.parametrize("config", ["lq_discrete", "lq_interval"])
+def test_regularized_path_on_shipped_ladders(config):
+    # the 21 recorded tau of run-flow at horizon 20, a record per unit time
+    resolved = load_config(os.path.join(ROOT, "configs", config + ".json"))
+    problem = build_problem(resolved)
+    sched = build_scheduler(resolved["flow"])
+    taus = [sched.value(float(s)) for s in range(21)]
+    tol = default_tolerance(problem)
+    slack = comparison_slack(problem, tol)
+    path = list(regularized_path(problem, taus))
+    cold = [solve_regularized_hjb(problem, tau) for tau in taus]
+    for warm, ref in zip(path, cold, strict=True):
+        assert warm.final_residual <= tol
+        assert np.max(np.abs(warm.v_star.v - ref.v_star.v)) <= slack
+    assert sum(sol.iterations for sol in path) \
+        < sum(sol.iterations for sol in cold)
+
+
+def test_regularized_path_starts_cold_and_checks_every_tau(monkeypatch, lq):
+    # the first tau is solved from the uniform policy, as on its own; a
+    # later repeat of it lands within the comparison bound
+    sols = list(regularized_path(lq, [0.1, 1.0, 0.1]))
+    cold = solve_regularized_hjb(lq, 0.1)
+    assert sols[0].v_star.v.tobytes() == cold.v_star.v.tobytes()
+    assert sols[0].residual_history == cold.residual_history
+    gap = np.max(np.abs(sols[2].v_star.v - cold.v_star.v))
+    assert gap <= comparison_slack(lq, default_tolerance(lq))
+    assert list(regularized_path(lq, [])) == []
+    # a bad tau anywhere on the list is refused before the first solve
+    import exitflow.hjb
+    monkeypatch.setattr(exitflow.hjb, "solve_regularized_hjb", None)
+    with pytest.raises(ValueError):
+        next(regularized_path(lq, [1.0, 0.0]))
 
 
 @pytest.mark.parametrize("kind", ["discrete", "interval"])

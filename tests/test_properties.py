@@ -13,19 +13,20 @@ from exitflow import (Scheduler, SolverError, average_coefficients,
                       gibbs_policy, growth_integrals,
                       growth_integrals_quadrature, lq_benchmark,
                       make_action_space, make_lq_problem,
-                      optimal_feature, simulate_exit_value,
-                      solve_on_policy_bellman, solve_regularized_hjb,
-                      solve_unregularized_hjb)
+                      optimal_feature, regularized_path,
+                      simulate_exit_value, solve_on_policy_bellman,
+                      solve_regularized_hjb, solve_unregularized_hjb)
 from exitflow import bounds, kernels
 from exitflow.config import _poly
 from exitflow.domain import (LQCoefficients, _tabulate, build_grid,
                              lq_feature)
 from exitflow.elliptic import ValueField, diffusion
+from exitflow.hjb import default_tolerance
 from exitflow.hamiltonian import (_hard_minimum, hard_hamiltonian,
                                   soft_hamiltonian)
 from exitflow.kernels import thomas_solve
-from identities import (non_lq_problem, on_policy_residual,
-                        performance_difference_check)
+from identities import (comparison_slack, non_lq_problem,
+                        on_policy_residual, performance_difference_check)
 
 PROBLEMS = {"discrete": lq_benchmark("discrete", n_interior=9, n_actions=5),
             "interval": lq_benchmark("interval", n_interior=9, n_quad=12)}
@@ -254,14 +255,15 @@ def test_performance_difference_identity(case):
 
 
 @st.composite
-def lq_problems(draw):
+def lq_problems(draw, kind=None):
     """Random LQ problems on 9 interior nodes, discrete or interval actions
-    on [-1, 1], with cell Peclet numbers below 0.4."""
+    on [-1, 1] (or the given ``kind``), with cell Peclet numbers below 0.4."""
     coef = {name: draw(st.floats(lo, hi)) for name, lo, hi in (
         ("b_bar", -1.0, 1.0), ("b_hat", 0.5, 1.5), ("c_bar", 0.05, 0.5),
         ("f_bar", 0.5, 2.0), ("f_tilde", -0.5, 0.5), ("f_hat", 0.5, 2.0),
         ("sigma", 0.8, 1.6))}
-    if draw(st.booleans()):
+    discrete = draw(st.booleans()) if kind is None else kind == "discrete"
+    if discrete:
         actions = make_action_space(values=np.linspace(-1.0, 1.0, 5))
     else:
         actions = make_action_space(alpha=-1.0, beta=1.0, n_quad=12)
@@ -280,6 +282,42 @@ def test_unregularized_value_below_regularized(problem, tau):
     v0 = solve_unregularized_hjb(problem).v_star.v
     v_tau = solve_regularized_hjb(problem, tau).v_star.v
     assert np.all(v0 <= v_tau + 1e-8)
+
+
+@settings(deadline=None, max_examples=25)
+@given(lq_problems())
+def test_regularized_path_meets_the_cold_solves(problem):
+    # the 21-tau ladder 1/(1+s), s = 0..20, of an annealed run-flow
+    taus = [1.0 / (1.0 + s) for s in range(21)]
+    tol = default_tolerance(problem)
+    slack = comparison_slack(problem, tol)
+    path = list(regularized_path(problem, taus))
+    cold = [solve_regularized_hjb(problem, tau) for tau in taus]
+    for warm, ref in zip(path, cold, strict=True):
+        assert warm.final_residual <= tol
+        assert np.max(np.abs(warm.v_star.v - ref.v_star.v)) <= slack
+    assert sum(sol.iterations for sol in path) \
+        < sum(sol.iterations for sol in cold)
+
+
+@pytest.mark.parametrize("kind", ["discrete", "interval"])
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_regularized_path_falls_with_tau_to_howard(kind, data):
+    # along a decreasing ladder v*_tau falls with tau and stays above
+    # Howard's v*_0 (ROADMAP aim 3), each within the comparison slack of
+    # two solves at residual tol
+    problem = data.draw(lq_problems(kind))
+    taus = sorted(data.draw(st.lists(st.floats(0.01, 2.0), min_size=2,
+                                     max_size=8, unique=True)), reverse=True)
+    tol = default_tolerance(problem)
+    slack = comparison_slack(problem, tol)
+    values = [sol.v_star.v for sol in regularized_path(problem, taus)]
+    for upper, lower in zip(values, values[1:]):
+        assert np.all(lower <= upper + slack)
+    howard = solve_unregularized_hjb(problem)
+    assert howard.final_residual <= tol
+    assert np.all(howard.v_star.v <= values[-1] + slack)
 
 
 @settings(deadline=None, max_examples=25)
