@@ -68,25 +68,23 @@ _REL_TOL = 1e-10
 _MAX_DOUBLINGS = 14
 
 
-def _panel_edges(start, s, n):
-    """``np.linspace(start, s, n + 1)`` bit for bit, by the arithmetic
-    linspace uses, for Python floats start and s."""
-    delta = s - start
-    step = delta / n
+def _panel_edges(s, n):
+    """``np.linspace(0.0, s, n + 1)`` bit for bit, by the arithmetic
+    linspace uses, for a Python float s >= 0."""
+    step = s / n
     edges = np.arange(n + 1.0)
     if step == 0.0:
         # linspace divides first where the step underflows
         edges /= n
-        edges *= delta
+        edges *= s
     else:
         edges *= step
-    edges += start
     edges[-1] = s
     return edges
 
 
-def _log_integral(log_f, s, start=0.0):
-    """ln int_start^s exp(log_f(x)) dx by panel doubling with 16-point panels.
+def _log_integral(log_f, s):
+    """ln int_0^s exp(log_f(x)) dx by panel doubling with 16-point panels.
 
     ``log_f`` receives the nodes as an (n_panels, 16) array.  The
     log-domain panel sums are combined by streaming log-sum-exp;
@@ -96,7 +94,7 @@ def _log_integral(log_f, s, start=0.0):
     prev = None
     n_panels = 8
     for _ in range(_MAX_DOUBLINGS):
-        edges = _panel_edges(start, s, n_panels)
+        edges = _panel_edges(s, n_panels)
         half = 0.5 * (edges[1] - edges[0])
         mids = 0.5 * (edges[:-1] + edges[1:])
         logs = log_f(mids[:, None] + half * _GL_NODES) \
@@ -108,7 +106,7 @@ def _log_integral(log_f, s, start=0.0):
         n_panels *= 2
     raise QuadratureError(
         f"log-domain quadrature did not stabilize to {_REL_TOL:g} "
-        f"on [{start}, {s}]")
+        f"on [0, {s}]")
 
 
 def _growth_exponents(sched: Scheduler, s):

@@ -20,7 +20,7 @@ from .bounds import QuadratureError, growth_integrals, reproduce_figure
 from .config import (ConfigError, build_problem, build_scheduler,
                      config_digest, load_config, probe_indices,
                      resolve_config)
-from .csvio import _write_atomic, read_matrix_csv, write_csv, write_matrix_csv
+from .csvio import _write_atomic, read_matrix_csv, write_csv
 from .elliptic import SolverError, optimal_feature, solve_on_policy_bellman
 from .flow import (POWER_LAW, Scheduler, UnstableFlowError,
                    error_decomposition, integrate_flow)
@@ -86,20 +86,18 @@ def cmd_solve_hjb(resolved, out_dir):
     sols = [solve_unregularized_hjb(problem, **solver),
             *regularized_path(problem, resolved["hjb"]["taus"], **solver)]
     for sol, tag in zip(sols, tags):
-        rows = []
-        acts = problem.actions.actions
-        for i, x in enumerate(problem.grid.interior):
-            if sol.argmin_actions is not None:
-                top = sol.argmin_actions[i]
-            else:
-                top = acts[int(np.argmax(sol.optimal_policy.weights[i]))]
-            rows.append((x, sol.v_star.v[i + 1], sol.v_star.dv[i], top))
+        top = sol.argmin_actions
+        if top is None:
+            top = problem.actions.actions[
+                np.argmax(sol.optimal_policy.weights, axis=1)]
         path = os.path.join(out_dir, f"hjb_tau_{tag}.csv")
         outputs.append(write_csv(path, ["x", "v_star", "dv", "top_action"],
-                                 rows))
-        hist = os.path.join(out_dir, f"hjb_residuals_tau_{tag}.csv")
-        outputs.append(write_csv(hist, ["iteration", "residual"],
-                                 list(enumerate(sol.residual_history, 1))))
+                                 [problem.grid.interior, sol.v_star.interior,
+                                  sol.v_star.dv, top]))
+        hist = sol.residual_history
+        path = os.path.join(out_dir, f"hjb_residuals_tau_{tag}.csv")
+        outputs.append(write_csv(path, ["iteration", "residual"],
+                                 [np.arange(1, len(hist) + 1), hist]))
     return outputs, 0
 
 
@@ -143,26 +141,22 @@ def cmd_run_flow(resolved, out_dir):
     labels = [format(x, ".6g") for x in traj.probe_x]
     header = ["s", "tau_s"] + [f"v_reg_{x}" for x in labels] \
         + [f"v_unreg_{x}" for x in labels] + ["kl_mass"]
-    rows = []
-    for i in range(traj.times.size):
-        rows.append([traj.times[i], traj.tau_values[i],
-                     *traj.values_at_probe[i], *traj.unregularized_values[i],
-                     traj.kl_mass[i]])
     path = os.path.join(out_dir, "flow_trajectory.csv")
-    outputs.append(write_csv(path, header, rows))
-    outputs.append(write_matrix_csv(os.path.join(out_dir, "flow_z_final.csv"),
-                                    traj.z_final,
-                                    row_labels=problem.grid.interior,
-                                    col_labels=problem.actions.actions))
+    outputs.append(write_csv(path, header, [
+        traj.times, traj.tau_values, *traj.values_at_probe.T,
+        *traj.unregularized_values.T, traj.kl_mass]))
+    path = os.path.join(out_dir, "flow_z_final.csv")
+    outputs.append(write_csv(
+        path, ["x", *("%.17g" % a for a in problem.actions.actions.tolist())],
+        [problem.grid.interior, *traj.z_final.T]))
     decomp = error_decomposition(problem, traj, **solver)
-    rows = []
-    for i, s in enumerate(traj.times):
-        for j, x in enumerate(traj.probe_x):
-            rows.append((s, x, decomp.kl_term[i, j], decomp.optimization[i, j],
-                         decomp.bias[i, j], decomp.total[i, j]))
     path = os.path.join(out_dir, "flow_error_decomposition.csv")
-    outputs.append(write_csv(path, ["s", "x", "kl_term", "optimization",
-                                    "bias", "total"], rows))
+    outputs.append(write_csv(
+        path, ["s", "x", "kl_term", "optimization", "bias", "total"],
+        [np.repeat(traj.times, traj.probe_x.size),
+         np.tile(traj.probe_x, traj.times.size),
+         *(a.ravel() for a in (decomp.kl_term, decomp.optimization,
+                               decomp.bias, decomp.total))]))
     return outputs, 0
 
 
@@ -177,17 +171,20 @@ def cmd_sweep_bounds(resolved, out_dir):
             growth_rows.append((beta, S, gi.log_I1, gi.log_I2))
     outputs = []
     path = os.path.join(out_dir, "figure_bounds.csv")
-    outputs.append(write_csv(path, ["beta", "S", "bound"], figure_rows))
+    outputs.append(write_csv(path, ["beta", "S", "bound"],
+                             zip(*figure_rows)))
     path = os.path.join(out_dir, "growth_integrals.csv")
     outputs.append(write_csv(path, ["beta", "s", "log_I1", "log_I2"],
-                             growth_rows))
+                             zip(*growth_rows)))
     if "bias_sweep" in cfg:
         bs = cfg["bias_sweep"]
         rows = bias_sweep_rows(bs["taus"], bs["p_grid"],
                                alpha=bs["alpha"], beta=bs["beta"])
         path = os.path.join(out_dir, "bias_sweep.csv")
+        # no taus give no rows, where zip(*rows) would give no columns
         outputs.append(write_csv(path, ["tau", "p", "soft", "hard", "gap",
-                                        "gap_over_tau_log"], rows))
+                                        "gap_over_tau_log"],
+                                 np.reshape(rows, (-1, 6)).T))
     return outputs, 0
 
 
@@ -227,10 +224,11 @@ def cmd_mc_check(resolved, out_dir, seed):
             ok = False
     path = os.path.join(out_dir, "mc_check.csv")
     outputs = [write_csv(path, ["x", "pde_value", "mc_mean", "mc_stderr",
-                                "z_score"], rows)]
+                                "z_score"], zip(*rows))]
     path = os.path.join(out_dir, "mc_estimates.csv")
     outputs.append(write_csv(path, ["x0", "tau", "mean", "stderr", "n_paths",
-                                    "mean_exit_time", "seed"], est_rows))
+                                    "mean_exit_time", "seed"],
+                             zip(*est_rows)))
     return outputs, 0 if ok else CHECK_FAILURE
 
 

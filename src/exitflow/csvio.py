@@ -1,8 +1,11 @@
 """CSV emission with reproducible bytes.
 
-Floats are rendered with 17 significant digits so round-trips are exact
-and reruns with the same seed produce identical files; writes go through
-a temp file and an atomic rename so concurrent runs never interleave.
+``write_csv`` is the one writer: it takes one 1-D column per header field
+and renders a float column with "%.17g", so round-trips are exact and
+reruns with the same seed produce identical files, and any other column
+(integers, Python ints beyond int64, booleans) with "%d".  Writes go
+through a temp file and an atomic rename so concurrent runs never
+interleave.
 """
 
 import csv
@@ -10,14 +13,6 @@ import os
 import tempfile
 
 import numpy as np
-
-
-def format_value(v):
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
 
 
 def _write_atomic(path, write):
@@ -37,43 +32,36 @@ def _write_atomic(path, write):
     return path
 
 
-def write_csv(path, header, rows):
-    """Write rows atomically; every cell goes through format_value."""
-    def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([format_value(v) for v in row] for row in rows)
-    return _write_atomic(path, write)
+def write_csv(path, header, columns):
+    """Write the header, then row i of the columns, atomically; return path.
 
-
-def write_matrix_csv(path, matrix, row_labels=None, col_labels=None):
-    """Feature/policy matrices: one row per grid node, action columns.
-
-    Labels and entries are numbers, formatted as float64 with one "%.17g"
-    join per row: the text format_value gives a float, and an integer
-    label up to 2**53 (the default row numbers) keeps its integer text.
+    One line format is built per file.  A header whose length differs from
+    the number of columns, a column that is not 1-D, or columns of
+    different lengths raise ValueError before anything is written.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if col_labels is None:
-        col_labels = [f"a{k}" for k in range(matrix.shape[1])]
-    header = ["x"] + [format_value(c) for c in col_labels]
-    if row_labels is None:
-        row_labels = np.arange(matrix.shape[0])
-    labels = np.asarray(row_labels, dtype=np.float64).tolist()
-    line = ",".join(["%.17g"] * (matrix.shape[1] + 1)) + "\n"
+    columns = [np.asarray(c) for c in columns]
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header fields but "
+                         f"{len(columns)} columns")
+    if any(c.ndim != 1 for c in columns):
+        raise ValueError("every column must be 1-D")
+    if len({c.size for c in columns}) > 1:
+        raise ValueError(f"columns of lengths {[c.size for c in columns]}")
+    line = ",".join("%.17g" if c.dtype.kind == "f" else "%d"
+                    for c in columns) + "\n"
+    cells = [c.tolist() for c in columns]
 
     def write(fh):
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        for lab, row in zip(labels, matrix):
-            fh.write(line % (lab, *row.tolist()))
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in zip(*cells))
     return _write_atomic(path, write)
 
 
 def read_matrix_csv(path):
-    """Inverse of write_matrix_csv; drops the label column."""
+    """Inverse of write_csv for a label column followed by the columns of
+    a matrix, such as flow_z_final.csv; drops the label column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)  # the header; an empty file gives no rows
         data = [[float(v) for v in row[1:]] for row in reader]
     return np.asarray(data, dtype=np.float64)
-

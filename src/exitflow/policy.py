@@ -36,11 +36,12 @@ class Policy:
     a weight is 0.  ``log_partition`` is ln of the mu-average of e^z per
     row for a Gibbs policy, None on deterministic selections."""
 
-    def __init__(self, weights, log_density, actions, log_partition=None):
+    log_partition = None
+
+    def __init__(self, weights, log_density, actions):
         self.weights = weights
         self.log_density = log_density
         self.actions = actions
-        self.log_partition = log_partition
         self.shape = weights.shape
 
     @functools.cached_property

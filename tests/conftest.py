@@ -3,12 +3,18 @@
 import pytest
 from hypothesis import settings
 
-from exitflow import kernels
+from exitflow import kernels, lq_benchmark
 
 # Property tests draw the same examples on every run, and no example
 # database carries state from one run to the next.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture(scope="module")
+def lq():
+    """The discrete LQ benchmark problem, built once per test module."""
+    return lq_benchmark("discrete")
 
 
 # SCALAR_PATHS per walk of ``kernels.simulate_chunk``: the numpy step over

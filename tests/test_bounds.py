@@ -101,11 +101,11 @@ def test_power_law_growth_work_stays_in_window(monkeypatch):
     points = []
     log_integral = bounds._log_integral
 
-    def counted(log_f, s, start=0.0):
+    def counted(log_f, s):
         def f(x):
             points.append(np.size(x))
             return log_f(x)
-        return log_integral(f, s, start)
+        return log_integral(f, s)
 
     monkeypatch.setattr(bounds, "_log_integral", counted)
     gi = growth_integrals(Scheduler(kind="power_law", beta=0.02), 1e5)

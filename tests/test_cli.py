@@ -371,6 +371,16 @@ def test_sweep_bounds_bias_sweep_csv(tmp_path):
         assert abs(gap - (soft - hard)) <= 1e-15
 
 
+def test_sweep_bounds_empty_bias_sweep_writes_the_header(tmp_path):
+    cfg = _write(tmp_path, {"bounds": {
+        "beta_grid": [0.5], "s_grid": [10.0],
+        "bias_sweep": {"taus": [], "p_grid": [0.0]}}})
+    out = str(tmp_path / "bs")
+    assert main(["sweep-bounds", "--config", cfg, "--out", out]) == 0
+    assert (tmp_path / "bs" / "bias_sweep.csv").read_text() == \
+        "tau,p,soft,hard,gap,gap_over_tau_log\n"
+
+
 def test_run_flow_optimal_start(tmp_path):
     cfg = _write(tmp_path, _base_config(
         flow={"scheduler": {"kind": "constant", "tau": 0.5}, "horizon": 0.2,

@@ -13,11 +13,6 @@ from exitflow.elliptic import SolverError, ValueField
 from identities import on_policy_residual, performance_difference_check
 
 
-@pytest.fixture(scope="module")
-def lq():
-    return lq_benchmark("discrete")
-
-
 def test_average_symmetric_drift():
     grid = build_grid(0.0, 1.0, 4)
     acts = make_action_space(values=[-1.0, 0.0, 1.0])

@@ -18,11 +18,6 @@ from exitflow.domain import build_grid
 from exitflow.flow import UnstableFlowError
 
 
-@pytest.fixture(scope="module")
-def lq():
-    return lq_benchmark("discrete")
-
-
 def _zero_data_problem(n=7):
     grid = build_grid(0.0, 1.0, n)
     acts = make_action_space(values=[-1.0, 1.0])

@@ -19,11 +19,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")
-def lq():
-    return lq_benchmark("discrete")
-
-
-@pytest.fixture(scope="module")
 def lq_interval():
     # the interval instance with A = [-1, 1] used for the uniqueness oracle
     coeffs = LQCoefficients(b_bar=lambda x: 0.0, b_hat=lambda x: 1.0,

@@ -504,16 +504,13 @@ def test_lq_feature_matches_closures(data):
     assert abs(z0 + z1 * a + z2 * a * a - ref) <= 1e-14 * (1.0 + scale)
 
 
-finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
-
-
-@given(finite, finite, st.integers(1, 1 << 16))
-@example(0.0, 5e-324, 8)  # the step underflows to zero
-@example(1.0, 1.0, 8)
-@example(0.0, 1e5, 1 << 16)
-def test_panel_edges_are_linspace(start, s, n):
-    edges = bounds._panel_edges(start, s, n)
-    assert edges.tobytes() == np.linspace(start, s, n + 1).tobytes()
+@given(st.floats(0.0, 1e300), st.integers(1, 1 << 16))
+@example(5e-324, 8)  # the step underflows to zero
+@example(0.0, 8)
+@example(1e5, 1 << 16)
+def test_panel_edges_are_linspace(s, n):
+    edges = bounds._panel_edges(s, n)
+    assert edges.tobytes() == np.linspace(0.0, s, n + 1).tobytes()
 
 
 @settings(deadline=None)
