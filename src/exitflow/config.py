@@ -2,12 +2,14 @@
 
 Configs are strict: unknown or ill-typed keys fail with the dotted key
 path in the message.  Every key is declared once, in ``_SPEC``, with its
-kind, default and range; the few rules that tie keys together are in
-``resolve_config``.  Scalar coefficients (sigma, g, lq.*) accept either
-a number (constant in x) or a list of polynomial coefficients in
-ascending order.  The resolved config (defaults applied) is what gets
-hashed into the run manifest, and parsing it back yields the same
-resolved config.
+kind, default and range.  ``resolve_config`` applies the rules that tie
+keys together: two tables, ``_KIND_KEYS`` (the keys a section's kind
+selects) and ``_ORDERED_PAIRS`` (keys that must be ordered), then the
+horizon and point-inside-the-grid rules written out there.  Scalar
+coefficients (sigma, g, lq.*) accept either a number (constant in x) or
+a list of polynomial coefficients in ascending order.  The resolved
+config (defaults applied) is what gets hashed into the run manifest, and
+parsing it back yields the same resolved config.
 """
 
 import hashlib
@@ -69,7 +71,7 @@ _SPEC = {
         "right": (_NUMBER, _REQUIRED),
         "n_interior": (_INTEGER, _REQUIRED, *_AT_LEAST_1),
     }, _ABSENT),
-    "actions": ({   # the kind picks which other keys it takes
+    "actions": ({   # the kind picks the other keys: _KIND_KEYS
         "kind": (_STRING, _REQUIRED, lambda k: k in (DISCRETE, INTERVAL),
                  f"{DISCRETE!r} or {INTERVAL!r}"),
         "values": (_NUMBERS, _ABSENT, *_NONEMPTY),
@@ -91,7 +93,7 @@ _SPEC = {
                  "a list of positive numbers"),
     }, _ABSENT),
     "flow": ({
-        "scheduler": ({   # the kind picks which parameter it needs
+        "scheduler": ({   # the kind picks its parameter: _KIND_KEYS
             "kind": (_STRING, _REQUIRED, lambda k: k in SCHEDULER_KINDS,
                      f"one of {SCHEDULER_KINDS}"),
             "tau": (_NUMBER, _ABSENT, *_POSITIVE),
@@ -135,9 +137,17 @@ _SPEC = {
     }, _ABSENT),
 }
 
-_ACTION_KEYS = {DISCRETE: ("kind", "values"),
-                INTERVAL: ("kind", "alpha", "beta", "n_quad")}
-_SCHEDULER_PARAM = {CONSTANT: "tau", HORIZON_CONSTANT: "S", POWER_LAW: "beta"}
+# Each key that its section's kind selects, and the one kind that takes
+# it: required in a section of that kind, refused in any other
+_KIND_KEYS = {"actions.values": DISCRETE, "actions.alpha": INTERVAL,
+              "actions.beta": INTERVAL, "actions.n_quad": INTERVAL,
+              "flow.scheduler.tau": CONSTANT,
+              "flow.scheduler.S": HORIZON_CONSTANT,
+              "flow.scheduler.beta": POWER_LAW}
+
+# (section, low, high): where the section holds low, need low < high
+_ORDERED_PAIRS = (("grid", "left", "right"), ("actions", "alpha", "beta"),
+                  ("bounds.bias_sweep", "alpha", "beta"))
 
 
 def _read(raw, spec, path):
@@ -191,42 +201,34 @@ def load_config(path):
     return resolve_config(raw)
 
 
+def _section(resolved, path):
+    """The resolved section at the dotted ``path``, {} if it is absent."""
+    for key in path.split("."):
+        resolved = resolved.get(key, {})
+    return resolved
+
+
 def resolve_config(raw):
     """Validate, apply defaults, and normalize a raw config dict."""
     out = _read(raw, _SPEC, "")
-    grid = out.get("grid")
-    if grid and not grid["left"] < grid["right"]:
-        raise ConfigError("config key 'grid.left'/'grid.right': need "
-                          "left < right")
-    actions = out.get("actions")
-    if actions:
-        keys = _ACTION_KEYS[actions["kind"]]
-        for key in actions:
-            if key not in keys:
-                raise ConfigError(f"unknown config key 'actions.{key}'")
-        for key in keys:
-            if key not in actions:
-                raise ConfigError(f"config key 'actions.{key}' is required")
-        if actions["kind"] == INTERVAL and \
-                not actions["alpha"] < actions["beta"]:
-            raise ConfigError("config key 'actions.alpha': need alpha < beta")
-    flow = out.get("flow")
+    for dotted, kind in _KIND_KEYS.items():
+        path, key = dotted.rsplit(".", 1)
+        section = _section(out, path)
+        given = key in section
+        if section and given != (section["kind"] == kind):
+            raise ConfigError(f"unknown config key '{dotted}'" if given
+                              else f"config key '{dotted}' is required")
+    for path, low, high in _ORDERED_PAIRS:
+        section = _section(out, path)
+        if low in section and not section[low] < section[high]:
+            raise ConfigError(f"config key '{path}.{low}': need "
+                              f"{low} < {high}")
+    grid, flow = out.get("grid"), out.get("flow")
     if flow:
-        sched = flow["scheduler"]
-        param = _SCHEDULER_PARAM.get(sched["kind"])
-        if param is not None and param not in sched:
-            raise ConfigError(f"config key 'flow.scheduler.{param}' is "
-                              f"required")
-        flow["scheduler"] = {k: v for k, v in sched.items()
-                             if k in ("kind", param)}
         horizon, dt = flow["horizon"], flow["dt"]
         if abs(round(horizon / dt) * dt - horizon) > 1e-9 * horizon:
             raise ConfigError(f"config key 'flow.horizon': {horizon:g} is not "
                               f"a whole multiple of flow.dt = {dt:g}")
-    sweep = out.get("bounds", {}).get("bias_sweep")
-    if sweep and not sweep["alpha"] < sweep["beta"]:
-        raise ConfigError("config key 'bounds.bias_sweep.alpha': need "
-                          "alpha < beta")
     for name, points in (("flow.probes", flow and flow["probes"]),
                          ("mc.x0", out.get("mc", {}).get("x0"))):
         if points and grid and not all(grid["left"] < x < grid["right"]

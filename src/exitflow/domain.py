@@ -15,12 +15,11 @@ Rows of the seven map values are read only here, by
 with given E[a] and E[a^2]) and ``lq_feature``, and rows of the b, c, f
 table by ``_feature_table``.  ``_tables`` is the one tabulation: the
 problem's tables at its interior nodes, and the pointwise Hamiltonians'
-one-node tables at a point on or off the grid, come from it; on
-interval LQ problems the hard minimum at a point reads only the seven
-values there (``_lq_rows``).  A problem also
-forms, on first use, the constants of the central-difference
-stencil that ``elliptic`` assembles and differentiates with, and the
-sup-norm of f from which the solvers take their default tolerance.
+one-node tables at a point on or off the grid, on every kind of action
+set, come from it.  A problem also forms, on first use, the constants of
+the central-difference stencil that ``elliptic`` assembles and
+differentiates with, and the sup-norm of f from which the solvers take
+their default tolerance.
 """
 
 import functools
@@ -297,17 +296,10 @@ def _tables(b, c, f, lq, xs, acts):
     """
     if lq is None:
         return np.array([_tabulate(fn, xs, acts) for fn in (b, c, f)]), None
-    lq_tab = _lq_rows(lq, xs)
-    return np.array(lq_coefficients(lq_tab[:, :, None], acts)), lq_tab
-
-
-def _lq_rows(lq, xs):
-    """The seven maps of ``lq`` at the nodes ``xs``, shape (7, xs.size)
-    in field order, read-only."""
-    rows = np.ascontiguousarray(
+    lq_tab = np.ascontiguousarray(
         np.array([lq.at(x) for x in xs], dtype=np.float64).T)
-    rows.flags.writeable = False
-    return rows
+    lq_tab.flags.writeable = False
+    return np.array(lq_coefficients(lq_tab[:, :, None], acts)), lq_tab
 
 
 def make_problem(grid, actions, b, c, f, sigma, g, lq=None):

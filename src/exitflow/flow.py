@@ -37,11 +37,11 @@ into Z skips ``np.einsum``'s dispatch layers, and the slope
 operands and its order.
 """
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import _count
 from .elliptic import optimal_feature, solve_on_policy_bellman
 from .hjb import regularized_path, solve_unregularized_hjb
 from ._compat import einsum
@@ -187,9 +187,7 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
         raise ValueError("initial feature matrix has non-finite entries")
     if not 0.0 < dt <= S < math.inf:
         raise ValueError(f"need finite 0 < dt <= S, got S={S!r}, dt={dt!r}")
-    if not isinstance(record_every, numbers.Integral) or record_every < 1:
-        raise ValueError(f"record_every must be an integer >= 1, "
-                         f"got {record_every!r}")
+    record_every = _count(record_every, "record_every", 1)
     probes = np.asarray(probes)
     if probes.size and probes.dtype.kind not in "iu":
         # 1.7 would record node 1; True would record node 1 as well

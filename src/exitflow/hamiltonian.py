@@ -16,12 +16,12 @@ minimum on other intervals.  ``_hard_minimum`` is the one function that
 chooses between them.  Howard iteration calls it on the problem's own
 tables at every interior node; ``hard_hamiltonian`` calls it on the
 one-node tables that ``domain._tables``, the tabulation that builds the
-problem's tables, forms at its point (on interval LQ problems only the
-seven LQ values there, all the clamped vertex reads), so the two agree
-bit for bit at a grid node.  The golden-section search runs on Python
-floats, so the b, c and f closures receive Python floats here as in
-``domain``'s tabulation: arithmetic on numpy scalars costs several times
-as much.  The feature table b*p - c*u + f and the LQ rows are read only
+problem's tables, forms at its point, so the two agree bit for bit at a
+grid node (on interval LQ problems the clamped vertex reads only the
+seven LQ values of those tables).  The golden-section search runs on
+Python floats, so the b, c and f closures receive Python floats here as
+in ``domain``'s tabulation: arithmetic on numpy scalars costs several
+times as much.  The feature table b*p - c*u + f and the LQ rows are read only
 through ``domain``.  Both pointwise Hamiltonians refuse a non-finite x,
 u or p.
 """
@@ -30,8 +30,8 @@ import math
 
 import numpy as np
 
-from .domain import (DISCRETE, _feature_table, _gauss_legendre, _lq_rows,
-                     _tables, lq_coefficients, lq_feature)
+from .domain import (DISCRETE, _feature_table, _gauss_legendre, _tables,
+                     lq_coefficients, lq_feature)
 from .policy import _check_tau, gibbs_policy
 
 _GOLDEN_TOL = 1e-10  # bracket width that ends the golden-section search
@@ -78,12 +78,8 @@ def hard_hamiltonian(problem, x, u, p):
     grid node."""
     x, u, p = _check_point(x, u, p)
     xs = np.array([x])
-    if problem._interval_lq:
-        # the clamped vertex reads only the seven LQ values
-        coef, lq_rows = None, _lq_rows(problem.lq, xs)
-    else:
-        coef, lq_rows = _tables(problem.b, problem.c, problem.f, problem.lq,
-                                xs, problem.actions.actions)
+    coef, lq_rows = _tables(problem.b, problem.c, problem.f, problem.lq,
+                            xs, problem.actions.actions)
     ham, a, _ = _hard_minimum(problem, xs, np.array([u]), np.array([p]),
                               coef, lq_rows)
     return float(ham[0]), float(a[0])

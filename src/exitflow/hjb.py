@@ -27,12 +27,13 @@ the b, c and f closures receive Python floats.  Each step also returns b, c and 
 the selected actions, which the next linear solve takes.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .domain import lq_feature
+from .domain import _count, lq_feature
 from .elliptic import (ValueField, average_coefficients, diffusion,
                        optimal_feature, solve_linear, solve_on_policy_bellman)
 from .hamiltonian import _hard_minimum
@@ -63,9 +64,15 @@ def default_tolerance(problem):
     return 1e-9 * (1.0 + problem.f_sup)
 
 
-def _check_max_iter(max_iter):
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+def _solver_args(problem, tol, max_iter):
+    """Both solvers' ``tol`` and ``max_iter``, checked: tol=None is
+    ``default_tolerance(problem)``, any other tol must be positive and
+    finite, and max_iter must be an integer >= 1."""
+    if tol is None:
+        tol = default_tolerance(problem)
+    elif not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    return tol, _count(max_iter, "max_iter", 1)
 
 
 def _residual(problem, vf, ham):
@@ -104,12 +111,12 @@ def solve_regularized_hjb(problem, tau, tol=None, max_iter=MAX_ITER,
 
     Starts from the uniform policy (or the Gibbs image of ``z0``) and
     iterates linear solve / feature improvement until the semilinear
-    residual drops below tol.
+    residual drops below tol.  tol=None is ``default_tolerance(problem)``;
+    a tol that is not positive and finite, or a max_iter that is not an
+    integer >= 1, is a ValueError before any solve.
     """
     _check_tau(tau, positive=True)
-    _check_max_iter(max_iter)
-    if tol is None:
-        tol = default_tolerance(problem)
+    tol, max_iter = _solver_args(problem, tol, max_iter)
     actions = problem.actions
     if z0 is None:
         pol = uniform_policy(problem.n_interior, actions)
@@ -139,13 +146,16 @@ def regularized_path(problem, taus, tol=None, max_iter=MAX_ITER):
     The first solve starts from the uniform policy; each later one from
     the improvement step at the previous optimum, the Gibbs image of
     -F(v*_prev)/tau.  Policy iteration is Newton's method on the HJB, so
-    from an optimum at a nearby tau it needs few iterations.  Every tau
-    is checked before the first solve.  The generator keeps no solution
-    once it has yielded it, only the next start's features.
+    from an optimum at a nearby tau it needs few iterations.  Every tau,
+    and tol and max_iter as ``solve_regularized_hjb`` takes them, are
+    checked before the first solve, so a bad one is a ValueError from the
+    first ``next()``.  The generator keeps no solution once it has
+    yielded it, only the next start's features.
     """
     taus = list(taus)
     for tau in taus:
         _check_tau(tau, positive=True)
+    _solver_args(problem, tol, max_iter)
     z0 = None
     for k, tau in enumerate(taus):
         sol = solve_regularized_hjb(problem, tau, tol=tol, max_iter=max_iter,
@@ -182,10 +192,9 @@ def solve_unregularized_hjb(problem, tol=None,
     selection.  Each iteration after the first takes the coefficients of
     the previous selection, so a selection seen before (other than the
     previous one) repeats the iterations since: it is reported as cycling.
+    tol and max_iter are taken and checked as by ``solve_regularized_hjb``.
     """
-    _check_max_iter(max_iter)
-    if tol is None:
-        tol = default_tolerance(problem)
+    tol, max_iter = _solver_args(problem, tol, max_iter)
     coefficients = average_coefficients(
         problem, uniform_policy(problem.n_interior, problem.actions), 0.0)
     history = []

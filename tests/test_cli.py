@@ -220,7 +220,7 @@ _BIAS_SWEEP = {"taus": [0.1], "p_grid": [0.0], "alpha": -1.0, "beta": 1.0}
 _CROSS_KEY_RULES = {
     "grid-left-not-below-right": (
         "solve-hjb", "grid", {"left": 1.0, "right": 1.0, "n_interior": 9},
-        "'grid.left'/'grid.right': need left < right"),
+        "'grid.left': need left < right"),
     "action-key-of-other-kind": (
         "solve-hjb", "actions", {"kind": "discrete", "values": [0.0],
                                  "n_quad": 8},
@@ -233,6 +233,10 @@ _CROSS_KEY_RULES = {
         "solve-hjb", "actions", {"kind": "interval", "alpha": 1.0,
                                  "beta": 1.0, "n_quad": 8},
         "'actions.alpha': need alpha < beta"),
+    "scheduler-key-of-other-kind": (
+        "run-flow", "flow", {**_FLOW, "scheduler": {"kind": "inverse_linear",
+                                                    "beta": 0.5}},
+        "unknown config key 'flow.scheduler.beta'"),
     "missing-scheduler-parameter": (
         "run-flow", "flow", {**_FLOW, "scheduler": {"kind": "constant"}},
         "'flow.scheduler.tau' is required"),

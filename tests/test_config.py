@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from exitflow import lq_benchmark
-from exitflow.config import (_SPEC, ConfigError, build_problem, config_digest,
-                             load_config, resolve_config)
+from exitflow.config import (_KIND_KEYS, _ORDERED_PAIRS, _SPEC, ConfigError,
+                             build_problem, config_digest, load_config,
+                             resolve_config)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -90,6 +91,18 @@ def test_null_only_where_allowed():
         resolve_config(_spoiled("mc.tau", None))
 
 
+@pytest.mark.parametrize("scheduler, key", [
+    ({"kind": "constant", "tau": 0.5, "S": 10.0}, "S"),
+    ({"kind": "horizon_constant", "S": 10.0, "tau": 0.5}, "tau"),
+    ({"kind": "inverse_sqrt", "beta": 0.5}, "beta"),
+], ids=["constant-S", "horizon_constant-tau", "inverse_sqrt-beta"])
+def test_scheduler_parameter_of_other_kind_rejected(scheduler, key):
+    # once dropped without a word, so a run could test another schedule
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"'flow.scheduler.{key}'")):
+        resolve_config(_spoiled("flow.scheduler", scheduler))
+
+
 def test_non_object_root():
     with pytest.raises(ConfigError, match="config root"):
         resolve_config([FULL])
@@ -147,3 +160,26 @@ def _documented_keys():
 
 def test_docs_list_exactly_the_spec_keys():
     assert _documented_keys() == set(_spec_keys(_SPEC))
+
+
+def _spec_section(path):
+    spec = _SPEC
+    for key in path.split("."):
+        spec = spec[key][0]
+    return spec
+
+
+def test_rule_tables_name_spec_keys_and_kinds():
+    # a misspelt key or kind in either table would switch its rule off
+    # without a word
+    leaves = set(_spec_keys(_SPEC))
+    kinded = {key.rsplit(".", 1)[0] for key in leaves if key.endswith(".kind")}
+    # every other key of a section with a kind is selected by that kind
+    assert set(_KIND_KEYS) == {key for key in leaves
+                               if key.rsplit(".", 1)[0] in kinded
+                               and not key.endswith(".kind")}
+    for dotted, kind in _KIND_KEYS.items():
+        _, _, accepts, _ = _spec_section(dotted.rsplit(".", 1)[0])["kind"]
+        assert accepts(kind), dotted
+    for path, low, high in _ORDERED_PAIRS:
+        assert {f"{path}.{low}", f"{path}.{high}"} <= leaves

@@ -468,6 +468,32 @@ def test_solvers_reject_max_iter_below_one(lq, max_iter):
         solve_unregularized_hjb(lq, max_iter=max_iter)
 
 
+def _raise_on_solve(*args, **kwargs):
+    raise AssertionError("linear solve ran")
+
+
+_BAD_SOLVER_ARGS = [{"max_iter": 2.5}] + [{"tol": t} for t in
+                                           (math.inf, math.nan, 0.0, -1.0)]
+
+
+@pytest.mark.parametrize("kwargs", _BAD_SOLVER_ARGS,
+                         ids=[repr(k) for k in _BAD_SOLVER_ARGS])
+def test_bad_solver_arguments_rejected_before_any_solve(monkeypatch, lq,
+                                                        kwargs):
+    # tol=inf would accept the first iterate as a solution, and tol <= 0 or
+    # nan would run every iteration before failing; a float max_iter is a
+    # ValueError like every other count, not a TypeError from range
+    import exitflow.hjb
+    for name in ("solve_on_policy_bellman", "solve_linear"):
+        monkeypatch.setattr(exitflow.hjb, name, _raise_on_solve)
+    (key,) = kwargs
+    for call in (lambda: solve_regularized_hjb(lq, 0.5, **kwargs),
+                 lambda: solve_unregularized_hjb(lq, **kwargs),
+                 lambda: next(regularized_path(lq, [0.5, 0.1], **kwargs))):
+        with pytest.raises(ValueError, match=key):
+            call()
+
+
 def test_nonconvergence_reports_history(lq):
     with pytest.raises(ConvergenceError) as err:
         solve_regularized_hjb(lq, 0.5, tol=1e-30, max_iter=3)
