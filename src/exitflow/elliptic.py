@@ -128,10 +128,7 @@ def solve_linear(problem, b_bar, c_bar, forcing) -> ValueField:
         raise SolverError(f"singular tridiagonal system (cell Peclet "
                           f"{_max_cell_peclet(problem, b_bar):.3g}); "
                           f"coefficients may be degenerate") from exc
-    v = np.empty(problem.n_interior + 2)
-    v[0] = problem.g_left
-    v[-1] = problem.g_right
-    v[1:-1] = v_int
+    v = np.array([problem.g_left, *v_int, problem.g_right])
     return ValueField(v=v, dv=(v[2:] - v[:-2]) / problem._stencil.two_h)
 
 

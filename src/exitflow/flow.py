@@ -56,6 +56,12 @@ POWER_LAW = "power_law"
 SCHEDULER_KINDS = (CONSTANT, HORIZON_CONSTANT, INVERSE_LINEAR, INVERSE_SQRT,
                    POWER_LAW)
 _CONSTANT_KINDS = (CONSTANT, HORIZON_CONSTANT)
+# the Scheduler fields each kind does not take
+_UNUSED_PARAMS = {CONSTANT: ("horizon", "beta"),
+                  HORIZON_CONSTANT: ("tau", "beta"),
+                  INVERSE_LINEAR: ("tau", "horizon", "beta"),
+                  INVERSE_SQRT: ("tau", "horizon", "beta"),
+                  POWER_LAW: ("tau", "horizon")}
 
 
 class UnstableFlowError(RuntimeError):
@@ -72,6 +78,12 @@ class Scheduler:
     and inverse_linear's beta = 1, so tau_s follows one of three laws:
     a constant tau, 1/sqrt(1+s) or a power law.
 
+    NaN means "not given".  A parameter that the kind does not take
+    raises ValueError, unless it is the kind's stored value given back
+    (as ``dataclasses.replace`` does), so inverse_linear with beta = 0.5
+    or horizon_constant with a tau of its own is refused.  A new horizon
+    through ``replace`` therefore needs ``tau=math.nan`` beside it.
+
     ``value`` and ``integral`` take a time or an array of times.  A scalar
     time comes back as a Python float, computed by the same numpy ufunc
     expression as an array of times (so bit for bit the same number) but
@@ -86,14 +98,21 @@ class Scheduler:
     def __post_init__(self):
         if self.kind not in SCHEDULER_KINDS:
             raise ValueError(f"unknown scheduler kind {self.kind!r}")
+        stored = {}
         if self.kind == HORIZON_CONSTANT:
             if not 0.0 < self.horizon < math.inf:
                 raise ValueError("horizon_constant scheduler needs "
                                  "finite S > 0")
-            object.__setattr__(self, "tau", math.log(self.horizon + 1.0)
-                               / self.horizon)
+            stored["tau"] = math.log(self.horizon + 1.0) / self.horizon
         elif self.kind == INVERSE_LINEAR:
-            object.__setattr__(self, "beta", 1.0)
+            stored["beta"] = 1.0
+        for name in _UNUSED_PARAMS[self.kind]:
+            given = getattr(self, name)
+            if not math.isnan(given) and given != stored.get(name):
+                raise ValueError(f"{self.kind} scheduler takes no {name}, "
+                                 f"got {name}={given!r}")
+        for name, value in stored.items():
+            object.__setattr__(self, name, value)
         if self.kind in _CONSTANT_KINDS and not 0.0 < self.tau < math.inf:
             raise ValueError(f"{self.kind} scheduler needs finite tau > 0")
         if self.kind == POWER_LAW and not 0.0 < self.beta < math.inf:

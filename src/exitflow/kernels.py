@@ -4,8 +4,8 @@ Both are plain Python/numpy.  The tridiagonal solve runs on Python floats:
 at the grid sizes used here (tens to hundreds of rows) per-element numpy
 indexing costs more than the arithmetic, so the value solve hands it the
 bands and rhs as lists of floats.  LAPACK's ``dgtsv`` would be
-faster still (on a 2-vCPU x86-64 VM, 3.2, 7.8 and 22 us at n = 29, 199
-and 799, against 16, 89 and 357 us for this loop), but importing
+faster still (on a 2-vCPU x86-64 VM, 1.2, 4.7 and 16 us at n = 29, 199
+and 799, against 5, 33 and 134 us for this loop), but importing
 ``scipy.linalg.lapack`` on top of ``scipy.special`` raises a process's
 peak resident memory from 53.8 to 60.1 MB there, about 11 % of a
 ``run-flow`` process's peak, more than the 10 % by which ``perfbench``
@@ -26,11 +26,13 @@ import numpy as np
 
 
 def thomas_solve(lower, diag, upper, rhs):
-    """Solve the tridiagonal system with bands (lower, diag, upper).
+    """Solve the tridiagonal system with bands (lower, diag, upper), and
+    return the solution as a list of Python floats.
 
     The bands and rhs are lists of Python floats, as
     ``elliptic.assemble_system`` forms them; the elimination reads them
-    entry by entry and changes none of them.  ``lower[0]`` and
+    entry by entry and changes none of them.  The caller makes the one
+    array it needs from the list.  ``lower[0]`` and
     ``upper[-1]`` are ignored.  Raises ZeroDivisionError on a zero pivot;
     callers assemble diagonally dominant systems so this only fires on
     degenerate input.
@@ -54,7 +56,7 @@ def thomas_solve(lower, diag, upper, rhs):
         x[i] = x_prev = (rhs[i] - low * x_prev) / beta
     for i in range(n - 2, -1, -1):
         x[i] = x_prev = x[i] - cp[i] * x_prev
-    return np.array(x)
+    return x
 
 
 # ---------------------------------------------------------------------------

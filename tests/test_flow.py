@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -69,6 +70,31 @@ def test_scheduler_validation():
         Scheduler(kind="constant", tau=0.0)
     with pytest.raises(ValueError):
         Scheduler(kind="power_law", beta=0.0)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("inverse_linear", {"beta": 0.5}),
+    ("horizon_constant", {"tau": 0.3, "horizon": 10.0}),
+    ("constant", {"tau": 0.3, "beta": 7.0})])
+def test_scheduler_rejects_parameter_of_other_kind(kind, params):
+    # each was once dropped or overwritten without a word
+    with pytest.raises(ValueError, match=f"{kind} scheduler takes no"):
+        Scheduler(kind=kind, **params)
+
+
+def test_scheduler_stored_parameters_survive_replace():
+    hc = Scheduler(kind="horizon_constant", horizon=10.0)
+    il = Scheduler(kind="inverse_linear")
+    assert hc.tau == math.log(11.0) / 10.0 and il.beta == 1.0
+    for sched in (hc, il, Scheduler(kind="constant", tau=0.3),
+                  Scheduler(kind="power_law", beta=0.4)):
+        assert dataclasses.replace(sched) == sched
+    assert il == Scheduler(kind="inverse_linear", beta=1.0)
+    # the stored tau belongs to the old horizon
+    with pytest.raises(ValueError, match="takes no tau"):
+        dataclasses.replace(hc, horizon=20.0)
+    assert dataclasses.replace(hc, horizon=20.0, tau=math.nan) \
+        == Scheduler(kind="horizon_constant", horizon=20.0)
 
 
 def test_scheduler_integral_rejects_negative_time():

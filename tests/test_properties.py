@@ -25,6 +25,7 @@ from exitflow.hjb import default_tolerance
 from exitflow.hamiltonian import (_hard_minimum, hard_hamiltonian,
                                   soft_hamiltonian)
 from exitflow.kernels import thomas_solve
+from exitflow.policy import _GibbsPolicy
 from identities import (comparison_slack, non_lq_problem,
                         on_policy_residual, performance_difference_check)
 
@@ -99,6 +100,47 @@ def test_gibbs_policy_leaves_features_alone(case):
     for i, one in enumerate(arrays):
         for other in arrays[i + 1:]:
             assert not np.shares_memory(one, other)
+
+
+# entries that tie: signed zeros and repeated values, among others
+tying = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                  st.floats(-40.0, 40.0))
+
+
+@st.composite
+def feature_tables(draw):
+    """A table of 1 x 1 to 40 x 130 tying entries in C or F order, and
+    an action space with one node per column."""
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 130)))
+    z = draw(hnp.arrays(np.float64, shape, elements=tying))
+    order = draw(st.sampled_from("CF"))
+    actions = make_action_space(values=np.linspace(-1.0, 1.0, shape[1]))
+    return np.asarray(z, order=order), actions
+
+
+@settings(deadline=None)
+@given(feature_tables(), st.booleans())
+def test_gibbs_row_maximum_keeps_the_bits_of_reduce(case, overwrite):
+    # the reference takes the row maximum by np.maximum.reduce on any order
+    z, actions = case
+    m = np.maximum.reduce(z, axis=1)
+    ref = _GibbsPolicy(z - m[:, None], m, actions)
+    pol = gibbs_policy(z.copy(order="K"), actions, overwrite=overwrite)
+    for name in ("log_partition", "kl", "weights", "log_density",
+                 "moments"):
+        got, want = getattr(pol, name), getattr(ref, name)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(deadline=None)
+@given(feature_tables(), st.sampled_from([np.nan, np.inf, -np.inf]),
+       st.integers(0))
+def test_gibbs_rejects_non_finite_features(case, bad, at):
+    z, actions = case
+    z.flat[at % z.size] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        gibbs_policy(z, actions)
 
 
 @settings(deadline=None)
