@@ -86,14 +86,16 @@ def cmd_solve_hjb(resolved, out_dir):
     sols = [solve_unregularized_hjb(problem, **solver),
             *regularized_path(problem, resolved["hjb"]["taus"], **solver)]
     for sol, tag in zip(sols, tags):
-        top = sol.argmin_actions
-        if top is None:
-            top = problem.actions.actions[
-                np.argmax(sol.optimal_policy.weights, axis=1)]
+        # the policy's mean action: the argmax of its weights would flip
+        # between tied nodes on rounding (e.g. where Dv = 0 on a problem
+        # symmetric in a)
+        mean = sol.argmin_actions
+        if mean is None:
+            mean = sol.optimal_policy.moments[0]
         path = os.path.join(out_dir, f"hjb_tau_{tag}.csv")
-        outputs.append(write_csv(path, ["x", "v_star", "dv", "top_action"],
+        outputs.append(write_csv(path, ["x", "v_star", "dv", "mean_action"],
                                  [problem.grid.interior, sol.v_star.interior,
-                                  sol.v_star.dv, top]))
+                                  sol.v_star.dv, mean]))
         hist = sol.residual_history
         path = os.path.join(out_dir, f"hjb_residuals_tau_{tag}.csv")
         outputs.append(write_csv(path, ["iteration", "residual"],

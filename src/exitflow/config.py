@@ -218,11 +218,14 @@ def resolve_config(raw):
         if section and given != (section["kind"] == kind):
             raise ConfigError(f"unknown config key '{dotted}'" if given
                               else f"config key '{dotted}' is required")
+    # a width below the smallest normal float (or an overflowing one) would
+    # leave zero or NaN grid spacings and quadrature weights
     for path, low, high in _ORDERED_PAIRS:
         section = _section(out, path)
-        if low in section and not section[low] < section[high]:
-            raise ConfigError(f"config key '{path}.{low}': need "
-                              f"{low} < {high}")
+        if low in section and not np.finfo(float).tiny \
+                <= section[high] - section[low] < math.inf:
+            raise ConfigError(f"config key '{path}.{low}': need {low} < "
+                              f"{high}, {high} - {low} finite and normal")
     grid, flow = out.get("grid"), out.get("flow")
     if flow:
         horizon, dt = flow["horizon"], flow["dt"]

@@ -265,14 +265,18 @@ def make_action_space(values=None, alpha=None, beta=None, n_quad=None):
     beta = float(beta)
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise ValueError(f"interval ends must be finite, got [{alpha}, {beta}]")
-    if alpha >= beta:
-        raise ValueError(f"interval needs alpha < beta, got [{alpha}, {beta}]")
+    # below the smallest normal width the weights underflow (all 0 on
+    # [0, 5e-324]), and past the largest float they are NaN
+    width = beta - alpha
+    if not np.finfo(float).tiny <= width < math.inf:
+        raise ValueError(f"interval needs alpha < beta and a finite, normal "
+                         f"beta - alpha, got [{alpha}, {beta}]")
     n_quad = _count(n_quad, "n_quad", 2)
     x, w = _gauss_legendre(n_quad)
-    half = 0.5 * (beta - alpha)
+    half = 0.5 * width
     nodes = alpha + half * (x + 1.0)
     # weights integrate the uniform density 1/(beta-alpha); they sum to 1.
-    weights = w * half / (beta - alpha)
+    weights = w * half / width
     return ActionSpace(kind=INTERVAL, actions=nodes, mu_weights=weights,
                        alpha=alpha, beta=beta)
 

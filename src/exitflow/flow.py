@@ -202,6 +202,11 @@ def integrate_flow(problem, z0, sched: Scheduler, S, dt, probes,
     by ``config.resolve_config``.
     """
     z = np.array(z0, dtype=np.float64)
+    shape = problem.coef_tab.shape[1:]
+    if z.shape != shape:
+        raise ValueError(f"initial feature matrix of shape {z.shape} does "
+                         f"not match the problem's (n_interior, n_actions) "
+                         f"= {shape}")
     if not np.isfinite(z).all():
         raise ValueError("initial feature matrix has non-finite entries")
     if not 0.0 < dt <= S < math.inf:

@@ -6,20 +6,18 @@ it is built over and exposes probability weights (mu quadrature weights
 folded in, rows sum to 1), log-densities relative to the reference
 measure, KL(pi|mu) per row and the action moments E_pi[a], E_pi[a^2]
 over its own action nodes.  A Gibbs policy keeps the max-shifted
-features s = z - max(z), and e*mu with e = exp(s) until its first use.
-From e it forms each row's normaliser S0 = e @ mu and its KL as
-E_pi[s] - ln S0, that is sum(e*mu*s)/S0 - ln S0, two terms of opposite
-sign that need no log-density.  The log-partition
-ln(mu-average of e^z) = max(z) + ln S0, by which the Gibbs image of
--z/tau carries the softmin H_tau = -tau*log_partition of z, the weights
-e*mu/S0, the log-densities s - ln S0 and the moments
-((e*mu) @ [a, a^2])/S0 are formed on first read, so the flow, which
-reads only KL and the moments or the weights, never forms the
-log-partition, a caller that averages an LQ problem through the moments
-never forms the weights, and KL never forms the log-densities.  Each
-has the bits of its eager formula.  Directly built policies
-(deterministic selections) store weights and log-densities and form KL
-and moments from them.
+features s = z - max(z) and e*mu with e = exp(s).  From them it forms
+each row's normaliser S0 = e @ mu and its KL as E_pi[s] - ln S0, that
+is sum(e*mu*s)/S0 - ln S0, two terms of opposite sign that need no
+log-density.  The log-partition ln(mu-average of e^z) = max(z) + ln S0,
+by which the Gibbs image of -z/tau carries the softmin
+H_tau = -tau*log_partition of z, the weights e*mu/S0, the
+log-densities s - ln S0 and the moments ((e*mu) @ [a, a^2])/S0 are
+formed anew on every read: a flow stage reads the weights or the
+moments once (twice at a record), and policy iteration reads each field
+once, so nothing is cached.  Directly built policies (deterministic
+selections) store weights and log-densities and form KL from them at
+once.
 
 A flow stage makes a Gibbs policy of a few dozen rows, where numpy's
 per-call overhead outweighs the arithmetic, so the map keeps that
@@ -31,8 +29,7 @@ against 43 us at 799 x 7).  A column-ordered table, as the LQ
 improvement step lays out, keeps ``np.maximum.reduce`` over its rows,
 which then runs along contiguous columns (11 us at 799 x 64, against
 43 us for the segment reduction of its row-ordered copy).  A maximum is
-exact, so either gives the same bits.  The lazily formed fields go
-through ``_cached``, which takes no lock.
+exact, so either gives the same bits.
 """
 
 import functools
@@ -40,29 +37,6 @@ import functools
 import numpy as np
 
 from ._compat import einsum
-
-
-class _cached:
-    """``functools.cached_property`` without the lock that Python 3.11
-    takes on every first read (a first read of a trivial field takes
-    0.57 us through it, 0.19 us through this descriptor): the first
-    read stores the value in the instance's ``__dict__``, where later
-    reads find it before this descriptor.  Two threads that read a field
-    first at once both form it, with the same bits.  ``func`` is the
-    function that forms the field."""
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 @functools.lru_cache(maxsize=64)
@@ -79,7 +53,8 @@ class Policy:
     node, stored as its weights, shape (n_interior, n_actions) with rows
     summing to 1, and its log-densities ln d(pi)/d(mu), finite also where
     a weight is 0.  ``log_partition`` is ln of the mu-average of e^z per
-    row for a Gibbs policy, None on deterministic selections."""
+    row for a Gibbs policy, None on deterministic selections.  ``kl`` is
+    KL(pi | mu) per interior node."""
 
     log_partition = None
 
@@ -88,13 +63,9 @@ class Policy:
         self.log_density = log_density
         self.actions = actions
         self.shape = weights.shape
+        self.kl = einsum("ik,ik->i", weights, log_density)
 
-    @_cached
-    def kl(self):
-        """KL(pi | mu) per interior node."""
-        return einsum("ik,ik->i", self.weights, self.log_density)
-
-    @_cached
+    @property
     def moments(self):
         """E_pi[a] and E_pi[a^2] per interior node, shape (2, n_interior),
         over the policy's own action nodes."""
@@ -104,7 +75,7 @@ class Policy:
 class _GibbsPolicy(Policy):
     """The Gibbs policy of the shifted features ``s`` = z - m, ``m`` the
     row maximum of z (module doc); the log-partition, weights,
-    log-densities and moments are formed on first read."""
+    log-densities and moments are formed on every read."""
 
     def __init__(self, s, m, actions):
         self._s = s
@@ -120,33 +91,23 @@ class _GibbsPolicy(Policy):
         kl -= log_norm
         self.kl = kl
 
-    @_cached
+    @property
     def log_partition(self):
         return self._m + self._log_norm
 
-    @_cached
+    @property
     def weights(self):
-        return self._take_emu() / self._norm[:, None]
+        return self._emu / self._norm[:, None]
 
-    @_cached
+    @property
     def log_density(self):
         return self._s - self._log_norm[:, None]
 
-    @_cached
+    @property
     def moments(self):
-        moments = self.actions._powers @ self._take_emu().T
+        moments = self.actions._powers @ self._emu.T
         moments /= self._norm
         return moments
-
-    def _take_emu(self):
-        """e*mu, handed over to the first of the weights and the moments
-        to be formed, so that a policy keeps one (n, N) array once they
-        are read; the other forms it again from s, with the same bits."""
-        emu = self.__dict__.pop("_emu", None)
-        if emu is None:
-            emu = np.exp(self._s)
-            emu *= self.actions.mu_weights
-        return emu
 
 
 def _check_tau(tau, positive):

@@ -1,6 +1,6 @@
 """Identities of policy evaluation that only the tests check, the
-comparison bound between two HJB solutions, and the non-LQ problem
-several test modules share.
+tau-derivative of a regularized optimum, the comparison bound between
+two HJB solutions, and the non-LQ problem several test modules share.
 
 The residual and the performance-difference check start from
 ``elliptic.average_coefficients`` and the bands of
@@ -69,6 +69,21 @@ def performance_difference_check(problem, p, q, tau):
     w = solve_linear(replace(problem, g_left=0.0, g_right=0.0), b_p, c_p,
                      forcing)
     return float(np.max(np.abs(w.interior - (vp.interior - vq.interior))))
+
+
+def tau_derivative(problem, sol):
+    """w = dv*_tau/dtau at the softmin HJB solution ``sol``.
+
+    Each policy's value is affine in tau, v_pi + tau * u_pi, with u_pi the
+    value of the forcing KL(pi | mu) under pi's averages at tau = 0 and
+    zero boundary data (the exit cost g does not depend on tau); v*_tau is
+    their minimum, attained at the optimum, so by the envelope theorem its
+    derivative is u at the optimal policy.
+    """
+    pol = sol.optimal_policy
+    b_bar, c_bar, _ = average_coefficients(problem, pol, 0.0)
+    return solve_linear(replace(problem, g_left=0.0, g_right=0.0), b_bar,
+                        c_bar, pol.kl)
 
 
 def comparison_slack(problem, tol):

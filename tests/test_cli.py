@@ -89,6 +89,23 @@ def test_solve_hjb_outputs(tmp_path):
     assert config_digest(resolved) == manifest["config_digest"]
 
 
+def test_solve_hjb_mean_action_vanishes_at_the_symmetric_centre(tmp_path):
+    # the shipped interval LQ problem is symmetric in a, and Dv = 0 at
+    # x = 0.5: the Gauss-Legendre nodes +-0.0489 tie there, so the policy's
+    # mean action is 0 up to rounding, whichever node rounding favours
+    cfg = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "configs", "lq_interval.json")
+    out = tmp_path / "run"
+    assert main(["solve-hjb", "--config", cfg, "--out", str(out)]) == 0
+    for tag in ("0p5", "0p1"):
+        lines = (out / f"hjb_tau_{tag}.csv").read_text().splitlines()
+        assert lines[0] == "x,v_star,dv,mean_action"
+        rows = np.array([[float(v) for v in r.split(",")] for r in lines[1:]])
+        centre = rows[np.argmin(np.abs(rows[:, 0] - 0.5))]
+        assert abs(centre[0] - 0.5) <= 1e-15
+        assert abs(centre[3]) <= 1e-12
+
+
 @pytest.mark.parametrize("taus", [[0.1, 0.1000001], [0.1, 0.1]])
 def test_solve_hjb_rejects_colliding_output_names(tmp_path, capsys, taus):
     cfg = _write(tmp_path, _base_config(hjb={"taus": taus}))
@@ -233,6 +250,11 @@ _CROSS_KEY_RULES = {
         "solve-hjb", "actions", {"kind": "interval", "alpha": 1.0,
                                  "beta": 1.0, "n_quad": 8},
         "'actions.alpha': need alpha < beta"),
+    # its weights would all be 0 (make_action_space refuses it too)
+    "action-interval-below-normal-width": (
+        "solve-hjb", "actions", {"kind": "interval", "alpha": 0.0,
+                                 "beta": 5e-324, "n_quad": 8},
+        "'actions.alpha': need alpha < beta, beta - alpha finite and normal"),
     "scheduler-key-of-other-kind": (
         "run-flow", "flow", {**_FLOW, "scheduler": {"kind": "inverse_linear",
                                                     "beta": 0.5}},

@@ -117,14 +117,15 @@ def test_solve_hjb_csvs_read_back_bitwise(tmp_path):
     solver = resolved["solver"]
     sols = [solve_unregularized_hjb(problem, **solver),
             *regularized_path(problem, [0.5, 0.1], **solver)]
-    acts = problem.actions.actions
     for sol, tag in zip(sols, ["0", "0p5", "0p1"]):
         if sol.argmin_actions is None:
-            top = [acts[np.argmax(w)] for w in sol.optimal_policy.weights]
+            mean = sol.optimal_policy.moments[0]
         else:
-            top = sol.argmin_actions
-        assert _same_bits(_load(out / f"hjb_tau_{tag}.csv"), np.column_stack(
-            [problem.grid.interior, sol.v_star.v[1:-1], sol.v_star.dv, top]))
+            mean = sol.argmin_actions
+        path = out / f"hjb_tau_{tag}.csv"
+        assert path.read_text().splitlines()[0] == "x,v_star,dv,mean_action"
+        assert _same_bits(_load(path), np.column_stack(
+            [problem.grid.interior, sol.v_star.v[1:-1], sol.v_star.dv, mean]))
         hist = out / f"hjb_residuals_tau_{tag}.csv"
         lines = hist.read_text().splitlines()
         assert lines[0] == "iteration,residual"

@@ -64,6 +64,20 @@ def test_interval_rejects_non_finite_ends(alpha, beta):
         make_action_space(alpha=alpha, beta=beta, n_quad=4)
 
 
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1.0, -1.0),
+                                         (0.0, 5e-324), (0.0, 2e-308),
+                                         (-1e308, 1e308)])
+def test_interval_rejects_empty_subnormal_or_overflowing_width(alpha, beta):
+    # mu weights w * (beta - alpha)/2 / (beta - alpha) are all 0 on
+    # [0, 5e-324], lose digits below the smallest normal width, and are
+    # NaN once beta - alpha overflows
+    with pytest.raises(ValueError, match="interval needs alpha < beta"):
+        make_action_space(alpha=alpha, beta=beta, n_quad=4)
+    tiny = np.finfo(float).tiny
+    assert make_action_space(alpha=0.0, beta=tiny, n_quad=4).mu_weights.sum() \
+        == pytest.approx(1.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("values", [[[0.0, 1.0], [2.0, 3.0]], 3.0,
                                     [[0.5]]])
 def test_discrete_actions_must_be_one_dimensional(values):

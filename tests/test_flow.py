@@ -267,11 +267,20 @@ def test_integrate_flow_rejects_non_finite_horizon_or_step(lq, S, dt):
     (0.0, [1.7, 4.2], "integer interior node indices"),
     (0.0, [14.0], "integer interior node indices"),
     (0.0, [True], "integer interior node indices"),
-    (0.0, np.array([1, 0], dtype=bool), "integer interior node indices")])
+    (0.0, np.array([1, 0], dtype=bool), "integer interior node indices"),
+    # a start of another shape is refused with both shapes named, not
+    # left to np.concatenate, whose message named neither
+    ((29, 4), [14], r"shape \(29, 4\) does not match .* = \(29, 5\)"),
+    ((29,), [14], r"shape \(29,\) does not match .* = \(29, 5\)"),
+    ((1, 29, 5), [14], r"shape \(1, 29, 5\) does not match .* = \(29, 5\)")])
 def test_integrate_flow_rejects_bad_start_or_probe(lq, entry, probes,
                                                    message):
-    z0 = np.zeros((29, 5))
-    z0[3, 2] = entry
+    # entry is the (3, 2) entry of a 29 x 5 start, or a zero start's shape
+    if isinstance(entry, tuple):
+        z0 = np.zeros(entry)
+    else:
+        z0 = np.zeros((29, 5))
+        z0[3, 2] = entry
     sched = Scheduler(kind="constant", tau=0.5)
     with mock.patch.object(flow, "solve_on_policy_bellman",
                            side_effect=AssertionError("value solve ran")), \

@@ -13,7 +13,7 @@ from exitflow import (gibbs_policy, lq_benchmark, make_action_space,
 from exitflow.config import build_problem, build_scheduler, load_config
 from exitflow.domain import LQCoefficients, build_grid, make_lq_problem
 from exitflow.hjb import ConvergenceError, default_tolerance
-from identities import comparison_slack, non_lq_problem
+from identities import comparison_slack, non_lq_problem, tau_derivative
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -288,7 +288,7 @@ def _count_table_and_weight_reads(monkeypatch):
     from exitflow.policy import _GibbsPolicy
     calls = []
     table = exitflow.domain._feature_table
-    weights_of = _GibbsPolicy.__dict__["weights"].func
+    weights_of = _GibbsPolicy.__dict__["weights"].fget
 
     def counting_table(*args):
         calls.append("_feature_table")
@@ -322,6 +322,32 @@ def test_regularized_path_interval_lq_reads_no_tables(monkeypatch,
     calls = _count_table_and_weight_reads(monkeypatch)
     sols = list(regularized_path(lq_interval, [0.5, 0.2, 0.1]))
     assert all(sol.iterations > 1 for sol in sols) and calls == []
+
+
+@pytest.mark.parametrize("kind", ["discrete", "interval"])
+@pytest.mark.parametrize("tau", [1.0, 0.1, 0.01])
+def test_tau_derivative_meets_central_differences(kind, tau):
+    # the envelope identity dv*_tau/dtau = w_tau (ROADMAP Direction K),
+    # against the central differences D_h and D_2h of the solves at
+    # tau +- h and tau +- 2h.  Each solve at residual tol lies within eps,
+    # the comparison slack, of the exact discrete solution, so D_h carries
+    # at most eps/h of solver error and D_2h eps/(2h).  The O(h^2) term of
+    # D_h, h^2/6 times the third tau-derivative, is a quarter of D_2h's,
+    # so to leading order it is (D_2h - D_h)/3, give or take
+    # (eps/h + eps/(2h))/3.  w comes from the computed optimum; its error,
+    # of order eps/tau, is below eps/h.
+    problem = lq_benchmark(kind)
+    tol = 1e-13 * (1.0 + problem.f_sup)
+    eps = comparison_slack(problem, tol)
+    h = 1e-4 * tau
+    sol, *near = (solve_regularized_hjb(problem, tau + k * h, tol=tol)
+                  for k in (0, -1, 1, -2, 2))
+    v = [s.v_star.interior for s in near]
+    d_h = (v[1] - v[0]) / (2.0 * h)
+    d_2h = (v[3] - v[2]) / (4.0 * h)
+    w = tau_derivative(problem, sol).interior
+    bound = np.abs(d_2h - d_h) / 3.0 + 1.5 * eps / h
+    assert np.all(np.abs(d_h - w) <= bound)
 
 
 @pytest.mark.parametrize("config", ["lq_discrete", "lq_interval"])

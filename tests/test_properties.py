@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -27,7 +27,8 @@ from exitflow.hamiltonian import (_hard_minimum, hard_hamiltonian,
 from exitflow.kernels import thomas_solve
 from exitflow.policy import _GibbsPolicy
 from identities import (comparison_slack, non_lq_problem,
-                        on_policy_residual, performance_difference_check)
+                        on_policy_residual, performance_difference_check,
+                        tau_derivative)
 
 PROBLEMS = {"discrete": lq_benchmark("discrete", n_interior=9, n_actions=5),
             "interval": lq_benchmark("interval", n_interior=9, n_quad=12)}
@@ -228,11 +229,12 @@ def test_gibbs_variational_identity(case, tau):
 
 
 @st.composite
-def interval_lq_features(draw):
-    """A random interval LQ problem and a feature matrix on it, at a
-    scale from 1e-3 to 10, with some rows made near one-hot by a spike
+def lq_features(draw):
+    """A random LQ problem of either kind and a feature matrix on it, at
+    a scale from 1e-3 to 10, with some rows made near one-hot by a spike
     on one action node (800 underflows every other weight to zero)."""
-    _, problem = draw(lq_maps_problems("interval"))
+    _, problem = draw(lq_maps_problems(draw(st.sampled_from(
+        sorted(PROBLEMS)))))
     n, n_actions = problem.n_interior, problem.actions.n_actions
     scale = 10.0 ** draw(st.floats(-3.0, 1.0))
     z = scale * draw(hnp.arrays(np.float64, (n, n_actions), elements=unit))
@@ -245,33 +247,50 @@ def interval_lq_features(draw):
 
 
 @settings(deadline=None)
-@given(interval_lq_features())
-def test_moment_averages_match_the_weights(case):
-    """On interval LQ problems the averages come from the two action
-    moments, without the weights; they agree with the contraction of the
-    tables with the weights, which, read afterwards, have the bits of the
-    eager Gibbs formulas, as have the log-densities."""
+@given(lq_features(), st.permutations(
+    ["weights", "log_density", "log_partition", "moments"]))
+def test_moment_averages_match_the_weights(case, order):
+    """The averages read the weights once on discrete sets and never on
+    interval LQ problems, which take the two action moments; either way
+    they agree with the contraction of the tables with the weights.
+    Each field, read in any order and read twice, has the bits of its
+    eager Gibbs formula."""
     problem, z = case
     pol = gibbs_policy(z, problem.actions)
-    averages = average_coefficients(problem, pol, 0.0)
-    assert "weights" not in vars(pol)
+    reads = []
+    weights_of = _GibbsPolicy.weights.fget
+
+    def counting_weights(p):
+        reads.append(p)
+        return weights_of(p)
+
+    with mock.patch.object(_GibbsPolicy, "weights",
+                           property(counting_weights)):
+        averages = average_coefficients(problem, pol, 0.0)
+    assert reads == ([] if problem._interval_lq else [pol])
     mu = problem.actions.mu_weights
-    shifted = z - z.max(axis=1, keepdims=True)
-    weights = np.exp(shifted)
-    norm = weights @ mu
-    weights *= mu
-    weights /= norm[:, None]
-    log_density = shifted - np.log(norm)[:, None]
-    assert pol.weights.tobytes() == weights.tobytes()
-    assert pol.log_density.tobytes() == log_density.tobytes()
+    m = z.max(axis=1)
+    shifted = z - m[:, None]
+    emu = np.exp(shifted)
+    norm = emu @ mu
+    emu *= mu
+    log_norm = np.log(norm)
+    eager = {"weights": emu / norm[:, None],
+             "log_density": shifted - log_norm[:, None],
+             "log_partition": m + log_norm,
+             "moments": (problem.actions._powers @ emu.T) / norm}
+    for name in order:
+        for _ in range(2):
+            assert getattr(pol, name).tobytes() == eager[name].tobytes()
+    weights = eager["weights"]
     for bar, tab in zip(averages, problem.coef_tab):
         ref = np.einsum("ik,ik->i", tab, weights)
         assert np.max(np.abs(bar - ref)) \
             <= 1e-13 * (1.0 + np.max(np.abs(tab)))
     kl = pol.kl
     assert np.all(kl >= -1e-12)
-    assert np.max(np.abs(kl - np.einsum("ik,ik->i", weights, log_density))) \
-        <= 1e-13
+    assert np.max(np.abs(
+        kl - np.einsum("ik,ik->i", weights, eager["log_density"]))) <= 1e-13
 
 
 @st.composite
@@ -342,6 +361,15 @@ def test_regularized_path_meets_the_cold_solves(problem):
         < sum(sol.iterations for sol in cold)
 
 
+@settings(deadline=None, max_examples=25)
+@given(lq_problems(), st.floats(0.01, 2.0))
+def test_tau_derivative_is_nonnegative(problem, tau):
+    # w = dv*_tau/dtau solves the monotone on-policy system with forcing
+    # KL >= 0 and zero boundary data, so v*_tau rises with tau
+    w = tau_derivative(problem, solve_regularized_hjb(problem, tau))
+    assert np.all(w.interior >= 0.0)
+
+
 @pytest.mark.parametrize("kind", ["discrete", "interval"])
 @settings(deadline=None, max_examples=25)
 @given(st.data())
@@ -405,6 +433,8 @@ def lq_maps_problems(draw, kind=None, min_interior=1):
     else:
         alpha, beta = sorted(draw(st.lists(
             st.floats(-1.2, 1.2), min_size=2, max_size=2, unique=True)))
+        # make_action_space refuses a width below the smallest normal
+        assume(beta - alpha >= np.finfo(float).tiny)
         actions = make_action_space(alpha=alpha, beta=beta,
                                     n_quad=draw(st.integers(2, 16)))
     grid = build_grid(0.0, 1.0, draw(st.integers(min_interior, 12)))
