@@ -1,9 +1,11 @@
 """Experiment runner: config-driven subcommands with reproducible outputs.
 
-Every subcommand writes its CSV outputs plus a JSON run manifest
-(config digest, seed, tool version, output list, wall time).  Exit codes:
-0 success, 1 config validation failure, 2 numerical failure, 3 failed
-agreement check (mc-check).
+Each subcommand is declared once, as a row of the command table
+``_COMMANDS`` that ``build_parser`` and ``main`` read.  Every subcommand
+writes its CSV outputs plus a JSON run manifest (config digest, seed,
+tool version, output list, wall time).  Exit codes: 0 success, 1 config
+validation failure, 2 numerical failure, 3 failed agreement check
+(mc-check).
 """
 
 import argparse
@@ -12,6 +14,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 
 import numpy as np
 
@@ -41,12 +44,16 @@ _NUMERICAL_ERRORS = (SolverError, ConvergenceError, UnstableFlowError,
 _OPTIMAL_POLICY_TAU_AT_ZERO = 0.5
 
 
-def _out_dir(resolved, args):
-    if args.out is not None:
-        return args.out
-    if "output_dir" in resolved:
-        return resolved["output_dir"]
-    return os.environ.get("EXITFLOW_OUTDIR", "runs")
+class _OutputDir:
+    """A run's output directory, recording the name of each CSV written."""
+
+    def __init__(self, path):
+        self.path = path
+        self.names = []
+
+    def write_csv(self, name, header, columns):
+        write_csv(os.path.join(self.path, name), header, columns)
+        self.names.append(name)
 
 
 def _write_manifest(out_dir, command, resolved, seed, outputs, wall_time):
@@ -70,9 +77,7 @@ def _tau_tag(tau):
     return format(float(tau), "g").replace("-", "m").replace(".", "p")
 
 
-def cmd_solve_hjb(resolved, out_dir):
-    if "hjb" not in resolved:
-        raise ConfigError("config key 'hjb' is required for solve-hjb")
+def cmd_solve_hjb(resolved, out, seed):
     taus = [0.0, *resolved["hjb"]["taus"]]
     tags = [_tau_tag(tau) for tau in taus]
     for i, tag in enumerate(tags):
@@ -82,7 +87,6 @@ def cmd_solve_hjb(resolved, out_dir):
                               f"would both write hjb_tau_{tag}.csv")
     problem = build_problem(resolved)
     solver = resolved["solver"]
-    outputs = []
     sols = [solve_unregularized_hjb(problem, **solver),
             *regularized_path(problem, resolved["hjb"]["taus"], **solver)]
     for sol, tag in zip(sols, tags):
@@ -92,15 +96,15 @@ def cmd_solve_hjb(resolved, out_dir):
         mean = sol.argmin_actions
         if mean is None:
             mean = sol.optimal_policy.moments[0]
-        path = os.path.join(out_dir, f"hjb_tau_{tag}.csv")
-        outputs.append(write_csv(path, ["x", "v_star", "dv", "mean_action"],
-                                 [problem.grid.interior, sol.v_star.interior,
-                                  sol.v_star.dv, mean]))
+        out.write_csv(f"hjb_tau_{tag}.csv",
+                      ["x", "v_star", "dv", "mean_action"],
+                      [problem.grid.interior, sol.v_star.interior,
+                       sol.v_star.dv, mean])
         hist = sol.residual_history
-        path = os.path.join(out_dir, f"hjb_residuals_tau_{tag}.csv")
-        outputs.append(write_csv(path, ["iteration", "residual"],
-                                 [np.arange(1, len(hist) + 1), hist]))
-    return outputs, 0
+        out.write_csv(f"hjb_residuals_tau_{tag}.csv",
+                      ["iteration", "residual"],
+                      [np.arange(1, len(hist) + 1), hist])
+    return 0
 
 
 def _initial_feature(problem, flow_cfg, solver):
@@ -123,9 +127,7 @@ def _initial_feature(problem, flow_cfg, solver):
     return z
 
 
-def cmd_run_flow(resolved, out_dir):
-    if "flow" not in resolved:
-        raise ConfigError("config key 'flow' is required for run-flow")
+def cmd_run_flow(resolved, out, seed):
     problem = build_problem(resolved)
     flow_cfg = resolved["flow"]
     solver = resolved["solver"]
@@ -139,30 +141,26 @@ def cmd_run_flow(resolved, out_dir):
     traj = integrate_flow(problem, z0, sched, flow_cfg["horizon"],
                           flow_cfg["dt"], probes,
                           record_every=flow_cfg["record_every"])
-    outputs = []
     labels = [format(x, ".6g") for x in traj.probe_x]
     header = ["s", "tau_s"] + [f"v_reg_{x}" for x in labels] \
         + [f"v_unreg_{x}" for x in labels] + ["kl_mass"]
-    path = os.path.join(out_dir, "flow_trajectory.csv")
-    outputs.append(write_csv(path, header, [
+    out.write_csv("flow_trajectory.csv", header, [
         traj.times, traj.tau_values, *traj.values_at_probe.T,
-        *traj.unregularized_values.T, traj.kl_mass]))
-    path = os.path.join(out_dir, "flow_z_final.csv")
-    outputs.append(write_csv(
-        path, ["x", *("%.17g" % a for a in problem.actions.actions.tolist())],
-        [problem.grid.interior, *traj.z_final.T]))
+        *traj.unregularized_values.T, traj.kl_mass])
+    actions = ("%.17g" % a for a in problem.actions.actions.tolist())
+    out.write_csv("flow_z_final.csv", ["x", *actions],
+                  [problem.grid.interior, *traj.z_final.T])
     decomp = error_decomposition(problem, traj, **solver)
-    path = os.path.join(out_dir, "flow_error_decomposition.csv")
-    outputs.append(write_csv(
-        path, ["s", "x", "kl_term", "optimization", "bias", "total"],
-        [np.repeat(traj.times, traj.probe_x.size),
-         np.tile(traj.probe_x, traj.times.size),
-         *(a.ravel() for a in (decomp.kl_term, decomp.optimization,
-                               decomp.bias, decomp.total))]))
-    return outputs, 0
+    out.write_csv("flow_error_decomposition.csv",
+                  ["s", "x", "kl_term", "optimization", "bias", "total"],
+                  [np.repeat(traj.times, traj.probe_x.size),
+                   np.tile(traj.probe_x, traj.times.size),
+                   *(a.ravel() for a in (decomp.kl_term, decomp.optimization,
+                                         decomp.bias, decomp.total))])
+    return 0
 
 
-def cmd_sweep_bounds(resolved, out_dir):
+def cmd_sweep_bounds(resolved, out, seed):
     cfg = resolved["bounds"]
     figure_rows = reproduce_figure(cfg["beta_grid"], cfg["s_grid"],
                                    cfg["constant"], cfg["alpha"])
@@ -171,23 +169,19 @@ def cmd_sweep_bounds(resolved, out_dir):
         for beta in cfg["beta_grid"]:
             gi = growth_integrals(Scheduler(kind=POWER_LAW, beta=beta), S)
             growth_rows.append((beta, S, gi.log_I1, gi.log_I2))
-    outputs = []
-    path = os.path.join(out_dir, "figure_bounds.csv")
-    outputs.append(write_csv(path, ["beta", "S", "bound"],
-                             zip(*figure_rows)))
-    path = os.path.join(out_dir, "growth_integrals.csv")
-    outputs.append(write_csv(path, ["beta", "s", "log_I1", "log_I2"],
-                             zip(*growth_rows)))
+    out.write_csv("figure_bounds.csv", ["beta", "S", "bound"],
+                  zip(*figure_rows))
+    out.write_csv("growth_integrals.csv", ["beta", "s", "log_I1", "log_I2"],
+                  zip(*growth_rows))
     if "bias_sweep" in cfg:
         bs = cfg["bias_sweep"]
         rows = bias_sweep_rows(bs["taus"], bs["p_grid"],
                                alpha=bs["alpha"], beta=bs["beta"])
-        path = os.path.join(out_dir, "bias_sweep.csv")
         # no taus give no rows, where zip(*rows) would give no columns
-        outputs.append(write_csv(path, ["tau", "p", "soft", "hard", "gap",
-                                        "gap_over_tau_log"],
-                                 np.reshape(rows, (-1, 6)).T))
-    return outputs, 0
+        out.write_csv("bias_sweep.csv", ["tau", "p", "soft", "hard", "gap",
+                                         "gap_over_tau_log"],
+                      np.reshape(rows, (-1, 6)).T)
+    return 0
 
 
 def _z_score(diff, stderr):
@@ -197,9 +191,7 @@ def _z_score(diff, stderr):
     return math.copysign(math.inf, diff) if diff else 0.0
 
 
-def cmd_mc_check(resolved, out_dir, seed):
-    if "mc" not in resolved:
-        raise ConfigError("config key 'mc' is required for mc-check")
+def cmd_mc_check(resolved, out, seed):
     problem = build_problem(resolved)
     mc = resolved["mc"]
     solver = resolved["solver"]
@@ -211,8 +203,7 @@ def cmd_mc_check(resolved, out_dir, seed):
         pol = sol.optimal_policy
     pde_tau = mc["pde_tau"] if mc["pde_tau"] is not None else mc["tau"]
     vf = solve_on_policy_bellman(problem, pol, pde_tau)
-    rows = []
-    est_rows = []
+    rows, est_rows = [], []
     ok = True
     for k, x0 in enumerate(mc["x0"]):
         est = simulate_exit_value(problem, pol, x0, mc["tau"], mc["n_paths"],
@@ -224,14 +215,29 @@ def cmd_mc_check(resolved, out_dir, seed):
                          est.mean_exit_time, est.seed))
         if abs(est.mean - pde) > 3.0 * est.stderr + mc["bias_allowance"]:
             ok = False
-    path = os.path.join(out_dir, "mc_check.csv")
-    outputs = [write_csv(path, ["x", "pde_value", "mc_mean", "mc_stderr",
-                                "z_score"], zip(*rows))]
-    path = os.path.join(out_dir, "mc_estimates.csv")
-    outputs.append(write_csv(path, ["x0", "tau", "mean", "stderr", "n_paths",
-                                    "mean_exit_time", "seed"],
-                             zip(*est_rows)))
-    return outputs, 0 if ok else CHECK_FAILURE
+    out.write_csv("mc_check.csv", ["x", "pde_value", "mc_mean", "mc_stderr",
+                                   "z_score"], zip(*rows))
+    out.write_csv("mc_estimates.csv", ["x0", "tau", "mean", "stderr",
+                                       "n_paths", "mean_exit_time", "seed"],
+                  zip(*est_rows))
+    return 0 if ok else CHECK_FAILURE
+
+
+# The one place a subcommand is declared: help text, the config section it
+# needs, whether --config may be omitted, handler(resolved, out, seed) -> code
+_Command = namedtuple("_Command", "help section config_optional handler")
+_COMMANDS = {
+    "solve-hjb": _Command("solve the regularized and hard-min equations",
+                          "hjb", False, cmd_solve_hjb),
+    "run-flow": _Command("integrate the mirror descent flow", "flow", False,
+                         cmd_run_flow),
+    "sweep-bounds": _Command("evaluate bound curves over (beta, S) grids",
+                             "bounds", False, cmd_sweep_bounds),
+    "mc-check": _Command("compare the linear solver against simulation",
+                         "mc", False, cmd_mc_check),
+    "reproduce-figure": _Command("sweep-bounds with the default grids",
+                                 "bounds", True, cmd_sweep_bounds),
+}
 
 
 def build_parser():
@@ -241,17 +247,11 @@ def build_parser():
                     "exit-time control problem")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-            ("solve-hjb", "solve the regularized and hard-min equations"),
-            ("run-flow", "integrate the mirror descent flow"),
-            ("sweep-bounds", "evaluate bound curves over (beta, S) grids"),
-            ("mc-check", "compare the linear solver against simulation"),
-            ("reproduce-figure", "sweep-bounds with the default grids")]:
-        p = sub.add_parser(name, help=help_text)
-        if name != "reproduce-figure":
-            p.add_argument("--config", required=True, help="JSON config file")
-        else:
-            p.add_argument("--config", help="JSON config file (optional)")
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        p.add_argument("--config", required=not cmd.config_optional,
+                       help="JSON config file (optional)"
+                       if cmd.config_optional else "JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output directory (else config "
                                      "output_dir or $EXITFLOW_OUTDIR)")
@@ -260,26 +260,26 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    cmd = _COMMANDS[args.command]
     t0 = time.perf_counter()
     try:
-        if args.config is None:  # only reproduce-figure may omit it
-            resolved = resolve_config({})
-        else:
-            resolved = load_config(args.config)
+        resolved = resolve_config({}) if args.config is None \
+            else load_config(args.config)
         if args.seed is not None:
             resolved = resolve_config({**resolved, "seed": args.seed})
         seed = resolved["seed"]
-        out_dir = _out_dir(resolved, args)
-        if args.command == "solve-hjb":
-            outputs, code = cmd_solve_hjb(resolved, out_dir)
-        elif args.command == "run-flow":
-            outputs, code = cmd_run_flow(resolved, out_dir)
-        elif args.command in ("sweep-bounds", "reproduce-figure"):
-            if "bounds" not in resolved:
-                resolved["bounds"] = resolve_config({"bounds": {}})["bounds"]
-            outputs, code = cmd_sweep_bounds(resolved, out_dir)
-        else:
-            outputs, code = cmd_mc_check(resolved, out_dir, seed)
+        out = _OutputDir(args.out if args.out is not None else resolved.get(
+            "output_dir", os.environ.get("EXITFLOW_OUTDIR", "runs")))
+        if cmd.section not in resolved:
+            # an absent section takes its defaults where every key has one
+            # (bounds), and is required otherwise
+            try:
+                resolved[cmd.section] = \
+                    resolve_config({cmd.section: {}})[cmd.section]
+            except ConfigError:
+                raise ConfigError(f"config key '{cmd.section}' is required "
+                                  f"for {args.command}") from None
+        code = cmd.handler(resolved, out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return VALIDATION_FAILURE
@@ -287,10 +287,9 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_FAILURE
     wall = time.perf_counter() - t0
-    manifest = _write_manifest(out_dir, args.command, resolved, seed,
-                               [os.path.relpath(p, out_dir) for p in outputs],
-                               wall)
-    print(f"wrote {len(outputs)} output file(s) and {manifest}")
+    manifest = _write_manifest(out.path, args.command, resolved, seed,
+                               out.names, wall)
+    print(f"wrote {len(out.names)} output file(s) and {manifest}")
     return code
 
 

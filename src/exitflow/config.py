@@ -21,8 +21,7 @@ import numpy as np
 from .bounds import BETA_GRID, S_GRID
 from .domain import (DISCRETE, INTERVAL, LQ_FIELDS, LQCoefficients,
                      build_grid, make_action_space, make_lq_problem)
-from .flow import (CONSTANT, HORIZON_CONSTANT, POWER_LAW, SCHEDULER_KINDS,
-                   Scheduler)
+from .flow import SCHEDULER_KINDS, SCHEDULER_PARAMS, Scheduler
 from .hjb import MAX_ITER
 
 
@@ -137,13 +136,17 @@ _SPEC = {
     }, _ABSENT),
 }
 
+# the flow.scheduler key of each Scheduler field whose name differs
+_SCHEDULER_KEYS = {"horizon": "S"}
+
 # Each key that its section's kind selects, and the one kind that takes
-# it: required in a section of that kind, refused in any other
+# it: required in a section of that kind, refused in any other.  The
+# scheduler's rows are flow.SCHEDULER_PARAMS.
 _KIND_KEYS = {"actions.values": DISCRETE, "actions.alpha": INTERVAL,
               "actions.beta": INTERVAL, "actions.n_quad": INTERVAL,
-              "flow.scheduler.tau": CONSTANT,
-              "flow.scheduler.S": HORIZON_CONSTANT,
-              "flow.scheduler.beta": POWER_LAW}
+              **{f"flow.scheduler.{_SCHEDULER_KEYS.get(name, name)}": kind
+                 for kind, names in SCHEDULER_PARAMS.items()
+                 for name in names}}
 
 # (section, low, high): where the section holds low, need low < high
 _ORDERED_PAIRS = (("grid", "left", "right"), ("actions", "alpha", "beta"),
@@ -272,9 +275,9 @@ def build_problem(resolved):
 
 def build_scheduler(flow_cfg):
     s = flow_cfg["scheduler"]
-    return Scheduler(kind=s["kind"], tau=s.get("tau", math.nan),
-                     horizon=s.get("S", math.nan),
-                     beta=s.get("beta", math.nan))
+    return Scheduler(kind=s["kind"], **{
+        name: s[_SCHEDULER_KEYS.get(name, name)]
+        for name in SCHEDULER_PARAMS[s["kind"]]})
 
 
 def probe_indices(grid, positions):

@@ -53,15 +53,11 @@ INVERSE_LINEAR = "inverse_linear"
 INVERSE_SQRT = "inverse_sqrt"
 POWER_LAW = "power_law"
 
-SCHEDULER_KINDS = (CONSTANT, HORIZON_CONSTANT, INVERSE_LINEAR, INVERSE_SQRT,
-                   POWER_LAW)
+# the Scheduler fields each kind takes; it refuses the others
+SCHEDULER_PARAMS = {CONSTANT: ("tau",), HORIZON_CONSTANT: ("horizon",),
+                    INVERSE_LINEAR: (), INVERSE_SQRT: (), POWER_LAW: ("beta",)}
+SCHEDULER_KINDS = tuple(SCHEDULER_PARAMS)
 _CONSTANT_KINDS = (CONSTANT, HORIZON_CONSTANT)
-# the Scheduler fields each kind does not take
-_UNUSED_PARAMS = {CONSTANT: ("horizon", "beta"),
-                  HORIZON_CONSTANT: ("tau", "beta"),
-                  INVERSE_LINEAR: ("tau", "horizon", "beta"),
-                  INVERSE_SQRT: ("tau", "horizon", "beta"),
-                  POWER_LAW: ("tau", "horizon")}
 
 
 class UnstableFlowError(RuntimeError):
@@ -106,9 +102,10 @@ class Scheduler:
             stored["tau"] = math.log(self.horizon + 1.0) / self.horizon
         elif self.kind == INVERSE_LINEAR:
             stored["beta"] = 1.0
-        for name in _UNUSED_PARAMS[self.kind]:
+        for name in ("tau", "horizon", "beta"):
             given = getattr(self, name)
-            if not math.isnan(given) and given != stored.get(name):
+            if name not in SCHEDULER_PARAMS[self.kind] \
+                    and not math.isnan(given) and given != stored.get(name):
                 raise ValueError(f"{self.kind} scheduler takes no {name}, "
                                  f"got {name}={given!r}")
         for name, value in stored.items():
