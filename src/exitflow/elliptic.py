@@ -13,12 +13,11 @@ action sets with LQ structure the averages are affine in the policy's
 action moments E[a] and E[a^2] (``domain.lq_averages``), so they are
 formed from those two numbers per node and the seven LQ maps, without
 the policy's weights; elsewhere they contract the (3, n, N) coefficient
-table with the weights.  The value
-solve, Howard's uniform-policy bootstrap and the Monte Carlo tables all
+table with the weights.  The value solve and the Monte Carlo tables
 start from the same averages, and so do the discrete residual and the
-performance-difference identity that the tests check, so those identities
-hold at the level of linear algebra.  Every derivative
-is central, in the solve as in the per-action generator table
+performance-difference identity that the tests check, so those
+identities hold at the level of linear algebra.  Every derivative is
+central, in the solve as in the per-action generator table
 b*Dv - c*v + f and the diffusion term (sigma^2/2) v'' that the HJB
 residuals and the flow read; the advection stencil needs the cell Peclet
 condition |b_bar| h / sigma^2 <= 1, under which the off-diagonal bands

@@ -301,8 +301,8 @@ def error_decomposition(problem, traj: FlowTrajectory,
     distinct recorded tau, so a constant schedule makes one solve of each.
     The regularized solves run along ``hjb.regularized_path`` in record
     order, each from the previous tau's optimum, so the values agree with
-    solves from the uniform policy within the solver tolerance, not bit
-    for bit.  ``solver`` (tol, max_iter) goes to every solve.
+    lone solves of each tau within the solver tolerance, not bit for bit.
+    ``solver`` (tol, max_iter) goes to every solve.
     """
     def at_probes(sol):
         return sol.v_star.v[1:-1][traj.probe_indices]

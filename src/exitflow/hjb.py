@@ -1,21 +1,28 @@
 """Semilinear HJB solves: policy iteration for tau > 0, Howard for tau = 0.
 
+Both solvers start from one improvement step at the boundary data: at the
+start value v_0, g at both ends and linear in between (0 where g is 0),
+each takes the step it takes at every iterate, so its first linear solve
+is under the myopic policy of v_0 rather than under the uniform one.
+Policy iteration is Newton's method on the HJB, and that start saves
+about one iteration of a cold solve.
+
 For tau > 0 the fixed point alternates a linear on-policy solve with the
 exact improvement map Z <- -(b*Dv - c*v + f)/tau, whose Gibbs image is
 the softmin-optimal policy; convergence is measured by the semilinear
 residual (sigma^2/2) v'' + H_tau(x, v, Dv), with H_tau = -tau times the
 log-partition of that Gibbs image, so each iteration exponentiates its
-feature table once.  On interval LQ problems b*Dv - c*v + f is
+feature table once, and the optimal policy returned is that image.  On
+interval LQ problems b*Dv - c*v + f is
 k0 + k1*a + k2*a^2 per node (``domain.lq_feature``): the features are
 -(k1*a + k2*a^2)/tau, one (n, 2) x (2, N) product, H_tau takes k0 back,
 and the next value solve reads the policy through its two action
 moments, so no b, c, f table is formed and no weights are read.
-``regularized_path`` solves a list of tau in order, each from the
-previous optimum: its first solve starts from the uniform policy, each
-later one from the Gibbs image of -F(v*_prev)/tau, formed by the same
-improvement step (``_improvement_feature``) that the iteration takes.
-Policy iteration is Newton's method on the HJB, so from the optimum at a
-nearby tau it converges in about two iterations.
+``regularized_path`` solves a list of tau in order: its first solve
+starts as a lone solve does, each later one from the Gibbs image of
+-F(v*_prev)/tau, formed by the same improvement step
+(``_improvement_feature``) that the iteration takes.  From the optimum
+at a nearby tau policy iteration converges in about two iterations.
 
 The tau = 0 solve is Howard iteration; its step is
 ``hamiltonian._hard_minimum`` on the problem's tables, the node-wise
@@ -34,10 +41,10 @@ from typing import Optional
 import numpy as np
 
 from .domain import _count, lq_feature
-from .elliptic import (ValueField, average_coefficients, diffusion,
-                       optimal_feature, solve_linear, solve_on_policy_bellman)
+from .elliptic import (ValueField, diffusion, optimal_feature, solve_linear,
+                       solve_on_policy_bellman)
 from .hamiltonian import _hard_minimum
-from .policy import Policy, _check_tau, gibbs_policy, uniform_policy
+from .policy import Policy, _check_tau, gibbs_policy
 
 
 # iteration cap of both solvers; also the default of solver.max_iter
@@ -80,6 +87,13 @@ def _residual(problem, vf, ham):
     return float(np.max(np.abs(diffusion(problem, vf) + ham)))
 
 
+def _boundary_start(problem):
+    """The start value v_0 of both solvers: g at both ends and linear in
+    between, all zeros where g is 0, with its central slope."""
+    v = np.linspace(problem.g_left, problem.g_right, problem.n_interior + 2)
+    return ValueField(v=v, dv=(v[2:] - v[:-2]) / problem._stencil.two_h)
+
+
 def _improvement_feature(problem, vf, tau):
     """Features of the improvement step at the value ``vf``, and the part
     k0 of F = b*Dv - c*v + f that they leave out.
@@ -109,17 +123,25 @@ def solve_regularized_hjb(problem, tau, tol=None, max_iter=MAX_ITER,
                           z0=None) -> HjbSolution:
     """Fixed point of the softmin HJB for tau > 0.
 
-    Starts from the uniform policy (or the Gibbs image of ``z0``) and
-    iterates linear solve / feature improvement until the semilinear
-    residual drops below tol.  tol=None is ``default_tolerance(problem)``;
-    a tol that is not positive and finite, or a max_iter that is not an
-    integer >= 1, is a ValueError before any solve.
+    Starts from the improvement step at the boundary data, the Gibbs
+    image of -F(v_0)/tau (the myopic policy e^(-f/tau) where g is 0), or
+    from the Gibbs image of ``z0`` (``np.zeros`` for the uniform policy),
+    and iterates linear solve / feature improvement until the semilinear
+    residual drops below tol.  The policy returned is the improved one,
+    the Gibbs image of -F(v*)/tau at which the last residual was taken.
+    The start's drift may have a cell Peclet number above 1 where the
+    uniform average's has not: the first solve then raises SolverError.
+    tol=None is ``default_tolerance(problem)``; a tol that is not positive
+    and finite, or a max_iter that is not an integer >= 1, is a ValueError
+    before any solve.
     """
     _check_tau(tau, positive=True)
     tol, max_iter = _solver_args(problem, tol, max_iter)
     actions = problem.actions
     if z0 is None:
-        pol = uniform_policy(problem.n_interior, actions)
+        pol = gibbs_policy(_improvement_feature(
+            problem, _boundary_start(problem), tau)[0], actions,
+            overwrite=True)
     else:
         pol = gibbs_policy(z0, actions)
     history = []
@@ -132,7 +154,7 @@ def solve_regularized_hjb(problem, tau, tol=None, max_iter=MAX_ITER,
         history.append(res)
         if res <= tol:
             return HjbSolution(v_star=vf, iterations=it,
-                               final_residual=res, optimal_policy=pol,
+                               final_residual=res, optimal_policy=improved,
                                residual_history=history)
         pol = improved
     raise ConvergenceError(
@@ -143,8 +165,9 @@ def solve_regularized_hjb(problem, tau, tol=None, max_iter=MAX_ITER,
 def regularized_path(problem, taus, tol=None, max_iter=MAX_ITER):
     """Softmin HJB solutions for ``taus``, yielded in the given order.
 
-    The first solve starts from the uniform policy; each later one from
-    the improvement step at the previous optimum, the Gibbs image of
+    The first solve starts as ``solve_regularized_hjb`` does alone, from
+    the improvement step at the boundary data; each later one from the
+    improvement step at the previous optimum, the Gibbs image of
     -F(v*_prev)/tau.  Policy iteration is Newton's method on the HJB, so
     from an optimum at a nearby tau it needs few iterations.  Every tau,
     and tol and max_iter as ``solve_regularized_hjb`` takes them, are
@@ -186,20 +209,25 @@ def solve_unregularized_hjb(problem, tol=None,
                             max_iter=MAX_ITER) -> HjbSolution:
     """Howard iteration for the hard-min HJB (tau = 0).
 
-    Bootstraps from the uniform-policy averages, then alternates linear
-    solves under the current per-node action selection with hard argmin
-    reselection.  Stops on the semilinear residual or a stationary
-    selection.  Each iteration after the first takes the coefficients of
-    the previous selection, so a selection seen before (other than the
-    previous one) repeats the iterations since: it is reported as cycling.
-    tol and max_iter are taken and checked as by ``solve_regularized_hjb``.
+    Starts from the hard argmin at the boundary data v_0, the selection
+    of iteration 0, then alternates linear solves under the current
+    per-node action selection with hard argmin reselection.  Stops on the
+    semilinear residual or a stationary selection, so at iteration 1 when
+    that iterate selects the start's actions again.  Each iteration takes
+    the coefficients of the previous selection, so a selection seen before
+    (other than the previous one) repeats the iterations since: it is
+    reported as cycling.  A start selection whose drift has a cell Peclet
+    number above 1 raises SolverError at the first solve, even where the
+    uniform average's would not.  tol and max_iter are taken and checked
+    as by ``solve_regularized_hjb``.
     """
     tol, max_iter = _solver_args(problem, tol, max_iter)
-    coefficients = average_coefficients(
-        problem, uniform_policy(problem.n_interior, problem.actions), 0.0)
+    v0 = _boundary_start(problem)
+    _, acts, coefficients = _hard_minimum(
+        problem, problem.grid.interior, v0.interior, v0.dv,
+        problem.coef_tab, problem.lq_tab)
     history = []
-    seen = {}
-    acts = None
+    seen = {acts.tobytes(): 0}
     for it in range(1, max_iter + 1):
         vf = solve_linear(problem, *coefficients)
         ham, new_acts, selected = _hard_minimum(
@@ -207,8 +235,7 @@ def solve_unregularized_hjb(problem, tol=None,
             problem.coef_tab, problem.lq_tab)
         res = _residual(problem, vf, ham)
         history.append(res)
-        stationary = acts is not None and np.array_equal(new_acts, acts)
-        if res <= tol or stationary:
+        if res <= tol or np.array_equal(new_acts, acts):
             return HjbSolution(v_star=vf, iterations=it,
                                final_residual=res,
                                optimal_policy=_one_hot_policy(problem, new_acts),

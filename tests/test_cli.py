@@ -421,6 +421,36 @@ def test_run_flow_optimal_start(tmp_path):
     assert abs(first_opt) <= 1e-8
 
 
+def test_run_flow_builds_its_start_once(tmp_path, monkeypatch):
+    # z0 "optimal" solves the tau_0 HJB once, and a restart CSV is read
+    # once, however the flow and its error decomposition go on
+    import exitflow.cli
+    calls = []
+
+    def counting(name):
+        fn = getattr(exitflow.cli, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("solve_regularized_hjb", "read_matrix_csv"):
+        monkeypatch.setattr(exitflow.cli, name, counting(name))
+    flow = {"scheduler": {"kind": "constant", "tau": 0.5}, "horizon": 0.2,
+            "dt": 0.05, "record_every": 2, "probes": [0.5], "z0": "optimal"}
+    cfg = _write(tmp_path, _base_config(flow=flow))
+    out = str(tmp_path / "opt")
+    assert main(["run-flow", "--config", cfg, "--out", out]) == 0
+    assert calls == ["solve_regularized_hjb"]
+    del calls[:]
+    flow["z0"] = os.path.join(out, "flow_z_final.csv")
+    cfg = _write(tmp_path, _base_config(flow=flow), name="restart.json")
+    assert main(["run-flow", "--config", cfg,
+                 "--out", str(tmp_path / "restart")]) == 0
+    assert calls == ["read_matrix_csv"]
+
+
 def test_sweep_bounds_empty_grid_rejected(tmp_path):
     cfg = _write(tmp_path, {"bounds": {"beta_grid": [], "s_grid": [10.0]}})
     assert main(["sweep-bounds", "--config", cfg,

@@ -12,6 +12,7 @@ from exitflow import (gibbs_policy, lq_benchmark, make_action_space,
                       uniform_policy)
 from exitflow.config import build_problem, build_scheduler, load_config
 from exitflow.domain import LQCoefficients, build_grid, make_lq_problem
+from exitflow.elliptic import SolverError, average_coefficients
 from exitflow.hjb import ConvergenceError, default_tolerance
 from identities import comparison_slack, non_lq_problem, tau_derivative
 
@@ -82,7 +83,7 @@ def test_single_action_matches_linear_solve(lq):
 
 
 def test_second_seed_oracle(lq_interval):
-    # uniqueness: iterations seeded from the uniform policy and from a
+    # uniqueness: iterations seeded from the boundary data and from a
     # perturbed feature land on the same fixed point
     tol = default_tolerance(lq_interval)
     a = solve_regularized_hjb(lq_interval, 0.5, tol=tol)
@@ -175,7 +176,7 @@ def test_interval_unregularized_continuous_argmin(lq_interval):
 
 def test_howard_monotone_values(lq):
     # classical Howard property: values nonincreasing across iterations
-    from exitflow.elliptic import average_coefficients, solve_linear
+    from exitflow.elliptic import solve_linear
     from exitflow.hamiltonian import _hard_minimum
     pol = uniform_policy(lq.n_interior, lq.actions)
     coefficients = average_coefficients(lq, pol, 0.0)
@@ -226,25 +227,26 @@ def test_howard_non_lq_interval(monkeypatch):
         assert z(sol.argmin_actions[i]) <= dense + 1e-12
 
 
-# Bits recorded at commit 1413b2f, written as 17-digit literals: the
-# non-LQ search and the policy-iteration tables may change how they are
-# computed, but not one bit of what they compute.
+# Bits of the solves from the improvement step at the boundary data,
+# written as 17-digit literals: the non-LQ search and the policy-iteration
+# tables may change how they are computed, but not one bit of what they
+# compute.
 NON_LQ_ARGMIN = [
-    -0.26985216164725007, -0.21966002517355759, -0.17307519617257233,
-    -0.13033828579533613, -0.091495689273050143, -0.056437458817924113,
-    -0.024949654451937343, 0.0032369543915993062, 0.028410623749150009,
-    0.050855215182319349, 0.070837340322237152, 0.088600564812237229,
-    0.10436382719695, 0.11832233271940942, 0.13064950406538559]
+    -0.26985216164725007, -0.21966002507550697, -0.17307519467867905,
+    -0.13033828517353713, -0.09149568525312869, -0.05643744558516251,
+    -0.024949659083961004, 0.0032369613989020915, 0.028410626664908345,
+    0.05085521518231935, 0.07083734789941801, 0.08860056671018668,
+    0.10436381935662603, 0.11832233271940942, 0.13064950406538559]
 NON_LQ_V = [
-    0.0, 0.062089404285160875, 0.1160455862457917, 0.16169086540224031,
-    0.19890091276251859, 0.22760161319585256, 0.24776554165937056,
-    0.25940826818840218, 0.26258464354080102, 0.25738515989667893,
-    0.24393243845342086, 0.2223778685344476, 0.19289840739021097,
-    0.15569354209975267, 0.11098241163581693, 0.059001086089991293, 0.0]
+    0.0, 0.06208940428516215, 0.11604558624579295, 0.16169086540224148,
+    0.19890091276251962, 0.22760161319585348, 0.24776554165937142,
+    0.25940826818840296, 0.2625846435408018, 0.2573851598966797,
+    0.24393243845342166, 0.2223778685344484, 0.19289840739021175,
+    0.15569354209975336, 0.11098241163581751, 0.05900108608999168, 0.0]
 INTERVAL_TAU_01_V = [
-    0.0, 0.068072869129958066, 0.11752323286149013, 0.14761581862202683,
-    0.1577332103539042, 0.1476158186220268, 0.11752323286149011,
-    0.068072869129958052, 0.0]
+    0.0, 0.06807286912639211, 0.11752323285755359, 0.1476158186180992,
+    0.15773321034997964, 0.14761581861809922, 0.11752323285755359,
+    0.06807286912639211, 0.0]
 
 
 def test_howard_non_lq_interval_bits():
@@ -255,8 +257,9 @@ def test_howard_non_lq_interval_bits():
 
 def test_howard_non_lq_interval_closure_calls():
     # the golden-section search and the selected coefficients call each of
-    # b, c and f exactly as often as when the search first ran on Python
-    # floats (4 iterations x 15 nodes)
+    # b, c and f the same number of times on every run: four searches of
+    # 15 nodes on Python floats, the start's at the boundary data and one
+    # per iteration
     base = non_lq_problem()
     calls = {"b": 0, "c": 0, "f": 0}
 
@@ -270,8 +273,8 @@ def test_howard_non_lq_interval_closure_calls():
 
     sol = solve_unregularized_hjb(
         replace(base, **{name: counting(name) for name in calls}))
-    assert sol.iterations == 4
-    assert calls == {"b": 2789, "c": 2789, "f": 2789}
+    assert sol.iterations == 3
+    assert calls == {"b": 2799, "c": 2799, "f": 2799}
 
 
 def test_regularized_interval_lq_bits():
@@ -369,7 +372,7 @@ def test_regularized_path_on_shipped_ladders(config):
 
 
 def test_regularized_path_starts_cold_and_checks_every_tau(monkeypatch, lq):
-    # the first tau is solved from the uniform policy, as on its own; a
+    # the first tau is solved from the boundary data, as on its own; a
     # later repeat of it lands within the comparison bound
     sols = list(regularized_path(lq, [0.1, 1.0, 0.1]))
     cold = solve_regularized_hjb(lq, 0.1)
@@ -386,12 +389,15 @@ def test_regularized_path_starts_cold_and_checks_every_tau(monkeypatch, lq):
 
 
 @pytest.mark.parametrize("kind", ["discrete", "interval"])
-def test_howard_lq_calls_no_closures(monkeypatch, lq, lq_interval, kind):
+def test_howard_lq_calls_no_closures(monkeypatch, lq_interval, kind):
     # on LQ problems Howard reads the tables: no per-node hard_hamiltonian
-    # and no b, c or f evaluation, so its cost is vector work per iteration
+    # and no b, c or f evaluation, so its cost is vector work per iteration.
+    # With 9 actions the discrete benchmark takes more than the one
+    # iteration that its 5-action version now stops at
     import exitflow.hamiltonian
     import exitflow.hjb
-    base = lq if kind == "discrete" else lq_interval
+    base = lq_benchmark("discrete", n_actions=9) if kind == "discrete" \
+        else lq_interval
     calls = []
 
     def counting(fn):
@@ -465,8 +471,9 @@ def test_regularized_hjb_at_tiny_normal_tau_is_howard():
 def test_howard_cycle_caught_at_first_repeat(monkeypatch, lq, lq_interval,
                                              kind):
     # a hard minimum that alternates the two end selections, each with
-    # its true coefficients: iterations 2 and 4 are then the same solve,
-    # so the repeat of iteration 1's selection at iteration 3 is a cycle
+    # its true coefficients: iteration 1 solves under the start's
+    # selection and iteration 3 would again, so the repeat of the start's
+    # selection at iteration 2 is a cycle
     import exitflow.hjb
     problem = lq if kind == "discrete" else lq_interval
     ends = problem.actions.actions[[0, -1]]
@@ -482,7 +489,7 @@ def test_howard_cycle_caught_at_first_repeat(monkeypatch, lq, lq_interval,
     monkeypatch.setattr(exitflow.hjb, "_hard_minimum", alternating)
     with pytest.raises(ConvergenceError, match="cycling") as err:
         solve_unregularized_hjb(problem)
-    assert len(err.value.residual_history) <= 4
+    assert len(err.value.residual_history) == 2
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])
@@ -524,3 +531,91 @@ def test_nonconvergence_reports_history(lq):
     with pytest.raises(ConvergenceError) as err:
         solve_regularized_hjb(lq, 0.5, tol=1e-30, max_iter=3)
     assert len(err.value.residual_history) == 3
+
+
+def _uniform_start_howard(monkeypatch, problem):
+    """Howard's solve from the uniform-policy averages, its start before
+    the boundary data's: the first hard minimum, the start's, is replaced
+    by those averages and a selection of NaN, which no iterate equals."""
+    import exitflow.hjb
+    real = exitflow.hjb._hard_minimum
+    starts = []
+
+    def uniform_first(problem, *args):
+        if starts:
+            return real(problem, *args)
+        starts.append(problem)
+        n = problem.n_interior
+        return (None, np.full(n, np.nan), average_coefficients(
+            problem, uniform_policy(n, problem.actions), 0.0))
+
+    monkeypatch.setattr(exitflow.hjb, "_hard_minimum", uniform_first)
+    return solve_unregularized_hjb(problem)
+
+
+@pytest.mark.parametrize("case", ["discrete", "interval", "nonlq"])
+def test_boundary_start_takes_no_more_iterations(monkeypatch, case):
+    # the improvement step at the boundary data is at least as good a
+    # start as the uniform policy, for policy iteration at every tau of a
+    # ladder and for Howard, and both starts meet at the same optimum
+    problem = non_lq_problem() if case == "nonlq" \
+        else lq_benchmark(case, n_interior=199)
+    tol = default_tolerance(problem)
+    slack = comparison_slack(problem, tol)
+    uniform = np.zeros((problem.n_interior, problem.actions.n_actions))
+    for tau in (1.0, 0.1, 0.01):
+        new = solve_regularized_hjb(problem, tau)
+        old = solve_regularized_hjb(problem, tau, z0=uniform)
+        assert new.iterations <= old.iterations
+        assert np.max(np.abs(new.v_star.v - old.v_star.v)) <= slack
+    new = solve_unregularized_hjb(problem)
+    old = _uniform_start_howard(monkeypatch, problem)
+    assert new.iterations <= old.iterations
+    assert np.max(np.abs(new.v_star.v - old.v_star.v)) <= slack
+
+
+def test_howard_stops_at_iteration_1_on_the_start_selection(lq):
+    # on the discrete benchmark f = 1 + a^2 is least at a = 0, the start's
+    # selection at zero boundary data, and the first iterate selects it
+    # again: that is the discrete optimum, met in one linear solve
+    sol = solve_unregularized_hjb(lq)
+    assert sol.iterations == 1 and len(sol.residual_history) == 1
+    assert np.array_equal(sol.argmin_actions,
+                          np.zeros(lq.n_interior))
+    assert sol.final_residual <= default_tolerance(lq)
+
+
+def _counting_solves(monkeypatch):
+    """Count the linear solves both solvers start."""
+    import exitflow.hjb
+    calls = []
+    for name in ("solve_linear", "solve_on_policy_bellman"):
+        def counting(*args, _fn=getattr(exitflow.hjb, name)):
+            calls.append(1)
+            return _fn(*args)
+        monkeypatch.setattr(exitflow.hjb, name, counting)
+    return calls
+
+
+def test_start_with_a_peclet_number_above_1_fails_the_first_solve(
+        monkeypatch):
+    # b = 30a on a 9-node grid with sigma = 1: the cell Peclet number is 3
+    # at a = +-1 and 0 under the uniform average, and f is least at a = 1,
+    # which the boundary-data start selects.  Its first solve refuses the
+    # grid; from the uniform policy the first solve passes
+    grid = build_grid(0.0, 1.0, 9)
+    acts = make_action_space(values=[-1.0, 0.0, 1.0])
+    prob = make_problem(grid, acts, b=lambda x, a: 30.0 * a,
+                        c=lambda x, a: 0.1,
+                        f=lambda x, a: 1.0 + (a - 1.0) ** 2,
+                        sigma=lambda x: 1.0, g=lambda x: 0.0)
+    for solve in (lambda: solve_regularized_hjb(prob, 0.1),
+                  lambda: solve_unregularized_hjb(prob)):
+        calls = _counting_solves(monkeypatch)
+        with pytest.raises(SolverError, match="Peclet number 3 "):
+            solve()
+        assert len(calls) == 1
+    calls = _counting_solves(monkeypatch)
+    with pytest.raises(SolverError, match="Peclet"):
+        solve_regularized_hjb(prob, 0.1, z0=np.zeros((9, 3)))
+    assert len(calls) > 1

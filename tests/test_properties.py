@@ -345,6 +345,23 @@ def test_unregularized_value_below_regularized(problem, tau):
     assert np.all(v0 <= v_tau + 1e-8)
 
 
+@pytest.mark.parametrize("kind", ["discrete", "interval"])
+@settings(deadline=None, max_examples=25)
+@given(st.data(), st.floats(0.01, 2.0))
+def test_boundary_start_meets_the_uniform_start(kind, data, tau):
+    # policy iteration from the improvement step at the boundary data and
+    # from the uniform policy (z0 = 0) reaches the same optimum, within
+    # the comparison slack of two solves at residual tol
+    problem = data.draw(lq_problems(kind))
+    tol = default_tolerance(problem)
+    new = solve_regularized_hjb(problem, tau)
+    old = solve_regularized_hjb(problem, tau, z0=np.zeros(
+        (problem.n_interior, problem.actions.n_actions)))
+    assert max(new.final_residual, old.final_residual) <= tol
+    assert np.max(np.abs(new.v_star.v - old.v_star.v)) \
+        <= comparison_slack(problem, tol)
+
+
 @settings(deadline=None, max_examples=25)
 @given(lq_problems())
 def test_regularized_path_meets_the_cold_solves(problem):
